@@ -284,13 +284,14 @@ def cmd_exists(args) -> int:
 def cmd_omp_demo(args) -> int:
     frame, _ = load_frame(args.frame)
     rng = np.random.default_rng(args.seed)
+    arrs = frame.arrays()
     recovered = 0
     for _ in range(args.trials):
         block = int(rng.integers(1, frame.n + 1))
         coeffs = rng.standard_normal(frame.r)
         if frame.field is FieldTag.COMPLEX:
             coeffs = coeffs + 1j * rng.standard_normal(frame.r)
-        signal = frame.arrays()[block - 1] @ coeffs
+        signal = arrs[block - 1] @ coeffs
         result = block_omp_recover(frame, signal, args.k)
         by_index = dict(result)
         ok = block in by_index and np.max(np.abs(by_index[block] - coeffs)) <= 1e-8

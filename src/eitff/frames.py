@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
 from .radon_hurwitz import RhoOrthonormalSeq, build_rho_orthonormal, rho_number
-from .simplex import RhoSimplex, rho_simplex_from_orthonormal, verify_rho_simplex
+from .simplex import RhoSimplex, rho_simplex_from_orthonormal
 
 VARIANTS = ("generic", "skew", "totally_symmetric")
 
@@ -269,24 +269,19 @@ def canonicalize(frame: FusionFrame, tol: float = 1e-8):
     return canonical, simplex
 
 
-def _cross_grams(frame: FusionFrame) -> dict:
-    arrs = frame.arrays()
-    grams = {}
-    for i in range(frame.n):
-        for j in range(i + 1, frame.n):
-            grams[(i, j)] = arrs[i].conj().T @ arrs[j]
-    return grams
+def _cross_gram_rows(stack: np.ndarray):
+    """Block rows G_i = Phi_i* [Phi_{i+1} ... Phi_n] of the fusion Gram,
+    one (n-i-1, r, r) array per i < n, from the (n, d, r) isometry stack."""
+    for i in range(len(stack) - 1):
+        yield stack[i].conj().T @ stack[i + 1 :]
 
 
 def block_coherence(frame: FusionFrame) -> float:
     """Largest operator norm among the cross-Gram matrices Phi_i* Phi_j."""
     if frame.n < 2:
         raise DomainError("block coherence needs at least two subspaces")
-    worst = 0.0
-    for gram in _cross_grams(frame).values():
-        s = np.linalg.svd(gram, compute_uv=False)
-        worst = max(worst, float(s[0]))
-    return worst
+    rows = _cross_gram_rows(np.stack(frame.arrays()))
+    return max(float(np.linalg.svd(g, compute_uv=False)[:, 0].max()) for g in rows)
 
 
 def welch_bound(d: int, r: int, n: int) -> float:
@@ -303,11 +298,11 @@ def principal_angles(frame: FusionFrame) -> PrincipalAngles:
     if frame.n < 2:
         raise DomainError("principal angles need at least two subspaces")
     angles = {}
-    for (i, j), gram in _cross_grams(frame).items():
-        s = np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
-        theta = np.arccos(s)
-        angles[(i + 1, j + 1)] = theta
-        angles[(j + 1, i + 1)] = theta.copy()
+    for i, row in enumerate(_cross_gram_rows(np.stack(frame.arrays()))):
+        s = np.clip(np.linalg.svd(row, compute_uv=False), 0.0, 1.0)
+        for j, theta in enumerate(np.arccos(s), start=i + 2):
+            angles[(i + 1, j)] = theta
+            angles[(j, i + 1)] = theta.copy()
     return PrincipalAngles(frame.n, frame.r, angles)
 
 
@@ -336,29 +331,38 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
 
     Residuals: column orthonormality, tightness of the summed projections
     (target (nr/d) I), equi-isoclinism against sigma^2 = (nr-d)/(d(n-1)),
-    and the gap between block coherence and the Welch bound.  The
-    dimension-count check is vacuous when some pair of subspaces
-    coincides, since it only speaks about nonidentical subspaces.
+    and the gap between block coherence and the Welch bound.  In the
+    fusion Gram H = S* S, S = [Phi_1 ... Phi_n], these ask H_ii = I and
+    H_ij H_ij* = H_ij* H_ij = sigma^2 I; H is read one block row at a
+    time.  Coherence is the largest sqrt(lambda_max(H_ij H_ij*)) from
+    batched `eigvalsh`, eigenvalues clamped at 0.  The dimension-count
+    check is vacuous when some pair of subspaces coincides, since it only
+    speaks about nonidentical subspaces.
     """
-    arrs = frame.arrays()
+    stack = np.stack(frame.arrays())
     d, r, n = frame.d, frame.r, frame.n
     eye_r = np.eye(r)
 
-    iso = max(max_abs(a.conj().T @ a - eye_r) for a in arrs)
+    iso = max_abs(stack.conj().swapaxes(1, 2) @ stack - eye_r)
 
-    frame_op = sum(a @ a.conj().T for a in arrs)
+    frame_op = sum(a @ a.conj().T for a in stack)
     tight = max_abs(frame_op - (n * r / d) * np.eye(d))
 
     sigma2 = (n * r - d) / (d * (n - 1))
     equi = 0.0
     coherence = 0.0
     identical_pair = False
-    for gram in _cross_grams(frame).values():
-        equi = max(equi, max_abs(gram @ gram.conj().T - sigma2 * eye_r))
-        equi = max(equi, max_abs(gram.conj().T @ gram - sigma2 * eye_r))
-        s = np.linalg.svd(gram, compute_uv=False)
-        coherence = max(coherence, float(s[0]))
-        if float(s[-1]) >= 1.0 - _IDENTICAL_SUBSPACE_TOL:
+    for row in _cross_gram_rows(stack):
+        row_h = row.conj().swapaxes(1, 2)
+        ggh = row @ row_h
+        equi = max(
+            equi,
+            max_abs(ggh - sigma2 * eye_r),
+            max_abs(row_h @ row - sigma2 * eye_r),
+        )
+        s = np.sqrt(np.maximum(np.linalg.eigvalsh(ggh), 0.0))
+        coherence = max(coherence, float(s[:, -1].max()))
+        if float(s[:, 0].max()) >= 1.0 - _IDENTICAL_SUBSPACE_TOL:
             identical_pair = True
 
     gap = coherence - welch_bound(d, r, n)

@@ -1,10 +1,12 @@
-"""Field-tagged dense matrices and the decompositions built on them.
+"""Field-tagged matrix storage, the decompositions built on it, and the
+block-relation kernel.
 
-Everything downstream manipulates `Mat`: an immutable dense matrix tagged
-as real or complex.  Real matrices ride inside the complex128 carrier with
-a hard zero-imaginary invariant, so a single arithmetic kernel serves both
-fields.  The SVD is the one decomposition primitive; polar factors and
-null spaces are derived from it.
+`Mat` is an immutable dense matrix tagged as real or complex.  Real
+matrices ride inside the complex128 carrier with a hard zero-imaginary
+invariant; arithmetic happens on plain numpy arrays in the field's
+natural dtype (`Mat.working`).  Polar factors and null spaces come from
+the SVD.  `relation_residual` measures the block-Gram identity shared by
+anticommuting families and unitary simplices.
 """
 
 from __future__ import annotations
@@ -28,13 +30,6 @@ DEFAULT_TOL = 1e-10
 class FieldTag(Enum):
     REAL = "R"
     COMPLEX = "C"
-
-
-def join_fields(a: FieldTag, b: FieldTag) -> FieldTag:
-    """Smallest field containing both operands (real promotes to complex)."""
-    if a is FieldTag.COMPLEX or b is FieldTag.COMPLEX:
-        return FieldTag.COMPLEX
-    return FieldTag.REAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,34 +93,6 @@ class Mat:
     def identity(cls, n: int, field: FieldTag = FieldTag.REAL) -> "Mat":
         return cls(field, np.eye(n))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int, field: FieldTag = FieldTag.REAL) -> "Mat":
-        return cls(field, np.zeros((rows, cols)))
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return matmul(self, other)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Mat(join_fields(self.field, other.field), self.array + other.array)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot subtract {other.shape} from {self.shape}")
-        return Mat(join_fields(self.field, other.field), self.array - other.array)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.field, -self.array)
-
-    def __mul__(self, scalar) -> "Mat":
-        field = self.field
-        if isinstance(scalar, complex) and scalar.imag != 0.0:
-            field = FieldTag.COMPLEX
-        return Mat(field, scalar * self.array)
-
-    __rmul__ = __mul__
-
 
 def max_abs(values) -> float:
     """Largest entrywise magnitude; zero for an empty array."""
@@ -135,54 +102,27 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(arr)))
 
 
-def matmul(a: Mat, b: Mat) -> Mat:
-    """Matrix product; real operands stay real, otherwise complex."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
-        )
-    field = join_fields(a.field, b.field)
-    if field is FieldTag.REAL:
-        return Mat(field, a.working() @ b.working())
-    return Mat(field, a.array @ b.array)
-
-
-def adjoint(a: Mat) -> Mat:
-    """Conjugate transpose."""
-    return Mat(a.field, a.array.conj().T)
-
-
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product, (a.rows*b.rows) x (a.cols*b.cols)."""
-    field = join_fields(a.field, b.field)
-    if field is FieldTag.REAL:
-        return Mat(field, np.kron(a.working(), b.working()))
-    return Mat(field, np.kron(a.array, b.array))
-
-
-def svd(a: Mat) -> tuple[Mat, np.ndarray, Mat]:
-    """Thin SVD: a = U diag(s) V* with orthonormal columns in U and V.
-
-    Singular values come back nonincreasing.  Real input yields real
-    factors.
-    """
-    try:
-        u, s, vh = np.linalg.svd(a.working(), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed to converge on {a.shape} input") from exc
-    return Mat(a.field, u), s, Mat(a.field, vh.conj().T)
+    """Kronecker product, (a.rows*b.rows) x (a.cols*b.cols); real when
+    both factors are real, otherwise complex."""
+    if a.field is FieldTag.REAL and b.field is FieldTag.REAL:
+        return Mat(FieldTag.REAL, np.kron(a.working(), b.working()))
+    return Mat(FieldTag.COMPLEX, np.kron(a.array, b.array))
 
 
 def polar_unitary(a: Mat) -> Mat:
     """Unitary polar factor U V* of an invertible square matrix."""
     if a.rows != a.cols:
         raise ShapeError(f"polar factor needs a square matrix, got {a.shape}")
-    u, s, v = svd(a)
+    try:
+        u, s, vh = np.linalg.svd(a.working())
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD failed to converge on {a.shape} input") from exc
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise SingularMatrixError(
             f"matrix is numerically singular (s_min/s_max = {s[-1]}/{s[0]})"
         )
-    return Mat(a.field, u.array @ v.array.conj().T)
+    return Mat(a.field, u @ vh)
 
 
 def nullspace(a: Mat, tol: float) -> Mat:
@@ -201,30 +141,27 @@ def nullspace(a: Mat, tol: float) -> Mat:
     return Mat(a.field, vh.conj().T[:, keep])
 
 
-def vstack(*mats: Mat) -> Mat:
-    field = FieldTag.REAL
-    for m in mats:
-        field = join_fields(field, m.field)
-    return Mat(field, np.vstack([m.array for m in mats]))
+def relation_residual(
+    stack: np.ndarray, offdiag: float
+) -> tuple[float, tuple[int, int]]:
+    """Worst violation of the block-Gram identity of an (m, r, r) stack.
 
-
-def hstack(*mats: Mat) -> Mat:
-    field = FieldTag.REAL
-    for m in mats:
-        field = join_fields(field, m.field)
-    return Mat(field, np.hstack([m.array for m in mats]))
-
-
-def block_diag(*mats: Mat) -> Mat:
-    field = FieldTag.REAL
-    for m in mats:
-        field = join_fields(field, m.field)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    i = j = 0
-    for m in mats:
-        out[i : i + m.rows, j : j + m.cols] = m.array
-        i += m.rows
-        j += m.cols
-    return Mat(field, out)
+    With H_ij = C_i* C_j the identity reads H_ii = I and
+    H_ij + H_ji = offdiag * I for i != j: offdiag = 0 for an
+    anticommuting unitary family, -2/(n-2) for a unitary simplex.  Each
+    block row C_i* [C_i ... C_m] is one batched product in the stack's
+    own dtype, so the full (m r)^2 Gram is never formed.  Returns the
+    largest entrywise residual and the 1-indexed pair (i, j), i <= j,
+    where it first occurs; (1, 1) when every relation holds exactly.
+    """
+    eye = np.eye(stack.shape[-1])
+    worst, where = 0.0, (1, 1)
+    for i in range(len(stack)):
+        row = stack[i].conj().T @ stack[i:]
+        row[1:] += row[1:].conj().swapaxes(1, 2) - offdiag * eye
+        row[0] -= eye
+        errs = np.abs(row).max(axis=(1, 2))
+        k = int(np.argmax(errs))
+        if errs[k] > worst:
+            worst, where = float(errs[k]), (i + 1, i + 1 + k)
+    return worst, where

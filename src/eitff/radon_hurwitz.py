@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, kron, max_abs
+from .linalg import FieldTag, Mat, kron, relation_residual
 
 
 @dataclass(frozen=True)
@@ -155,21 +155,6 @@ def real_base_family(r: int) -> tuple[Mat, ...]:
     raise DomainError(f"no transcribed family for r={r}; supported: 2, 4, 8, 16")
 
 
-def _check_skew_anticommuting(mats: tuple[Mat, ...], tol: float = 1e-12) -> None:
-    arrs = [m.working() for m in mats]
-    eye = np.eye(arrs[0].shape[0])
-    for i, a in enumerate(arrs):
-        if max_abs(a.conj().T + a) > tol:
-            raise InvalidInputError(f"member {i + 1} is not skew-Hermitian")
-        if max_abs(a.conj().T @ a - eye) > tol:
-            raise InvalidInputError(f"member {i + 1} is not unitary")
-        for j in range(i + 1, len(arrs)):
-            if max_abs(a @ arrs[j] + arrs[j] @ a) > tol:
-                raise InvalidInputError(
-                    f"members {i + 1} and {j + 1} do not anticommute"
-                )
-
-
 def inflate_real(mats, size: int | None = None) -> tuple[Mat, ...]:
     """Trade m anticommuting skew unitaries of size r for m+8 of size 16r.
 
@@ -183,7 +168,16 @@ def inflate_real(mats, size: int | None = None) -> tuple[Mat, ...]:
         for m in mats:
             if m.shape != (size, size):
                 raise ShapeError(f"mixed sizes in input family: {m.shape}")
-        _check_skew_anticommuting(mats)
+        # [I, C_1, ..., C_m] satisfies the Radon–Hurwitz relations exactly
+        # when the C_i are anticommuting skew-Hermitian unitaries.
+        stack = np.stack([np.eye(size)] + [m.working() for m in mats])
+        residual, (i, j) = relation_residual(stack, 0.0)
+        if residual > 1e-12:
+            if i == 1:
+                raise InvalidInputError(f"member {j - 1} is not skew-Hermitian")
+            if i == j:
+                raise InvalidInputError(f"member {i - 1} is not unitary")
+            raise InvalidInputError(f"members {i - 1} and {j - 1} do not anticommute")
     else:
         size = size or 1
     r4 = tensor(GEN.R, GEN.R, GEN.R, GEN.R)
@@ -263,23 +257,16 @@ def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
 
 
 def verify_rho_orthonormal(seq) -> float:
-    """Worst residual over unitarity and the pairwise anticommutation
-    relations C_i* C_j + C_j* C_i = 0; exact families measure ~1e-16.
+    """Worst residual of the Radon–Hurwitz relations; exact families
+    measure ~1e-16.  With H = S* S for the stacked members S = [C_1 ... C_m]
+    the relations are the block identity H_ij + H_ji = 2 delta_ij I,
+    checked one block row at a time by `relation_residual`.
     """
     mats = seq.mats if isinstance(seq, RhoOrthonormalSeq) else tuple(seq)
+    if not mats:
+        raise InvalidInputError("need at least one member")
     size = mats[0].rows
     for m in mats:
         if m.shape != (size, size):
             raise ShapeError(f"mixed member shapes: {m.shape} vs {size}x{size}")
-    all_real = all(m.field is FieldTag.REAL for m in mats)
-    arrs = [m.working() if all_real else m.array for m in mats]
-    eye = np.eye(size)
-    residual = 0.0
-    adjoints = [a.conj().T for a in arrs]
-    for i, a in enumerate(arrs):
-        residual = max(residual, max_abs(adjoints[i] @ a - eye))
-        for j in range(i + 1, len(arrs)):
-            residual = max(
-                residual, max_abs(adjoints[i] @ arrs[j] + adjoints[j] @ a)
-            )
-    return residual
+    return relation_residual(np.stack([m.working() for m in mats]), 0.0)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, max_abs
+from .linalg import FieldTag, Mat, max_abs, relation_residual
 from .radon_hurwitz import RhoOrthonormalSeq, verify_rho_orthonormal
 
 
@@ -106,32 +106,22 @@ def normalize_rho_simplex(s: RhoSimplex) -> RhoSimplex:
 
 
 def verify_rho_simplex(s) -> float:
-    """Worst residual over unitarity and the pairwise relations
-    B_i* B_j + B_j* B_i = -2/(n-2) I."""
+    """Worst residual of the unitary-simplex relations.  With H = S* S for
+    the stacked members S = [B_1 ... B_{n-1}] they are the block identity
+    H_ii = I, H_ij + H_ji = -2/(n-2) I, checked by `relation_residual`."""
     if isinstance(s, RhoSimplex):
         mats, n = s.mats, s.n
     else:
         mats = tuple(s)
         n = len(mats) + 1
     if n < 3:
-        raise ShapeError("need at least two members")
+        raise InvalidInputError("a unitary simplex needs at least two members")
     size = mats[0].rows
     for m in mats:
         if m.shape != (size, size):
             raise ShapeError(f"mixed member shapes: {m.shape} vs {size}x{size}")
-    arrs = [m.array for m in mats]
-    adjoints = [a.conj().T for a in arrs]
-    eye = np.eye(size)
-    target = -(2.0 / (n - 2)) * eye
-    residual = 0.0
-    for i, a in enumerate(arrs):
-        residual = max(residual, max_abs(adjoints[i] @ a - eye))
-        for j in range(i + 1, len(arrs)):
-            residual = max(
-                residual,
-                max_abs(adjoints[i] @ arrs[j] + adjoints[j] @ a - target),
-            )
-    return residual
+    stack = np.stack([m.working() for m in mats])
+    return relation_residual(stack, -2.0 / (n - 2))[0]
 
 
 def simplex_basis_recovery(vectors: Mat) -> Mat:

@@ -30,6 +30,93 @@ from conftest import random_subspace_frame, random_orthogonal, random_unitary
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
 
+def reference_report(frame):
+    """Per-pair reference for verify_eitff: one cross-Gram and one SVD
+    per pair of subspaces."""
+    arrs = frame.arrays()
+    d, r, n = frame.d, frame.r, frame.n
+    eye_r = np.eye(r)
+    sigma2 = (n * r - d) / (d * (n - 1))
+    equi = coherence = 0.0
+    identical = False
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = arrs[i].conj().T @ arrs[j]
+            equi = max(
+                equi,
+                max_abs(g @ g.conj().T - sigma2 * eye_r),
+                max_abs(g.conj().T @ g - sigma2 * eye_r),
+            )
+            s = np.linalg.svd(g, compute_uv=False)
+            coherence = max(coherence, float(s[0]))
+            identical = identical or float(s[-1]) >= 1.0 - 1e-8
+    return {
+        "isometry_residual": max(max_abs(a.conj().T @ a - eye_r) for a in arrs),
+        "tightness_residual": max_abs(
+            sum(a @ a.conj().T for a in arrs) - (n * r / d) * np.eye(d)
+        ),
+        "equiisoclinic_residual": equi,
+        "welch_gap": coherence - welch_bound(d, r, n),
+        "block_coherence": coherence,
+        "gerzon_ok": identical or n <= gerzon_bound(frame.field, d, r),
+    }
+
+
+def reference_angles(frame):
+    arrs = frame.arrays()
+    return {
+        (i + 1, j + 1): np.arccos(
+            np.clip(np.linalg.svd(arrs[i].conj().T @ arrs[j], compute_uv=False), 0.0, 1.0)
+        )
+        for i in range(frame.n)
+        for j in range(frame.n)
+        if i != j
+    }
+
+
+def perturbed(frame, scale, seed):
+    rng = np.random.default_rng(seed)
+    isos = []
+    for a in frame.arrays():
+        noise = rng.standard_normal(a.shape)
+        if frame.field is C:
+            noise = noise + 1j * rng.standard_normal(a.shape)
+        isos.append(Mat(frame.field, a + scale * noise))
+    return FusionFrame(frame.field, frame.d, frame.r, frame.n, tuple(isos))
+
+
+def with_duplicate(frame, k):
+    """The frame with its k-th subspace (1-indexed) appended once more."""
+    isos = frame.isometries + (frame.isometries[k - 1],)
+    return FusionFrame(frame.field, frame.d, frame.r, frame.n + 1, isos)
+
+
+def lines_frame(degrees):
+    """Lines in R^2 at the given angles, as 2x1 isometries."""
+    isos = tuple(
+        Mat.from_real([[math.cos(math.radians(t))], [math.sin(math.radians(t))]])
+        for t in degrees
+    )
+    return FusionFrame(R, 2, 1, len(isos), isos)
+
+
+ORACLE_FRAMES = {
+    "R2n4": lambda: build_eitff(R, 2, 4),
+    "C2n6": lambda: build_eitff(C, 2, 6),
+    "R8n10": lambda: build_eitff(R, 8, 10),
+    "C4n7-skew": lambda: build_eitff(C, 4, 7, "skew"),
+    "R16n11": lambda: build_eitff(R, 16, 11),
+    "R4n6-noisy": lambda: perturbed(build_eitff(R, 4, 6), 1e-6, 1),
+    "C4n8-noisy": lambda: perturbed(build_eitff(C, 4, 8), 1e-4, 2),
+    "R4n6-random": lambda: random_subspace_frame(R, 8, 4, 6, seed=3),
+    "C2n5-random": lambda: random_subspace_frame(C, 4, 2, 5, seed=4),
+    "R2n4-duplicate": lambda: with_duplicate(build_eitff(R, 2, 4), 2),
+    "C2n6-duplicate": lambda: with_duplicate(build_eitff(C, 2, 6), 6),
+    "lines-duplicate": lambda: lines_frame([0, 60, 120, 0]),
+    "lines-no-duplicate": lambda: lines_frame([0, 45, 90, 135]),
+}
+
+
 def orthogonal_blocks_frame(field, r, n):
     """n mutually orthogonal subspaces: slices of the identity."""
     eye = np.eye(n * r)
@@ -202,6 +289,17 @@ class TestCoherenceAndBounds:
         frame = FusionFrame(R, 4, 2, 2, (phi, phi))
         assert abs(block_coherence(frame) - 1.0) <= 1e-12
 
+    def test_cross_gram_of_displayed_isometries(self):
+        # Entries read off the explicit 4x2 display: the cross-Gram of the
+        # first two isometries has both singular values equal to 1/sqrt(3).
+        a = math.sqrt(1 / 3)
+        b = math.sqrt(2 / 3)
+        phi1 = np.vstack([a * np.eye(2), b * np.eye(2)])
+        low = -np.eye(2) / math.sqrt(6) + GEN.R.working() / math.sqrt(2)
+        phi2 = np.vstack([a * np.eye(2), low])
+        s = np.linalg.svd(phi1.T @ phi2, compute_uv=False)
+        assert np.max(np.abs(s - a)) <= 1e-12
+
     def test_welch_values(self):
         assert abs(welch_bound(4, 2, 4) - math.sqrt(1 / 3)) <= 1e-15
         assert welch_bound(8, 2, 4) == 0.0
@@ -290,6 +388,61 @@ class TestVerify:
         report = verify_eitff(frame)
         assert report.gerzon_ok
         assert report.passed
+
+
+class TestVerifyAgainstReference:
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_report_matches_pairwise_reference(self, name):
+        frame = ORACLE_FRAMES[name]()
+        report = verify_eitff(frame)
+        want = reference_report(frame)
+        assert report.gerzon_ok == want["gerzon_ok"]
+        for key, value in want.items():
+            if key != "gerzon_ok":
+                assert abs(getattr(report, key) - value) <= 1e-12, key
+        assert abs(block_coherence(frame) - want["block_coherence"]) <= 1e-12
+        if name.endswith(("-noisy", "-random")):
+            assert not report.passed
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_angles_match_pairwise_reference(self, name):
+        frame = ORACLE_FRAMES[name]()
+        got = principal_angles(frame).angles
+        want = reference_angles(frame)
+        assert got.keys() == want.keys()
+        for pair, theta in want.items():
+            assert np.max(np.abs(got[pair] - theta)) <= 1e-12, pair
+
+    def test_identical_pair_decides_dimension_count(self):
+        # Four lines in R^2 exceed the count bound of 3 for nonidentical
+        # lines; only the repeated line keeps the check vacuous.
+        assert gerzon_bound(R, 2, 1) == 3
+        assert verify_eitff(lines_frame([0, 60, 120, 0])).gerzon_ok
+        assert not verify_eitff(lines_frame([0, 45, 90, 135])).gerzon_ok
+
+    @given(
+        field=st.sampled_from([R, C]),
+        r=st.sampled_from([2, 4, 8]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_invariant_under_unitary_change_of_basis(self, field, r, seed, data):
+        n = data.draw(st.integers(min_value=3, max_value=rho_number(field, r) + 2))
+        frame = build_eitff(field, r, n)
+        q = random_orthogonal(2 * r, seed) if field is R else random_unitary(2 * r, seed)
+        rotated = FusionFrame(
+            field, 2 * r, r, n, tuple(Mat(field, q @ a) for a in frame.arrays())
+        )
+        report = verify_eitff(rotated)
+        assert report.passed
+        residuals = (
+            report.isometry_residual,
+            report.tightness_residual,
+            report.equiisoclinic_residual,
+            abs(report.welch_gap),
+        )
+        assert max(residuals) <= 1e-10
 
 
 class TestNaimark:

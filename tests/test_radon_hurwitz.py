@@ -9,7 +9,7 @@ from eitff.errors import (
     InvalidInputError,
     ShapeError,
 )
-from eitff.linalg import FieldTag, Mat, adjoint, kron, matmul, max_abs
+from eitff.linalg import FieldTag, Mat, max_abs, relation_residual
 from eitff.radon_hurwitz import (
     GEN,
     RhoOrthonormalSeq,
@@ -22,8 +22,43 @@ from eitff.radon_hurwitz import (
     tensor,
     verify_rho_orthonormal,
 )
+from eitff.simplex import rho_simplex_from_orthonormal, verify_rho_simplex
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
+
+
+def reference_relation_residual(mats, offdiag):
+    """Per-pair reference for the block relations: the worst entry of
+    C_i* C_i - I and of C_i* C_j + C_j* C_i - offdiag I, and the first
+    1-indexed pair where it occurs."""
+    arrs = [m.array for m in mats]
+    eye = np.eye(arrs[0].shape[0])
+    worst, where = 0.0, (1, 1)
+    for i, a in enumerate(arrs):
+        res = max_abs(a.conj().T @ a - eye)
+        if res > worst:
+            worst, where = res, (i + 1, i + 1)
+        for j in range(i + 1, len(arrs)):
+            b = arrs[j]
+            res = max_abs(a.conj().T @ b + b.conj().T @ a - offdiag * eye)
+            if res > worst:
+                worst, where = res, (i + 1, j + 1)
+    return worst, where
+
+
+def stack_of(mats):
+    return np.stack([m.working() for m in mats])
+
+
+def noisy(mats, scale, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in mats:
+        noise = rng.standard_normal(m.shape)
+        if m.field is C:
+            noise = noise + 1j * rng.standard_normal(m.shape)
+        out.append(Mat(m.field, m.array + scale * noise))
+    return out
 
 
 class TestDecompose:
@@ -148,14 +183,14 @@ class TestInflateReal:
         assert verify_rho_orthonormal(seq) <= 1e-12
 
     def test_rejects_non_skew_input(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="member 1 is not skew-Hermitian"):
             inflate_real([GEN.M])
 
     def test_rejects_non_anticommuting_input(self):
         a = tensor(GEN.R, GEN.I)
         b = tensor(GEN.R, GEN.M)
         # a and b commute: both words share the R factor in slot one.
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="members 1 and 2 do not anticommute"):
             inflate_real([a, b])
 
 
@@ -241,3 +276,67 @@ class TestVerify:
     def test_seq_type_enforces_cap(self):
         with pytest.raises(InvalidInputError):
             RhoOrthonormalSeq(R, 2, (GEN.I, GEN.R, GEN.M))
+
+    @pytest.mark.parametrize("verify", [verify_rho_orthonormal, verify_rho_simplex])
+    def test_empty_input_rejected(self, verify):
+        with pytest.raises(InvalidInputError):
+            verify([])
+
+
+class TestRelationKernel:
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("r", [1, 2, 4, 8, 12, 16, 32])
+    def test_exact_families_match_reference(self, field, r):
+        mats = build_rho_orthonormal(field, r, rho_number(field, r)).mats
+        got, _ = relation_residual(stack_of(mats), 0.0)
+        want, _ = reference_relation_residual(mats, 0.0)
+        assert abs(got - want) <= 1e-12
+        assert verify_rho_orthonormal(mats) == got
+
+    @pytest.mark.parametrize("field,r", [(R, 8), (C, 8), (R, 16), (C, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_noisy_families_match_reference(self, field, r, seed):
+        mats = noisy(build_rho_orthonormal(field, r, rho_number(field, r)).mats, 1e-3, seed)
+        got = relation_residual(stack_of(mats), 0.0)
+        want = reference_relation_residual(mats, 0.0)
+        assert got[0] > 1e-4
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert got[1] == want[1]
+        assert verify_rho_orthonormal(mats) == got[0]
+
+    @pytest.mark.parametrize("field,r", [(R, 2), (C, 2), (R, 8), (C, 16)])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_simplices_match_reference(self, field, r, noise):
+        family = build_rho_orthonormal(field, r, rho_number(field, r))
+        simplex = rho_simplex_from_orthonormal(family)
+        mats = noisy(simplex.mats, noise, seed=r)
+        offdiag = -2.0 / (simplex.n - 2)
+        got = relation_residual(stack_of(mats), offdiag)
+        want = reference_relation_residual(mats, offdiag)
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert verify_rho_simplex(mats) == got[0]
+        if noise:
+            assert got[0] > 1e-4
+            assert got[1] == want[1]
+        else:
+            assert got[0] <= 1e-12
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_equal_members_name_their_pair(self, field):
+        mats = list(build_rho_orthonormal(field, 8, 8).mats)
+        mats[5] = mats[2]
+        residual, pair = relation_residual(stack_of(mats), 0.0)
+        assert pair == (3, 6)
+        assert abs(residual - 2.0) <= 1e-12
+        assert reference_relation_residual(mats, 0.0)[1] == pair
+
+    def test_inflate_names_equal_members(self):
+        fam = list(real_base_family(8))
+        with pytest.raises(InvalidInputError, match=r"members 2 and 5 do not anticommute"):
+            inflate_real(fam[:4] + [fam[1]])
+
+    def test_inflate_names_non_unitary_member(self):
+        fam = list(real_base_family(4))
+        fam[1] = Mat.from_real(2.0 * fam[1].working())
+        with pytest.raises(InvalidInputError, match=r"member 2 is not unitary"):
+            inflate_real(fam)

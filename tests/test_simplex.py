@@ -120,7 +120,7 @@ class TestVerifySimplex:
         assert verify_rho_simplex([GEN.I, GEN.I]) == 4.0
 
     def test_plus_minus_identity(self):
-        assert verify_rho_simplex([GEN.I, -1.0 * GEN.I]) == 0.0
+        assert verify_rho_simplex([GEN.I, Mat.from_real(-np.eye(2))]) == 0.0
 
 
 class TestBasisRecovery:

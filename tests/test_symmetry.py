@@ -11,7 +11,7 @@ from eitff.errors import (
     UnknownFeasibilityError,
 )
 from eitff.frames import build_eitff, canonicalize, naimark_complement, verify_eitff
-from eitff.linalg import FieldTag, Mat, block_diag, max_abs
+from eitff.linalg import FieldTag, Mat, max_abs
 from eitff.radon_hurwitz import GEN, rho_number, tensor, verify_rho_orthonormal
 from eitff.simplex import RhoSimplex
 from eitff.symmetry import (
@@ -70,7 +70,9 @@ class TestPermutation:
 class TestCheckCertificate:
     def test_block_m_witness_swaps_middle_pair(self, example_frame):
         cert = SymmetryCertificate(
-            Permutation.transposition(4, 2, 3), block_diag(GEN.M, GEN.M), 0.0
+            Permutation.transposition(4, 2, 3),
+            Mat.from_real(np.kron(np.eye(2), GEN.M.working())),
+            0.0,
         )
         assert check_certificate(example_frame, cert) <= 1e-12
 
