@@ -21,13 +21,7 @@ from .errors import (
     ShapeError,
     UnknownFeasibilityError,
 )
-from .frame_io import (
-    dump_frame,
-    load_certificate,
-    load_frame,
-    save_certificate,
-    save_frame,
-)
+from .frame_io import load_certificate, load_frame, save_certificate, save_frame
 from .frames import (
     FusionFrame,
     block_omp_recover,
@@ -46,9 +40,6 @@ from .symmetry import (
     probe_symmetry,
     totally_symmetric_exists,
 )
-
-_FIELD_BY_CODE = {"R": FieldTag.REAL, "C": FieldTag.COMPLEX}
-
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -141,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_rho(args) -> int:
-    field = _FIELD_BY_CODE[args.field]
+    field = FieldTag(args.field)
     dec = decompose_r(args.r)
     print(f"rho={rho_number(field, args.r)} a={dec.a} b={dec.b} c={dec.c}")
     return 0
 
 
 def cmd_build(args) -> int:
-    field = _FIELD_BY_CODE[args.field]
+    field = FieldTag(args.field)
     if args.n < 3:
         print(f"usage error: need n >= 3, got {args.n}", file=sys.stderr)
         return 2
@@ -160,10 +151,7 @@ def cmd_build(args) -> int:
         "n": args.n,
         "seed": None,
     }
-    if args.out == "-":
-        dump_frame(frame, sys.stdout, metadata)
-    else:
-        save_frame(frame, args.out, metadata)
+    save_frame(frame, args.out, metadata)
     return 0
 
 
@@ -185,10 +173,7 @@ def cmd_naimark(args) -> int:
     frame, metadata = load_frame(args.frame)
     complement = naimark_complement(frame)
     out_meta = {"complement_of": metadata} if metadata else {}
-    if args.out == "-":
-        dump_frame(complement, sys.stdout, out_meta)
-    else:
-        save_frame(complement, args.out, out_meta)
+    save_frame(complement, args.out, out_meta)
     return 0
 
 
@@ -253,7 +238,7 @@ def cmd_sym_probe(args) -> int:
 
 
 def cmd_exists(args) -> int:
-    field = _FIELD_BY_CODE[args.field]
+    field = FieldTag(args.field)
     if args.n < 3:
         print(f"usage error: need n >= 3, got {args.n}", file=sys.stderr)
         return 2

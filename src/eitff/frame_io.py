@@ -1,162 +1,159 @@
 """JSON file formats for matrices, frames, and symmetry certificates.
 
 Matrices serialize as row-major [re, im] pairs; real-tagged matrices
-must carry literal zero imaginary parts.  Floats go through Python's
-shortest round-trip repr, so writing and re-reading a file reproduces
-every binary64 entry bit-exactly.
+must carry literal zero imaginary parts.  Files are compact JSON whose
+floats go through Python's shortest round-trip repr, so writing and
+re-reading a file reproduces every binary64 entry bit-exactly.  Any
+malformed file raises `FormatError`.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .frames import FusionFrame
 from .linalg import FieldTag, Mat
 
-_FIELD_BY_CODE = {"R": FieldTag.REAL, "C": FieldTag.COMPLEX}
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def matrix_to_payload(m: Mat) -> dict:
-    data = [[float(z.real), float(z.imag)] for z in m.array.reshape(-1)]
+def _matrix_payload(m: Mat) -> dict:
     return {
         "field": m.field.value,
         "rows": m.rows,
         "cols": m.cols,
-        "data": data,
+        "data": m.array.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 
-def matrix_from_payload(obj) -> Mat:
+def _write(path: str, payload: dict) -> None:
+    """Write `payload` as compact JSON to `path`, or to stdout for "-".
+
+    A tuple value holds matrices and is written one matrix at a time, so
+    the entry lists of only one matrix are in memory at once.
+    """
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fp:
+        for pos, (key, value) in enumerate(payload.items()):
+            fp.write(("," if pos else "{") + _encode(key) + ":")
+            if isinstance(value, tuple):
+                fp.write("[")
+                for i, m in enumerate(value):
+                    fp.write(("," if i else "") + _encode(_matrix_payload(m)))
+                fp.write("]")
+            else:
+                fp.write(_encode(value))
+        fp.write("}\n")
+
+
+def _read(path: str):
+    with open(path, "r", encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and over-long integers.
+            raise FormatError(f"not valid UTF-8 JSON: {exc}") from exc
+
+
+def _require(obj, what: str, keys) -> None:
     if not isinstance(obj, dict):
-        raise FormatError("matrix payload must be an object")
-    for key in ("field", "rows", "cols", "data"):
+        raise FormatError(f"{what} payload must be an object")
+    for key in keys:
         if key not in obj:
-            raise FormatError(f"matrix payload missing key {key!r}")
-    field = _FIELD_BY_CODE.get(obj["field"])
-    if field is None:
-        raise FormatError(f"unknown field code {obj['field']!r}")
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+            raise FormatError(f"{what} payload missing key {key!r}")
+
+
+def _field(code) -> FieldTag:
+    try:
+        return FieldTag(code)
+    except ValueError:
+        raise FormatError(f"unknown field code {code!r}") from None
+
+
+def _matrix(obj) -> Mat:
+    _require(obj, "matrix", ("field", "rows", "cols", "data"))
+    field = _field(obj["field"])
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
         raise FormatError(f"bad dimensions rows={rows!r}, cols={cols!r}")
-    data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
-        raise FormatError(
-            f"data length {len(data) if isinstance(data, list) else '?'} "
-            f"does not match {rows}x{cols}"
-        )
-    entries = np.empty(rows * cols, dtype=np.complex128)
-    for pos, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise FormatError(f"entry {pos} is not a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (np.isfinite(re) and np.isfinite(im)):
-            raise FormatError(f"entry {pos} is not finite")
-        if field is FieldTag.REAL and im != 0.0:
-            raise FormatError(f"entry {pos} of a real matrix has im={im}")
-        entries[pos] = complex(re, im)
-    return Mat(field, entries.reshape(rows, cols))
+        raise FormatError(f"data does not hold {rows}x{cols} entries")
+    # The json module yields exact int and float, never a subclass other
+    # than bool, so comparing types refuses bool, str, null and nesting.
+    if set(map(type, data)) != {list}:
+        raise FormatError("entries must be [re, im] pairs")
+    if not set(map(type, chain.from_iterable(data))) <= {int, float}:
+        raise FormatError("entries must be numbers")
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise FormatError(f"entries are not binary64 [re, im] pairs: {exc}") from exc
+    if pairs.shape != (rows * cols, 2):
+        raise FormatError("entries must be [re, im] pairs")
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"entry {int(np.argmin(finite))} is not finite")
+    if field is FieldTag.REAL and pairs[:, 1].any():
+        pos = int(np.flatnonzero(pairs[:, 1])[0])
+        raise FormatError(f"entry {pos} of a real matrix has im={pairs[pos, 1]}")
+    return Mat(field, pairs.view(np.complex128).reshape(rows, cols))
 
 
-def frame_to_payload(frame: FusionFrame, metadata: dict | None = None) -> dict:
-    return {
+def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> None:
+    """Write `frame` and its metadata to `path` ("-" for stdout)."""
+    _write(path, {
         "field": frame.field.value,
         "d": frame.d,
         "r": frame.r,
         "n": frame.n,
-        "isometries": [matrix_to_payload(phi) for phi in frame.isometries],
+        "isometries": frame.isometries,
         "metadata": dict(metadata or {}),
-    }
-
-
-def frame_from_payload(obj) -> tuple[FusionFrame, dict]:
-    if not isinstance(obj, dict):
-        raise FormatError("frame payload must be an object")
-    for key in ("field", "d", "r", "n", "isometries", "metadata"):
-        if key not in obj:
-            raise FormatError(f"frame payload missing key {key!r}")
-    field = _FIELD_BY_CODE.get(obj["field"])
-    if field is None:
-        raise FormatError(f"unknown field code {obj['field']!r}")
-    d, r, n = obj["d"], obj["r"], obj["n"]
-    for name, value in (("d", d), ("r", r), ("n", n)):
-        if not isinstance(value, int) or value < 1:
-            raise FormatError(f"bad frame dimension {name}={value!r}")
-    payloads = obj["isometries"]
-    if not isinstance(payloads, list) or len(payloads) != n:
-        raise FormatError(f"expected {n} isometries")
-    isometries = []
-    for pos, payload in enumerate(payloads):
-        m = matrix_from_payload(payload)
-        if m.shape != (d, r):
-            raise FormatError(f"isometry {pos + 1} has shape {m.shape}, want ({d}, {r})")
-        if m.field is not field:
-            raise FormatError(f"isometry {pos + 1} field differs from frame field")
-        isometries.append(m)
-    metadata = obj["metadata"]
-    if not isinstance(metadata, dict):
-        raise FormatError("metadata must be an object")
-    return FusionFrame(field, d, r, n, tuple(isometries)), metadata
-
-
-def dump_frame(frame: FusionFrame, fp, metadata: dict | None = None) -> None:
-    json.dump(frame_to_payload(frame, metadata), fp, indent=1)
-    fp.write("\n")
-
-
-def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        dump_frame(frame, fp, metadata)
+    })
 
 
 def load_frame(path: str) -> tuple[FusionFrame, dict]:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            obj = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    return frame_from_payload(obj)
-
-
-def certificate_to_payload(sigma_one_line: str, upsilon: Mat, residual: float) -> dict:
-    return {
-        "perm": sigma_one_line,
-        "upsilon": matrix_to_payload(upsilon),
-        "residual": float(residual),
-    }
-
-
-def certificate_from_payload(obj) -> tuple[str, Mat, float]:
-    if not isinstance(obj, dict):
-        raise FormatError("certificate payload must be an object")
-    for key in ("perm", "upsilon", "residual"):
-        if key not in obj:
-            raise FormatError(f"certificate payload missing key {key!r}")
-    if not isinstance(obj["perm"], str):
-        raise FormatError("perm must be a one-line notation string")
-    upsilon = matrix_from_payload(obj["upsilon"])
-    residual = obj["residual"]
-    if not isinstance(residual, (int, float)) or isinstance(residual, bool):
-        raise FormatError("residual must be a number")
-    return obj["perm"], upsilon, float(residual)
+    obj = _read(path)
+    _require(obj, "frame", ("field", "d", "r", "n", "isometries", "metadata"))
+    field = _field(obj["field"])
+    d, r, n = obj["d"], obj["r"], obj["n"]
+    if not all(type(v) is int and v >= 1 for v in (d, r, n)):
+        raise FormatError(f"bad frame dimensions d={d!r}, r={r!r}, n={n!r}")
+    payloads, metadata = obj["isometries"], obj["metadata"]
+    if not isinstance(payloads, list) or len(payloads) != n:
+        raise FormatError(f"expected {n} isometries")
+    if not isinstance(metadata, dict):
+        raise FormatError("metadata must be an object")
+    isometries = tuple(_matrix(payload) for payload in payloads)
+    for pos, m in enumerate(isometries, 1):
+        if m.shape != (d, r) or m.field is not field:
+            raise FormatError(
+                f"isometry {pos} is {m.field.value} {m.rows}x{m.cols}, want {field.value} {d}x{r}"
+            )
+    try:
+        return FusionFrame(field, d, r, n, isometries), metadata
+    except DomainError as exc:
+        raise FormatError(f"bad frame header: {exc}") from exc
 
 
 def save_certificate(path: str, sigma_one_line: str, upsilon: Mat, residual: float) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(certificate_to_payload(sigma_one_line, upsilon, residual), fp, indent=1)
-        fp.write("\n")
+    _write(path, {
+        "perm": sigma_one_line,
+        "upsilon": _matrix_payload(upsilon),
+        "residual": float(residual),
+    })
 
 
 def load_certificate(path: str) -> tuple[str, Mat, float]:
-    with open(path, "r", encoding="utf-8") as fp:
-        try:
-            obj = json.load(fp)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    return certificate_from_payload(obj)
+    obj = _read(path)
+    _require(obj, "certificate", ("perm", "upsilon", "residual"))
+    if not isinstance(obj["perm"], str):
+        raise FormatError("perm must be a one-line notation string")
+    residual = obj["residual"]
+    if type(residual) not in (int, float) or not abs(residual) <= sys.float_info.max:
+        raise FormatError("residual must be a finite number")
+    return obj["perm"], _matrix(obj["upsilon"]), float(residual)

@@ -210,26 +210,11 @@ def _drop_identity_member(seq: RhoOrthonormalSeq) -> list[Mat]:
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full unitary, keeping them first.
 
-    New columns are drafted greedily from the standard basis (largest
-    residual first) and re-orthogonalized, so an input of standard basis
-    vectors completes to the exact identity.
+    The new columns come from a complete QR of the input; an input of
+    standard basis vectors completes to the exact identity.
     """
-    d, k = cols.shape
-    basis = [cols[:, j].copy() for j in range(k)]
-    candidates = list(np.eye(d, dtype=cols.dtype).T)
-    while len(basis) < d:
-        best, best_norm = None, -1.0
-        for cand in candidates:
-            resid = cand.copy()
-            for u in basis:
-                resid -= (u.conj() @ resid) * u
-            norm = np.linalg.norm(resid)
-            if norm > best_norm + 1e-12:
-                best, best_norm = resid, norm
-        for u in basis:
-            best -= (u.conj() @ best) * u
-        basis.append(best / np.linalg.norm(best))
-    return np.column_stack(basis)
+    q = np.linalg.qr(cols, mode="complete")[0]
+    return np.hstack([cols, q[:, cols.shape[1] :]])
 
 
 def canonicalize(frame: FusionFrame, tol: float = 1e-8):

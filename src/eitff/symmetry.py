@@ -188,12 +188,8 @@ def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
 
 def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertificate:
     """Closed-form witness for the transposition (j k) of the frame built
-    from a skew-Hermitian unitary simplex.
-
-    For k < n the witness is alpha * blkdiag(B_j - B_k, B_k - B_j); for
-    k = n it is the block matrix [[alpha B_j, beta I], [-beta I, -alpha B_j]].
-    """
-    n, r = simplex.n, simplex.r
+    from a skew-Hermitian unitary simplex."""
+    n = simplex.n
     if not (1 <= j < k <= n):
         raise DomainError(f"need 1 <= j < k <= {n}, got j={j}, k={k}")
     skew_res = max(max_abs(b.array.conj().T + b.array) for b in simplex.mats)
@@ -201,23 +197,28 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
         )
-    p = eitff_params(n)
-    ups = np.zeros((2 * r, 2 * r), dtype=np.complex128)
-    if k < n:
-        diff = simplex.mats[j - 1].array - simplex.mats[k - 1].array
-        ups[:r, :r] = p.alpha * diff
-        ups[r:, r:] = -p.alpha * diff
-    else:
-        bj = simplex.mats[j - 1].array
-        eye = np.eye(r)
-        ups[:r, :r] = p.alpha * bj
-        ups[:r, r:] = p.beta * eye
-        ups[r:, :r] = -p.beta * eye
-        ups[r:, r:] = -p.alpha * bj
+    ups = _transposition_matrix([b.array for b in simplex.mats], j, k)
     sigma = Permutation.transposition(n, j, k)
     frame = frame_from_simplex(simplex)
     residual = _conjugation_residual(frame, sigma, ups)
     return SymmetryCertificate(sigma, Mat(simplex.field, ups), residual)
+
+
+def _transposition_matrix(blocks: list[np.ndarray], j: int, k: int) -> np.ndarray:
+    """Closed-form witness of the transposition (j k), j < k, for the frame
+    of the skew-Hermitian simplex whose members B_1 ... B_{n-1} are `blocks`.
+
+    For k < n the witness is alpha * blkdiag(B_j - B_k, B_k - B_j); for
+    k = n it is the block matrix [[alpha B_j, beta I], [-beta I, -alpha B_j]].
+    """
+    n = len(blocks) + 1
+    p = eitff_params(n)
+    if k < n:
+        diff = blocks[j - 1] - blocks[k - 1]
+        zero = np.zeros_like(diff)
+        return np.block([[p.alpha * diff, zero], [zero, -p.alpha * diff]])
+    bj, eye = blocks[j - 1], np.eye(len(blocks[j - 1]))
+    return np.block([[p.alpha * bj, p.beta * eye], [-p.beta * eye, -p.alpha * bj]])
 
 
 def _as_transposition(n: int, t) -> Permutation:
@@ -277,18 +278,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
 
     def doubled_witness(sigma: Permutation) -> np.ndarray:
         (j, k) = sorted(i for i in range(1, n + 1) if sigma.apply(i) != i)
-        size = 2 * rhat
-        ups = np.zeros((2 * size, 2 * size), dtype=np.complex128)
-        if k < n:
-            diff = doubled[j - 1] - doubled[k - 1]
-            ups[:size, :size] = p.alpha * diff
-            ups[size:, size:] = -p.alpha * diff
-        else:
-            ups[:size, :size] = p.alpha * doubled[j - 1]
-            ups[:size, size:] = p.beta * np.eye(size)
-            ups[size:, :size] = -p.beta * np.eye(size)
-            ups[size:, size:] = -p.alpha * doubled[j - 1]
-        return ups
+        return _transposition_matrix(doubled, j, k)
 
     perm = _block_permutation(rhat)
     w1 = perm @ doubled_witness(sigma1) @ perm.T

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from eitff.cli import main
-from eitff.frame_io import load_frame, save_frame
-from eitff.frames import build_eitff, verify_eitff
+from eitff.frame_io import load_frame, save_certificate, save_frame
+from eitff.frames import FusionFrame, build_eitff
 from eitff.linalg import FieldTag, Mat
 
 
@@ -114,21 +114,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(frame_path))
         assert code == 1
 
-    def test_truncated_json_exit_four(self, capsys, frame_path):
-        text = frame_path.read_text()
-        frame_path.write_text(text[: len(text) // 2])
-        code, _, _ = run(capsys, "verify", str(frame_path))
-        assert code == 4
-
     def test_missing_file_exit_four(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
-        assert code == 4
-
-    def test_schema_violation_exit_four(self, capsys, frame_path):
-        payload = json.loads(frame_path.read_text())
-        del payload["isometries"]
-        frame_path.write_text(json.dumps(payload))
-        code, _, _ = run(capsys, "verify", str(frame_path))
         assert code == 4
 
 
@@ -146,14 +133,168 @@ class TestRoundTrip:
         save_frame(loaded, str(second), meta)
         assert first.read_text() == second.read_text()
 
-    def test_real_field_rejects_imaginary_payload(self, tmp_path):
-        path = tmp_path / "bad.json"
-        save_frame(build_eitff(FieldTag.REAL, 2, 4), str(path))
-        payload = json.loads(path.read_text())
-        payload["isometries"][0]["data"][0][1] = 0.25
-        path.write_text(json.dumps(payload))
-        code = main(["verify", str(path)])
+    def test_extreme_entries_bit_exact(self, tmp_path):
+        a = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -5e-324]])
+        isometries = (Mat(FieldTag.COMPLEX, a - 1j * a[::-1]), Mat(FieldTag.COMPLEX, 1j * a))
+        frame = FusionFrame(FieldTag.COMPLEX, 2, 2, 2, isometries)
+        path = tmp_path / "extreme.json"
+        save_frame(frame, str(path))
+        loaded, _ = load_frame(str(path))
+        for want, got in zip(frame.isometries, loaded.isometries):
+            assert want.array.tobytes() == got.array.tobytes()
+
+    def test_compact_and_indented_files_load_alike(self, tmp_path):
+        frame = build_eitff(FieldTag.REAL, 2, 4)
+        compact = tmp_path / "compact.json"
+        save_frame(frame, str(compact), {"variant": "generic"})
+        text = compact.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, separators=(",", ":")) + "\n"
+        for phi, matrix in zip(frame.isometries, payload["isometries"]):
+            assert matrix["data"] == [[z.real, z.imag] for z in phi.array.reshape(-1).tolist()]
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(payload, indent=1) + "\n")
+        loaded, meta = load_frame(str(indented))
+        assert meta == {"variant": "generic"}
+        for want, got in zip(frame.isometries, loaded.isometries):
+            assert want.array.tobytes() == got.array.tobytes()
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+RAW = "@RAW@"  # stands for text that json.dumps cannot write
+
+
+def _entry(value, part=0):
+    def edit(matrix):
+        matrix["data"][0][part] = value
+
+    return edit
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+
+    return edit
+
+
+def _bare_number(matrix):
+    matrix["data"][0] = 0.5
+
+
+def _all_triples(matrix):
+    for pair in matrix["data"]:
+        pair.append(0.0)
+
+
+# Defects of one matrix payload, given as (edit, text replacing RAW).  Each
+# is put into an isometry of a frame file and into the witness of a
+# certificate file.
+MATRIX_DEFECTS = {
+    "unhashable-field": (_set("field", ["R"]), None),
+    "int-overflow": (_entry(10**400), None),
+    "int-too-many-digits": (_entry(RAW), "9" * 5000),
+    "deep-nesting": (_entry(RAW), DEEP),
+    "bool-entry": (_entry(True), None),
+    "numeric-string": (_entry("0.5"), None),
+    "null-entry": (_entry(None), None),
+    "nested-entry": (_entry([0.5, 0.0]), None),
+    "bare-number-pair": (_bare_number, None),
+    "three-element-pair": (lambda m: m["data"][0].append(0.0), None),
+    "all-triples": (_all_triples, None),
+    "nan-literal": (_entry(float("nan")), None),
+    "infinity-literal": (_entry(float("inf"), part=1), None),
+    "imaginary-in-real": (_entry(0.25, part=1), None),
+    "short-data": (lambda m: m["data"].pop(), None),
+}
+
+# Whole-file defects, as edits of the file's text.
+FILE_DEFECTS = {
+    "not-utf8": lambda text: b"\xff" + text.encode(),
+    "truncated": lambda text: text[: len(text) // 2].encode(),
+    "deep-document": lambda text: DEEP.encode(),
+}
+
+
+def _isometry(rows, cols):
+    data = [[1.0 if i == j else 0.0, 0.0] for i in range(rows) for j in range(cols)]
+    return {"field": "R", "rows": rows, "cols": cols, "data": data}
+
+
+# Frame headers that are incomplete or that no frame can have.
+HEADER_DEFECTS = {
+    "missing-isometries": lambda p: p.pop("isometries"),
+    "unhashable-frame-field": lambda p: p.update(field=["R"]),
+    "d-below-r": lambda p: p.update(d=1, r=2, isometries=[_isometry(1, 2)] * p["n"]),
+    "single-subspace": lambda p: p.update(n=1, isometries=p["isometries"][:1]),
+    "bool-dimension": lambda p: p.update(n=True),
+    "metadata-list": lambda p: p.update(metadata=[]),
+}
+
+# Certificate residuals, as JSON text.
+RESIDUAL_DEFECTS = {
+    "nan-literal": "NaN",
+    "infinity-literal": "Infinity",
+    "int-overflow": "1" + "0" * 400,
+    "bool": "true",
+    "string": '"0"',
+}
+
+
+class TestLoaderFuzz:
+    """Every malformed file exits 4 with a one-line format error."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        frame_path = tmp_path / "frame.json"
+        cert_path = tmp_path / "cert.json"
+        save_frame(build_eitff(FieldTag.REAL, 2, 4), str(frame_path))
+        save_certificate(str(cert_path), "1 3 2 4", Mat.identity(4), 0.0)
+        return frame_path, cert_path
+
+    @staticmethod
+    def assert_format_error(capsys, target, paths):
+        frame_path, cert_path = paths
+        if target == "frame":
+            code, _, err = run(capsys, "verify", str(frame_path))
+        else:
+            code, _, err = run(capsys, "sym", "check", str(frame_path), "--cert", str(cert_path))
         assert code == 4
+        assert err.startswith("format error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["frame", "certificate"])
+    @pytest.mark.parametrize("defect", MATRIX_DEFECTS)
+    def test_matrix_defect(self, capsys, paths, target, defect):
+        path = paths[0] if target == "frame" else paths[1]
+        payload = json.loads(path.read_text())
+        edit, raw = MATRIX_DEFECTS[defect]
+        edit(payload["isometries"][0] if target == "frame" else payload["upsilon"])
+        text = json.dumps(payload)
+        if raw is not None:
+            text = text.replace(f'"{RAW}"', raw)
+        path.write_text(text)
+        self.assert_format_error(capsys, target, paths)
+
+    @pytest.mark.parametrize("target", ["frame", "certificate"])
+    @pytest.mark.parametrize("defect", FILE_DEFECTS)
+    def test_file_defect(self, capsys, paths, target, defect):
+        path = paths[0] if target == "frame" else paths[1]
+        path.write_bytes(FILE_DEFECTS[defect](path.read_text()))
+        self.assert_format_error(capsys, target, paths)
+
+    @pytest.mark.parametrize("defect", HEADER_DEFECTS)
+    def test_frame_header_defect(self, capsys, paths, defect):
+        payload = json.loads(paths[0].read_text())
+        HEADER_DEFECTS[defect](payload)
+        paths[0].write_text(json.dumps(payload))
+        self.assert_format_error(capsys, "frame", paths)
+
+    @pytest.mark.parametrize("defect", RESIDUAL_DEFECTS)
+    def test_certificate_residual_defect(self, capsys, paths, defect):
+        payload = json.loads(paths[1].read_text())
+        payload["residual"] = RAW
+        paths[1].write_text(json.dumps(payload).replace(f'"{RAW}"', RESIDUAL_DEFECTS[defect]))
+        self.assert_format_error(capsys, "certificate", paths)
 
 
 class TestNaimark:
@@ -240,8 +381,6 @@ class TestSym:
         assert out.strip() == "symmetry=alternating (numerically-decided)"
 
     def test_check_fail_exit_one(self, capsys, frame_path, tmp_path):
-        from eitff.frame_io import save_certificate
-
         cert_path = tmp_path / "bad.json"
         save_certificate(str(cert_path), "2 1 3 4", Mat.identity(4), 0.0)
         code, out, _ = run(
