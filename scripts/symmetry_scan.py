@@ -27,7 +27,7 @@ def main() -> None:
         default="generic",
         choices=("generic", "skew", "totally_symmetric"),
     )
-    parser.add_argument("--max-n", type=int, default=8, help="probe limit")
+    parser.add_argument("--max-n", type=int, default=8, help="largest n to scan")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -163,13 +163,14 @@ def _projections(frame: FusionFrame) -> list[np.ndarray]:
     return [a @ a.conj().T for a in frame.arrays()]
 
 
-def _conjugation_residual(frame: FusionFrame, sigma: Permutation, upsilon: np.ndarray) -> float:
-    projections = _projections(frame)
+def _conjugation_residual(
+    projections: list[np.ndarray], sigma: Permutation, upsilon: np.ndarray
+) -> float:
     uh = upsilon.conj().T
     worst = 0.0
-    for i in range(frame.n):
+    for i, p in enumerate(projections):
         target = projections[sigma.apply(i + 1) - 1]
-        worst = max(worst, max_abs(upsilon @ projections[i] @ uh - target))
+        worst = max(worst, max_abs(upsilon @ p @ uh - target))
     return worst
 
 
@@ -183,7 +184,7 @@ def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
         raise ShapeError(
             f"witness must be {frame.d}x{frame.d}, got {cert.upsilon.shape}"
         )
-    return _conjugation_residual(frame, cert.sigma, cert.upsilon.array)
+    return _conjugation_residual(_projections(frame), cert.sigma, cert.upsilon.array)
 
 
 def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertificate:
@@ -200,7 +201,7 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
     ups = _transposition_matrix([b.array for b in simplex.mats], j, k)
     sigma = Permutation.transposition(n, j, k)
     frame = frame_from_simplex(simplex)
-    residual = _conjugation_residual(frame, sigma, ups)
+    residual = _conjugation_residual(_projections(frame), sigma, ups)
     return SymmetryCertificate(sigma, Mat(simplex.field, ups), residual)
 
 
@@ -286,7 +287,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
     product = w1 @ w2
     corner = product[: 2 * rhat, : 2 * rhat]
     sigma = sigma1.compose(sigma2)
-    residual = _conjugation_residual(frame, sigma, corner)
+    residual = _conjugation_residual(_projections(frame), sigma, corner)
     return SymmetryCertificate(sigma, Mat(frame.field, corner), residual)
 
 
@@ -299,26 +300,52 @@ def find_witness(
     """Search for a unitary witness of sigma by solving the intertwiner
     equations Upsilon Pi_i = Pi_{sigma(i)} Upsilon.
 
-    The solution space is computed as a null space; if it contains an
-    invertible element (tested on a random real combination of the basis,
-    then on each basis element), its unitary polar factor is itself an
-    intertwiner and is returned once its residual clears `tol`.  Returns
-    None when no witness is found at this tolerance; that is a numeric
+    In row-major vec form equation i reads A_i x = 0 with
+    A_i = I (x) Pi_i^T - Pi_{sigma(i)} (x) I.  The solutions are the null
+    space of the d^2 x d^2 Hermitian PSD matrix L = sum_i A_i* A_i
+    (`_normal_operator`); the n d^2 x d^2 stack A of the A_i is never
+    formed.  The null-space threshold thus applies to lambda(L) =
+    sigma(A)^2: a vector is kept when lambda <= 1e-10 lambda_max.  The
+    basis only proposes candidates.  If it contains an invertible element
+    (tested on a random real combination of the basis, then on each basis
+    element), its unitary polar factor is itself an intertwiner, and it
+    is returned once its conjugation residual clears `tol`; this
+    polar-plus-residual check is the only acceptance gate.  Returns None
+    when no witness is found at this tolerance; that is a numeric
     verdict, not a proof of asymmetry.
     """
     if sigma.n != frame.n:
         raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
-    d = frame.d
-    projections = _projections(frame)
+    return _search(frame, _projections(frame), sigma, tol, seed)
+
+
+def _normal_operator(projections: list[np.ndarray], sigma: Permutation) -> np.ndarray:
+    """L = sum_i A_i* A_i for A_i = I (x) P_i^T - P_sigma(i) (x) I.
+
+    Both terms of A_i are commuting Hermitian projections, so
+    A_i* A_i = I (x) P_i^T + P_sigma(i) (x) I - 2 P_sigma(i) (x) P_i^T and
+    L = I (x) sum_i P_i^T + sum_i P_sigma(i) (x) I
+        - 2 sum_i P_sigma(i) (x) P_i^T,
+    in the projections' own dtype.  No tightness is assumed.
+    """
+    d = len(projections[0])
+    pt = np.stack([p.T for p in projections])
+    q = np.stack([projections[sigma.apply(i + 1) - 1] for i in range(len(projections))])
+    cross = np.einsum("iab,icd->acbd", q, pt).reshape(d * d, d * d)
     eye = np.eye(d)
-    rows = [
-        np.kron(eye, projections[i].T) - np.kron(projections[sigma.apply(i + 1) - 1], eye)
-        for i in range(frame.n)
-    ]
-    stacked = np.vstack(rows)
-    if frame.field is FieldTag.REAL:
-        stacked = stacked.real
-    basis = nullspace(Mat(frame.field, stacked), 1e-10)
+    return np.kron(eye, pt.sum(axis=0)) + np.kron(q.sum(axis=0), eye) - 2.0 * cross
+
+
+def _search(
+    frame: FusionFrame,
+    projections: list[np.ndarray],
+    sigma: Permutation,
+    tol: float,
+    seed: int,
+):
+    """`find_witness` on projections the caller has already formed."""
+    d = frame.d
+    basis = nullspace(Mat(frame.field, _normal_operator(projections, sigma)), 1e-10)
     if basis.cols == 0:
         return None
     vecs = basis.working().T
@@ -331,7 +358,7 @@ def find_witness(
         if s[0] == 0.0 or s[-1] <= 1e-8 * s[0]:
             continue
         ups = polar_unitary(Mat(frame.field, x))
-        residual = _conjugation_residual(frame, sigma, ups.array)
+        residual = _conjugation_residual(projections, sigma, ups.array)
         if residual <= tol:
             return SymmetryCertificate(sigma, ups, residual)
     return None
@@ -441,16 +468,18 @@ def probe_symmetry(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
     3-cycles for the alternating group.  Returns ("total" | "alternating"
     | "other", found certificates).  The verdict is numeric: a missing
     witness means none was found at this tolerance, not a nonexistence
-    proof.
+    proof.  Each search costs O(d^6) time and O(d^4) memory whatever n
+    is, so frames with d > 32 are refused.
     """
     n = frame.n
-    if n > 8:
-        raise DomainError(f"probe is limited to n <= 8, got n={n}")
+    if frame.d > 32:
+        raise DomainError(f"probe is limited to d <= 32, got d={frame.d}")
+    projections = _projections(frame)
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
     found = []
     all_found = True
     for gen in transpositions:
-        cert = find_witness(frame, gen, tol, seed)
+        cert = _search(frame, projections, gen, tol, seed)
         if cert is None:
             all_found = False
             break
@@ -462,7 +491,7 @@ def probe_symmetry(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
     ]
     found = []
     for gen in three_cycles:
-        cert = find_witness(frame, gen, tol, seed)
+        cert = _search(frame, projections, gen, tol, seed)
         if cert is None:
             return "other", found
         found.append(cert)

@@ -10,13 +10,21 @@ from eitff.errors import (
     ShapeError,
     UnknownFeasibilityError,
 )
-from eitff.frames import build_eitff, canonicalize, naimark_complement, verify_eitff
-from eitff.linalg import FieldTag, Mat, max_abs
+from eitff.frames import (
+    FusionFrame,
+    build_eitff,
+    canonicalize,
+    naimark_complement,
+    verify_eitff,
+)
+from eitff.linalg import FieldTag, Mat, max_abs, nullspace
 from eitff.radon_hurwitz import GEN, rho_number, tensor, verify_rho_orthonormal
 from eitff.simplex import RhoSimplex
 from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
+    _normal_operator,
+    _projections,
     alternating_witness,
     check_certificate,
     find_witness,
@@ -26,7 +34,7 @@ from eitff.symmetry import (
     transposition_witness,
 )
 
-from conftest import random_subspace_frame
+from conftest import random_orthogonal, random_subspace_frame, random_unitary
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
@@ -193,6 +201,155 @@ class TestFindWitness:
         assert max_abs(a.upsilon.array - b.upsilon.array) == 0.0
 
 
+def kronecker_blocks(projections, sigma):
+    """A_i = I (x) P_i^T - P_sigma(i) (x) I, one d^2 x d^2 block per subspace."""
+    eye = np.eye(len(projections[0]))
+    return [
+        np.kron(eye, p.T) - np.kron(projections[sigma.apply(i + 1) - 1], eye)
+        for i, p in enumerate(projections)
+    ]
+
+
+def dense_stack_search(frame, sigma, tol=1e-10, seed=0):
+    """Reference search on the dense n d^2 x d^2 stack of Kronecker blocks and
+    its SVD.  Returns the null-space dimension and whether a witness clearing
+    `tol` was found."""
+    d = frame.d
+    projections = [a @ a.conj().T for a in frame.arrays()]
+    stacked = np.vstack(kronecker_blocks(projections, sigma))
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    vecs = vh[s <= 1e-10 * s[0]].conj()
+    if len(vecs) == 0:
+        return 0, False
+    rng = np.random.default_rng(seed)
+    for cand in [rng.standard_normal(len(vecs)) @ vecs, *vecs]:
+        u, sv, wh = np.linalg.svd(cand.reshape(d, d))
+        if sv[0] == 0.0 or sv[-1] <= 1e-8 * sv[0]:
+            continue
+        ups = u @ wh
+        residual = max(
+            max_abs(ups @ projections[i] @ ups.conj().T - projections[sigma.apply(i + 1) - 1])
+            for i in range(frame.n)
+        )
+        if residual <= tol:
+            return len(vecs), True
+    return len(vecs), False
+
+
+def orbit_frame(field, k, m, r, seed):
+    """Non-tight frame (U, W U, ..., W^{k-1} U, V) in F^{k m}: W = Q (S (x) I_m) Q*
+    for the cyclic shift S of k blocks and a random unitary Q, so W^k = I and
+    W witnesses the cycle (1 ... k); V = Q (1_k / sqrt(k) (x) Y) is fixed by W."""
+    d = k * m
+    q = random_orthogonal(d, seed) if field is R else random_unitary(d, seed)
+    w = q @ np.kron(np.roll(np.eye(k), 1, axis=0), np.eye(m)) @ q.conj().T
+    u = random_subspace_frame(field, d, r, 2, seed + 1).arrays()[0]
+    y = random_subspace_frame(field, m, r, 2, seed + 2).arrays()[0]
+    isos = [np.linalg.matrix_power(w, j) @ u for j in range(k)]
+    isos.append(q @ np.kron(np.ones((k, 1)) / np.sqrt(k), y))
+    if field is R:
+        isos = [a.real for a in isos]
+    return FusionFrame(field, d, r, k + 1, tuple(Mat(field, a) for a in isos))
+
+
+def direct_sum_frame(field, r, n, seed):
+    """Subspaces F_i (+) G_i of a code F and a random frame G: intertwiners of
+    F pad with zero, so symmetries of F alone have singular intertwiners only."""
+    code = build_eitff(field, r, n).arrays()
+    rand = random_subspace_frame(field, 2 * r, r, n, seed).arrays()
+    isos = []
+    for f, g in zip(code, rand):
+        block = np.zeros((4 * r, 2 * r), dtype=np.result_type(f, g))
+        block[: 2 * r, :r], block[2 * r :, r:] = f, g
+        isos.append(Mat(field, block))
+    return FusionFrame(field, 4 * r, 2 * r, n, tuple(isos))
+
+
+def oracle_frame(kind, field, *args):
+    builder = {
+        "code": build_eitff,
+        "random": random_subspace_frame,
+        "orbit": orbit_frame,
+        "sum": direct_sum_frame,
+    }[kind]
+    return builder(field, *args)
+
+
+ORACLE_CASES = [
+    (("code", R, 2, 4), (1, 2), True),
+    (("code", R, 2, 4), (2, 3), True),
+    (("code", R, 2, 4), (1, 4), True),
+    (("code", R, 2, 4), (1, 2, 3), True),
+    (("code", C, 1, 4), (1, 2), False),
+    (("code", C, 1, 4), (1, 2, 3), True),
+    (("code", R, 4, 6), (1, 2), False),
+    (("code", R, 4, 6), (1, 2, 3), True),
+    (("code", R, 4, 5), (4, 5), True),
+    (("code", C, 2, 5), (1, 5), True),
+    (("code", C, 2, 5), (2, 3, 4), True),
+    (("code", C, 4, 8), (1, 2), False),
+    (("code", C, 4, 8), (6, 7, 8), True),
+    (("random", R, 4, 2, 4, 8), (1, 2), False),
+    (("random", C, 4, 2, 4, 3), (1, 2, 3), False),
+    (("orbit", R, 2, 2, 2, 5), (1, 2), True),
+    (("orbit", C, 2, 2, 2, 6), (1, 2), True),
+    (("orbit", R, 3, 2, 2, 7), (1, 2, 3), True),
+    (("orbit", C, 3, 2, 2, 8), (1, 2, 3), True),
+    (("orbit", R, 3, 2, 2, 7), (3, 4), False),
+    (("sum", R, 2, 4, 8), (1, 2), False),
+    (("sum", C, 1, 4, 9), (1, 2, 3), False),
+]
+
+
+def case_id(value):
+    if isinstance(value, tuple):
+        return "-".join(v.value if isinstance(v, FieldTag) else str(v) for v in value)
+    return None
+
+
+class TestNormalOperator:
+    @pytest.mark.parametrize("spec,cycle,want", ORACLE_CASES, ids=case_id)
+    def test_matches_dense_stack(self, spec, cycle, want):
+        frame = oracle_frame(*spec)
+        sigma = Permutation.cycle(frame.n, cycle)
+        nullity, found = dense_stack_search(frame, sigma)
+        assert found == want
+        gram = _normal_operator(_projections(frame), sigma)
+        assert gram.shape == (frame.d ** 2, frame.d ** 2)
+        assert nullspace(Mat(frame.field, gram), 1e-10).cols == nullity
+        cert = find_witness(frame, sigma)
+        assert (cert is not None) == found
+        if cert is not None:
+            assert check_certificate(frame, cert) <= 1e-10
+
+    def test_orbit_frames_are_not_tight(self):
+        for field, k in [(R, 2), (C, 2), (R, 3), (C, 3)]:
+            frame = orbit_frame(field, k, 2, 2, seed=k)
+            op = sum(_projections(frame))
+            scale = np.trace(op).real / frame.d
+            assert max_abs(op - scale * np.eye(frame.d)) > 0.1
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_equals_sum_of_block_normals(self, field):
+        frame = orbit_frame(field, 3, 2, 2, seed=11)
+        sigma = Permutation.cycle(4, (1, 2, 4))
+        projections = _projections(frame)
+        want = sum(a.conj().T @ a for a in kronecker_blocks(projections, sigma))
+        assert max_abs(_normal_operator(projections, sigma) - want) <= 1e-12
+
+    def test_spectral_gap_r8(self):
+        frame = build_eitff(R, 8, 8)
+        gram = _normal_operator(_projections(frame), Permutation.transposition(8, 1, 2))
+        assert gram.dtype == np.float64
+        lam = np.linalg.eigvalsh(gram)
+        top = lam[-1]
+        kept = lam[lam <= 1e-10 * top]
+        dropped = lam[lam > 1e-10 * top]
+        assert len(kept) > 0
+        assert kept.max() <= 1e-12 * top
+        assert dropped.min() >= 0.1 * top
+
+
 class TestTotallySymmetricExists:
     def test_spot_values(self):
         assert totally_symmetric_exists(C, 1, 4) == "no"
@@ -292,10 +449,21 @@ class TestProbe:
             frame = build_eitff(field, r, n, "totally_symmetric")
             assert probe_symmetry(frame)[0] == "total"
 
-    def test_large_n_rejected(self):
-        frame = random_subspace_frame(R, 18, 2, 9, seed=1)
-        with pytest.raises(DomainError):
+    def test_large_d_rejected(self):
+        frame = random_subspace_frame(R, 33, 2, 3, seed=1)
+        with pytest.raises(DomainError, match="d <= 32"):
             probe_symmetry(frame)
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_even_symmetry_beyond_total_symmetry(self, field):
+        # n = rho + 2 = 10 at r = 8: no totally symmetric code exists, but
+        # every code has all even permutations as symmetries.
+        frame = build_eitff(field, 8, 10)
+        assert totally_symmetric_exists(field, 8, 10) == "no"
+        label, certs = probe_symmetry(frame)
+        assert label == "alternating"
+        assert len(certs) == 8
+        assert all(check_certificate(frame, cert) <= 1e-10 for cert in certs)
 
 
 class TestCompositionAndTransfer:
