@@ -366,9 +366,13 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
 def naimark_complement(frame: FusionFrame) -> FusionFrame:
     """Companion tight frame in dimension nr - d.
 
-    Obtained by spectrally factoring (nr/(nr-d)) (I - (d/nr) G) where G is
-    the fusion Gram matrix; the factor's blocks are isometries whose
-    cross-Grams are the original ones scaled by -d/(nr-d).
+    For a tight frame the columns of sqrt(d/nr) S*, S = [Phi_1 ... Phi_n]
+    the synthesis operator, are orthonormal.  Their orthogonal completion
+    (`_complete_unitary`) supplies nr - d further columns Q, and
+    T = sqrt(nr/(nr-d)) Q* has T* T = (nr/(nr-d)) (I - (d/nr) S* S).  The
+    n r-column blocks of T are isometries whose cross-Grams are the
+    original ones scaled by -d/(nr-d).  The complement is unique up to a
+    left unitary.
     """
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
@@ -378,18 +382,9 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
         raise InvalidInputError(
             f"frame is not tight (residual {report.tightness_residual:.2e})"
         )
-    arrs = frame.arrays()
-    synth = np.hstack(arrs)
-    gram = synth.conj().T @ synth
-    scale = n * r / (n * r - d)
-    comp = scale * (np.eye(n * r) - (d / (n * r)) * gram)
-    u, s, _ = np.linalg.svd(comp)
-    keep = s > scale / 2
-    if int(np.count_nonzero(keep)) != n * r - d:
-        raise NumericError(
-            "complement Gram does not split into the expected eigenvalue groups"
-        )
-    tilde = (u[:, keep] * np.sqrt(s[keep])).conj().T
+    rows = math.sqrt(d / (n * r)) * np.hstack(frame.arrays())
+    q = _complete_unitary(rows.conj().T)[:, d:]
+    tilde = math.sqrt(n * r / (n * r - d)) * q.conj().T
     isometries = tuple(
         Mat(frame.field, tilde[:, i * r : (i + 1) * r]) for i in range(n)
     )

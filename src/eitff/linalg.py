@@ -36,16 +36,17 @@ class FieldTag(Enum):
 class Mat:
     """Immutable dense matrix over R or C.
 
-    Entries are stored as complex128 regardless of the field tag; a
-    real-tagged matrix must have every imaginary part exactly zero and
-    the constructor rejects anything else.  All entries must be finite.
+    Entries are stored as C-ordered complex128 regardless of the field
+    tag, so the storage always has a float64 view; a real-tagged matrix
+    must have every imaginary part exactly zero and the constructor
+    rejects anything else.  All entries must be finite.
     """
 
     field: FieldTag
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.complex128)
+        arr = np.array(self.array, dtype=np.complex128, order="C")
         if arr.ndim != 2:
             raise ShapeError(f"matrix must be 2-d, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):

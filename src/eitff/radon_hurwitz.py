@@ -196,19 +196,20 @@ def _real_skew_tower(k: int) -> tuple[Mat, ...]:
     return inflate_real(_real_skew_tower(k - 4))
 
 
+def skew_double(c: np.ndarray) -> np.ndarray:
+    """The skew-Hermitian doubling [[0, -C*], [C, 0]], in C's dtype."""
+    zero = np.zeros_like(c)
+    return np.block([[zero, -c.conj().T], [c, zero]])
+
+
 def _double_complex(seq: list[Mat]) -> list[Mat]:
     """One doubling step for complex families.
 
-    Each member C becomes [[0, -C*], [C, 0]], then i(M x I) and the
+    Each member C becomes `skew_double(C)`, then i(M x I) and the
     identity are appended, giving two more members at twice the size.
     """
     s = seq[0].rows
-    out = []
-    for c in seq:
-        arr = np.zeros((2 * s, 2 * s), dtype=np.complex128)
-        arr[:s, s:] = -c.array.conj().T
-        arr[s:, :s] = c.array
-        out.append(Mat.from_complex(arr))
+    out = [Mat.from_complex(skew_double(c.array)) for c in seq]
     diag = np.zeros((2 * s, 2 * s), dtype=np.complex128)
     diag[:s, :s] = 1j * np.eye(s)
     diag[s:, s:] = -1j * np.eye(s)

@@ -20,12 +20,11 @@ from .errors import (
     DomainError,
     InfeasibleParametersError,
     InvalidInputError,
-    NumericError,
     ShapeError,
     UnknownFeasibilityError,
 )
 from .linalg import FieldTag, Mat, kron, max_abs, nullspace, polar_unitary
-from .frames import FusionFrame, eitff_params, frame_from_simplex
+from .frames import FusionFrame, _drop_identity_member, eitff_params, frame_from_simplex
 from .radon_hurwitz import (
     GEN,
     RhoOrthonormalSeq,
@@ -34,6 +33,7 @@ from .radon_hurwitz import (
     inflate_real,
     real_base_family,
     rho_number,
+    skew_double,
     tensor,
 )
 from .simplex import RhoSimplex
@@ -232,23 +232,14 @@ def _as_transposition(n: int, t) -> Permutation:
     return Permutation.transposition(n, min(j, k), max(j, k))
 
 
-def _block_permutation(rhat: int) -> np.ndarray:
-    """Permutation matrix reordering four rhat-blocks as (1, 4, 2, 3)."""
-    p = np.zeros((4 * rhat, 4 * rhat))
-    order = (0, 3, 1, 2)
-    for new, old in enumerate(order):
-        p[new * rhat : (new + 1) * rhat, old * rhat : (old + 1) * rhat] = np.eye(rhat)
-    return p
-
-
 def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertificate:
     """Witness for a product of two transpositions of a canonical frame.
 
-    The frame's simplex blocks are doubled into skew-Hermitian form,
-    closed-form witnesses for the two transpositions are built there,
-    conjugated by a fixed block permutation and multiplied; the product
-    is block diagonal and its upper-left corner acts on the original
-    frame as a witness for sigma1 . sigma2.
+    The frame's simplex blocks are doubled into skew-Hermitian form
+    (`skew_double`), closed-form witnesses for the two transpositions are
+    built there, their rhat-blocks reordered as (1, 4, 2, 3) and
+    multiplied; the product is block diagonal and its upper-left corner
+    acts on the original frame as a witness for sigma1 . sigma2.
     """
     n, rhat = frame.n, frame.r
     if n < 4:
@@ -269,23 +260,18 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
             f"frame is not in canonical form (residual {canonical_res:.2e})"
         )
 
-    doubled = []
-    for a in arrs[:-1]:
-        bhat = a[rhat:] / p.beta
-        block = np.zeros((2 * rhat, 2 * rhat), dtype=np.complex128)
-        block[:rhat, rhat:] = -bhat.conj().T
-        block[rhat:, :rhat] = bhat
-        doubled.append(block)
+    doubled = [
+        skew_double(np.asarray(a[rhat:] / p.beta, dtype=np.complex128))
+        for a in arrs[:-1]
+    ]
+    # Row and column indices reordering the four rhat-blocks as (1, 4, 2, 3).
+    order = np.concatenate([np.arange(b * rhat, (b + 1) * rhat) for b in (0, 3, 1, 2)])
 
     def doubled_witness(sigma: Permutation) -> np.ndarray:
         (j, k) = sorted(i for i in range(1, n + 1) if sigma.apply(i) != i)
-        return _transposition_matrix(doubled, j, k)
+        return _transposition_matrix(doubled, j, k)[np.ix_(order, order)]
 
-    perm = _block_permutation(rhat)
-    w1 = perm @ doubled_witness(sigma1) @ perm.T
-    w2 = perm @ doubled_witness(sigma2) @ perm.T
-    product = w1 @ w2
-    corner = product[: 2 * rhat, : 2 * rhat]
+    corner = (doubled_witness(sigma1) @ doubled_witness(sigma2))[: 2 * rhat, : 2 * rhat]
     sigma = sigma1.compose(sigma2)
     residual = _conjugation_residual(_projections(frame), sigma, corner)
     return SymmetryCertificate(sigma, Mat(frame.field, corner), residual)
@@ -312,7 +298,8 @@ def find_witness(
     is returned once its conjugation residual clears `tol`; this
     polar-plus-residual check is the only acceptance gate.  Returns None
     when no witness is found at this tolerance; that is a numeric
-    verdict, not a proof of asymmetry.
+    verdict, not a proof of asymmetry.  Frames with d > 32 are refused
+    with `DomainError`.
     """
     if sigma.n != frame.n:
         raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
@@ -343,8 +330,14 @@ def _search(
     tol: float,
     seed: int,
 ):
-    """`find_witness` on projections the caller has already formed."""
+    """`find_witness` on projections the caller has already formed.
+
+    One search costs O(d^6) time and O(d^4) memory whatever n is, so
+    frames with d > 32 are refused before L is formed.
+    """
     d = frame.d
+    if d > 32:
+        raise DomainError(f"witness search is limited to d <= 32, got d={d}")
     basis = nullspace(Mat(frame.field, _normal_operator(projections, sigma)), 1e-10)
     if basis.cols == 0:
         return None
@@ -417,11 +410,7 @@ def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
         )
     rho = rho_number(field, r)
     if n <= rho + 1:
-        family = build_rho_orthonormal(field, r, n - 1)
-        eye = np.eye(r)
-        skews = [m for m in family.mats if max_abs(m.array - eye) > 1e-12]
-        if len(skews) != n - 2:
-            raise NumericError("family did not split into identity plus skews")
+        skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1))
         u = Mat(field, skews[n - 4].array @ skews[n - 3].array)
         generators = (Mat.identity(r, field),) + tuple(skews[: n - 3])
         seq = RhoOrthonormalSeq(field, r, generators)
@@ -441,21 +430,11 @@ def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
     for _ in range(inflations):
         ds = list(inflate_real(ds))
         u = kron(Mat.identity(16), u)
-    commuting, anticommuting = [], []
+    # Stable sort: the one generator anticommuting with u goes last.
+    # TotalSymmetrySeed checks the commutation pattern.
     ua = u.array
-    for candidate in ds:
-        ca = candidate.array
-        if max_abs(ua @ ca + ca @ ua) <= 1e-12:
-            anticommuting.append(candidate)
-        elif max_abs(ua @ ca - ca @ ua) <= 1e-12:
-            commuting.append(candidate)
-        else:
-            raise NumericError("generator neither commutes nor anticommutes")
-    if len(anticommuting) != 1:
-        raise NumericError(
-            f"expected exactly one anticommuting generator, got {len(anticommuting)}"
-        )
-    generators = (Mat.identity(r, field),) + tuple(commuting) + tuple(anticommuting)
+    ds.sort(key=lambda c: max_abs(ua @ c.array + c.array @ ua) <= 1e-12)
+    generators = (Mat.identity(r, field),) + tuple(ds)
     seq = RhoOrthonormalSeq(field, r, generators)
     return TotalSymmetrySeed(field, r, n, seq, u)
 
@@ -468,31 +447,19 @@ def probe_symmetry(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
     3-cycles for the alternating group.  Returns ("total" | "alternating"
     | "other", found certificates).  The verdict is numeric: a missing
     witness means none was found at this tolerance, not a nonexistence
-    proof.  Each search costs O(d^6) time and O(d^4) memory whatever n
-    is, so frames with d > 32 are refused.
+    proof.  Frames with d > 32 are refused, as in `find_witness`.
     """
     n = frame.n
-    if frame.d > 32:
-        raise DomainError(f"probe is limited to d <= 32, got d={frame.d}")
     projections = _projections(frame)
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
-    found = []
-    all_found = True
-    for gen in transpositions:
-        cert = _search(frame, projections, gen, tol, seed)
-        if cert is None:
-            all_found = False
-            break
-        found.append(cert)
-    if all_found:
-        return "total", found
-    three_cycles = [
-        Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)
-    ]
-    found = []
-    for gen in three_cycles:
-        cert = _search(frame, projections, gen, tol, seed)
-        if cert is None:
-            return "other", found
-        found.append(cert)
-    return "alternating", found
+    three_cycles = [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]
+    for label, generators in (("total", transpositions), ("alternating", three_cycles)):
+        found = []
+        for gen in generators:
+            cert = _search(frame, projections, gen, tol, seed)
+            if cert is None:
+                break
+            found.append(cert)
+        else:
+            return label, found
+    return "other", found

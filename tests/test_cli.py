@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eitff.cli import main
-from eitff.frame_io import load_frame, save_certificate, save_frame
+from eitff.frame_io import load_certificate, load_frame, save_certificate, save_frame
 from eitff.frames import FusionFrame, build_eitff
 from eitff.linalg import FieldTag, Mat
 
@@ -142,6 +142,27 @@ class TestRoundTrip:
         loaded, _ = load_frame(str(path))
         for want, got in zip(frame.isometries, loaded.isometries):
             assert want.array.tobytes() == got.array.tobytes()
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    def test_transposed_arrays_round_trip(self, tmp_path, field):
+        # Transposes and their slices are not C-contiguous; Mat stores a
+        # C-ordered copy, so both file writers can view them as float pairs.
+        from conftest import random_orthogonal, random_unitary
+
+        u = random_orthogonal(4, 3) if field is FieldTag.REAL else random_unitary(4, 3)
+        inverse = u.conj().T
+        assert not inverse.flags["C_CONTIGUOUS"]
+        frame = FusionFrame(field, 4, 2, 2, (Mat(field, inverse[:, :2]), Mat(field, inverse[:, 2:])))
+        frame_path = tmp_path / "frame.json"
+        save_frame(frame, str(frame_path))
+        loaded, _ = load_frame(str(frame_path))
+        for want, got in zip(frame.isometries, loaded.isometries):
+            assert np.array_equal(want.array, got.array)
+        cert_path = tmp_path / "cert.json"
+        save_certificate(str(cert_path), "1 2", Mat(field, inverse), 0.0)
+        perm, upsilon, residual = load_certificate(str(cert_path))
+        assert (perm, residual) == ("1 2", 0.0)
+        assert np.array_equal(upsilon.array, inverse)
 
     def test_compact_and_indented_files_load_alike(self, tmp_path):
         frame = build_eitff(FieldTag.REAL, 2, 4)
@@ -367,6 +388,16 @@ class TestSym:
     def test_malformed_perm_usage_error(self, capsys, frame_path):
         code, _, _ = run(capsys, "sym", "witness", str(frame_path), "--perm", "(1 2)")
         assert code == 2
+
+    def test_witness_refuses_large_d(self, capsys, tmp_path):
+        from conftest import random_subspace_frame
+
+        path = tmp_path / "wide.json"
+        save_frame(random_subspace_frame(FieldTag.REAL, 33, 2, 3, seed=1), str(path))
+        code, out, err = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3")
+        assert code == 2
+        assert out == ""
+        assert "d <= 32" in err
 
     def test_probe_total(self, capsys, frame_path):
         code, out, _ = run(capsys, "sym", "probe", str(frame_path))

@@ -445,7 +445,67 @@ class TestVerifyAgainstReference:
         assert max(residuals) <= 1e-10
 
 
+def svd_complement(frame):
+    """Reference Naimark complement: spectral factor of the complement
+    Gram (nr/(nr-d)) (I - (d/nr) H), H the fusion Gram, from a full SVD."""
+    d, r, n = frame.d, frame.r, frame.n
+    synth = np.hstack(frame.arrays())
+    scale = n * r / (n * r - d)
+    comp = scale * (np.eye(n * r) - (d / (n * r)) * (synth.conj().T @ synth))
+    u, s, _ = np.linalg.svd(comp)
+    keep = s > scale / 2
+    assert int(np.count_nonzero(keep)) == n * r - d
+    tilde = (u[:, keep] * np.sqrt(s[keep])).conj().T
+    isometries = tuple(Mat(frame.field, tilde[:, i * r : (i + 1) * r]) for i in range(n))
+    return FusionFrame(frame.field, n * r - d, r, n, isometries)
+
+
+def fusion_gram(frame):
+    synth = np.hstack(frame.arrays())
+    return synth.conj().T @ synth
+
+
+def rotated(frame, seed):
+    """The frame after a random orthogonal / unitary change of basis."""
+    if frame.field is R:
+        u = random_orthogonal(frame.d, seed)
+    else:
+        u = random_unitary(frame.d, seed)
+    isometries = tuple(Mat(frame.field, u @ a) for a in frame.arrays())
+    return FusionFrame(frame.field, frame.d, frame.r, frame.n, isometries)
+
+
 class TestNaimark:
+    @pytest.mark.parametrize(
+        "field,r,n,rotate",
+        [
+            (R, 2, 4, False),
+            (C, 1, 4, False),
+            (R, 4, 6, False),
+            (C, 4, 8, False),
+            (R, 8, 10, False),
+            (C, 4, 6, False),
+            (R, 4, 5, True),
+            (C, 2, 5, True),
+        ],
+    )
+    def test_gram_matches_svd_oracle(self, field, r, n, rotate):
+        frame = build_eitff(field, r, n)
+        if rotate:
+            frame = rotated(frame, seed=r + n)
+        nr, d = n * r, frame.d
+        want = nr / (nr - d) * (np.eye(nr) - (d / nr) * fusion_gram(frame))
+        comp = naimark_complement(frame)
+        assert max_abs(fusion_gram(svd_complement(frame)) - want) <= 1e-12
+        assert max_abs(fusion_gram(comp) - want) <= 1e-12
+        assert verify_eitff(comp, 1e-10).passed
+        # complement of the complement: same Gram as the oracle's, and the
+        # original frame's Gram again
+        double = naimark_complement(comp)
+        assert max_abs(fusion_gram(double) - fusion_gram(svd_complement(comp))) <= 1e-12
+        assert max_abs(fusion_gram(double) - fusion_gram(frame)) <= 1e-12
+        assert verify_eitff(double, 1e-10).passed
+
     def test_complement_of_r2_n4(self, example_frame):
         comp = naimark_complement(example_frame)
         assert (comp.d, comp.r, comp.n) == (4, 2, 4)

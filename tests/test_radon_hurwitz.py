@@ -19,6 +19,7 @@ from eitff.radon_hurwitz import (
     real_base_family,
     rho_inner,
     rho_number,
+    skew_double,
     tensor,
     verify_rho_orthonormal,
 )
@@ -340,3 +341,18 @@ class TestRelationKernel:
         fam[1] = Mat.from_real(2.0 * fam[1].working())
         with pytest.raises(InvalidInputError, match=r"member 2 is not unitary"):
             inflate_real(fam)
+
+
+class TestSkewDouble:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_block_form_and_dtype(self, dtype):
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((3, 3)).astype(dtype)
+        if dtype is np.complex128:
+            c = c + 1j * rng.standard_normal((3, 3))
+        w = skew_double(c)
+        assert w.dtype == dtype
+        assert np.array_equal(w[3:, :3], c)
+        assert np.array_equal(w[:3, 3:], -c.conj().T)
+        assert not w[:3, :3].any() and not w[3:, 3:].any()
+        assert np.array_equal(w.conj().T, -w)

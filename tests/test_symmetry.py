@@ -14,17 +14,26 @@ from eitff.frames import (
     FusionFrame,
     build_eitff,
     canonicalize,
+    eitff_params,
     naimark_complement,
     verify_eitff,
 )
 from eitff.linalg import FieldTag, Mat, max_abs, nullspace
-from eitff.radon_hurwitz import GEN, rho_number, tensor, verify_rho_orthonormal
+from eitff.radon_hurwitz import (
+    GEN,
+    RhoOrthonormalSeq,
+    rho_number,
+    tensor,
+    verify_rho_orthonormal,
+)
 from eitff.simplex import RhoSimplex
 from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
+    TotalSymmetrySeed,
     _normal_operator,
     _projections,
+    _transposition_matrix,
     alternating_witness,
     check_certificate,
     find_witness,
@@ -134,7 +143,41 @@ class TestTranspositionWitness:
                 assert max_abs(u.conj().T @ u - np.eye(2 * r)) <= 1e-10
 
 
+def permutation_matrix_alternating(frame, t1, t2):
+    """Reference alternating witness: the doubled transposition witnesses
+    conjugated by a dense (1, 4, 2, 3) block-permutation matrix."""
+    n, rhat = frame.n, frame.r
+    beta = eitff_params(n).beta
+    doubled = []
+    for a in frame.arrays()[:-1]:
+        bhat = a[rhat:] / beta
+        block = np.zeros((2 * rhat, 2 * rhat), dtype=np.complex128)
+        block[:rhat, rhat:] = -bhat.conj().T
+        block[rhat:, :rhat] = bhat
+        doubled.append(block)
+    perm = np.zeros((4 * rhat, 4 * rhat))
+    for new, old in enumerate((0, 3, 1, 2)):
+        perm[new * rhat : (new + 1) * rhat, old * rhat : (old + 1) * rhat] = np.eye(rhat)
+    w1, w2 = (perm @ _transposition_matrix(doubled, *t) @ perm.T for t in (t1, t2))
+    return (w1 @ w2)[: 2 * rhat, : 2 * rhat]
+
+
 class TestAlternatingWitness:
+    @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (C, 1, 4), (R, 4, 6), (C, 4, 8), (R, 8, 10)])
+    def test_matches_permutation_matrix_reference(self, field, r, n):
+        frame = build_eitff(field, r, n)
+        rng = np.random.default_rng(n)
+        pairs = [((1, 2), (n - 1, n)), ((1, n), (2, 3)), ((2, 3), (2, 3))]
+        for _ in range(6):
+            j1, k1, j2, k2 = (
+                *sorted(rng.choice(np.arange(1, n + 1), 2, replace=False)),
+                *sorted(rng.choice(np.arange(1, n + 1), 2, replace=False)),
+            )
+            pairs.append(((int(j1), int(k1)), (int(j2), int(k2))))
+        for t1, t2 in pairs:
+            cert = alternating_witness(frame, t1, t2)
+            assert np.array_equal(cert.upsilon.array, permutation_matrix_alternating(frame, t1, t2))
+
     def test_example_double_transposition(self, example_frame):
         cert = alternating_witness(example_frame, (1, 2), (3, 4))
         assert cert.sigma.image == (2, 1, 4, 3)
@@ -193,6 +236,12 @@ class TestFindWitness:
         frame = random_subspace_frame(R, 4, 2, 4, seed=8)
         sigma = Permutation.transposition(4, 1, 2)
         assert find_witness(frame, sigma) is None
+
+    def test_large_d_refused(self):
+        # Refused before the d^2 x d^2 normal operator is formed.
+        frame = random_subspace_frame(R, 33, 2, 3, seed=1)
+        with pytest.raises(DomainError, match="d <= 32"):
+            find_witness(frame, Permutation.transposition(3, 1, 2))
 
     def test_deterministic_given_seed(self, example_frame):
         sigma = Permutation.transposition(4, 3, 4)
@@ -416,6 +465,27 @@ class TestTotalSymmetrySeed:
         u = seed.u.array
         assert max_abs(u.conj().T @ u - np.eye(r)) <= 1e-12
 
+    def test_direct_construction_rejects_wrong_length(self):
+        seed = total_symmetry_seed(R, 2, 4)
+        with pytest.raises(ShapeError, match="needs 3 generators"):
+            TotalSymmetrySeed(R, 2, 5, seed.seq, seed.u)
+
+    def test_direct_construction_rejects_non_identity_first(self):
+        seq = RhoOrthonormalSeq(R, 2, (GEN.R, GEN.I))
+        with pytest.raises(InvalidInputError, match="exactly the identity"):
+            TotalSymmetrySeed(R, 2, 4, seq, GEN.M)
+
+    def test_direct_construction_rejects_commutation_failures(self):
+        seed = total_symmetry_seed(C, 2, 5)
+        TotalSymmetrySeed(C, 2, 5, seed.seq, seed.u)
+        eye, _, d2 = seed.seq.mats
+        # d2 anticommutes with generator 2 where it should commute
+        with pytest.raises(InvalidInputError, match="fails to commute with generator 2"):
+            TotalSymmetrySeed(C, 2, 5, seed.seq, d2)
+        # the identity commutes with the last generator where it should anticommute
+        with pytest.raises(InvalidInputError, match="fails to anticommute with generator 3"):
+            TotalSymmetrySeed(C, 2, 5, seed.seq, eye)
+
     def test_c3_case_infeasible(self):
         with pytest.raises(InfeasibleParametersError):
             total_symmetry_seed(R, 8, 10)
@@ -443,6 +513,15 @@ class TestProbe:
     def test_random_frame_other(self):
         frame = random_subspace_frame(R, 4, 2, 4, seed=13)
         assert probe_symmetry(frame)[0] == "other"
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_other_keeps_the_certificates_found(self, field):
+        # (1 2 3) is a symmetry of the orbit frame, (2 3 4) is not.
+        frame = orbit_frame(field, 3, 2, 2, seed=7)
+        label, certs = probe_symmetry(frame)
+        assert label == "other"
+        assert [cert.sigma.image for cert in certs] == [(2, 3, 1, 4)]
+        assert check_certificate(frame, certs[0]) <= 1e-10
 
     def test_totally_symmetric_builds_probe_total(self):
         for field, r, n in [(C, 2, 5), (R, 2, 4), (R, 4, 5)]:
