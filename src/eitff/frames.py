@@ -311,6 +311,11 @@ def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
     return d * d - r * r + 1
 
 
+def _tightness_residual(arrays, d: int, r: int) -> float:
+    """Largest entry of sum_i Phi_i Phi_i* - (nr/d) I."""
+    return max_abs(sum(a @ a.conj().T for a in arrays) - (len(arrays) * r / d) * np.eye(d))
+
+
 def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Measure every optimality property at once.
 
@@ -330,8 +335,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
 
     iso = max_abs(stack.conj().swapaxes(1, 2) @ stack - eye_r)
 
-    frame_op = sum(a @ a.conj().T for a in stack)
-    tight = max_abs(frame_op - (n * r / d) * np.eye(d))
+    tight = _tightness_residual(stack, d, r)
 
     sigma2 = (n * r - d) / (d * (n - 1))
     equi = 0.0
@@ -377,11 +381,9 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
-    report = verify_eitff(frame, 1e-8)
-    if report.tightness_residual > 1e-8:
-        raise InvalidInputError(
-            f"frame is not tight (residual {report.tightness_residual:.2e})"
-        )
+    tight = _tightness_residual(frame.arrays(), d, r)
+    if tight > 1e-8:
+        raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
     rows = math.sqrt(d / (n * r)) * np.hstack(frame.arrays())
     q = _complete_unitary(rows.conj().T)[:, d:]
     tilde = math.sqrt(n * r / (n * r - d)) * q.conj().T

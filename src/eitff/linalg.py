@@ -4,9 +4,10 @@ block-relation kernel.
 `Mat` is an immutable dense matrix tagged as real or complex.  Real
 matrices ride inside the complex128 carrier with a hard zero-imaginary
 invariant; arithmetic happens on plain numpy arrays in the field's
-natural dtype (`Mat.working`).  Polar factors and null spaces come from
-the SVD.  `relation_residual` measures the block-Gram identity shared by
-anticommuting families and unitary simplices.
+natural dtype (`Mat.working`).  Polar factors come from the SVD, null
+spaces of Hermitian matrices from `eigh`.  `relation_residual` measures
+the block-Gram identity shared by anticommuting families and unitary
+simplices.
 """
 
 from __future__ import annotations
@@ -127,19 +128,21 @@ def polar_unitary(a: Mat) -> Mat:
 
 
 def nullspace(a: Mat, tol: float) -> Mat:
-    """Orthonormal basis of the numerical null space.
+    """Orthonormal basis of the numerical null space of a Hermitian matrix.
 
-    A column x is kept when its singular value is at most tol * s_max,
-    i.e. ||a x|| <= tol ||a|| ||x||.  May legitimately have zero columns.
+    The basis comes from `eigh`, so only the lower triangle is read.  An
+    eigenvector is kept when |lambda| <= tol * max |lambda|, the singular
+    value rule ||a x|| <= tol ||a|| ||x||; for the PSD matrices of the
+    witness search that is lambda <= tol * lambda_max.  May legitimately
+    have zero columns.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    u, s, vh = np.linalg.svd(a.working(), full_matrices=True)
-    smax = float(s[0]) if s.size else 0.0
-    padded = np.zeros(a.cols)
-    padded[: s.size] = s
-    keep = padded <= tol * smax
-    return Mat(a.field, vh.conj().T[:, keep])
+    if a.rows != a.cols:
+        raise ShapeError(f"null space needs a square Hermitian matrix, got {a.shape}")
+    lam, vecs = np.linalg.eigh(a.working())
+    size = np.abs(lam)
+    return Mat(a.field, vecs[:, size <= tol * np.max(size, initial=0.0)])
 
 
 def relation_residual(

@@ -92,8 +92,8 @@ def rho_simplex_from_orthonormal(seq) -> RhoSimplex:
         )
     n = len(mats) + 2
     psi = simplex_matrix(n - 1).mat.working()
-    stack = np.stack([m.array for m in mats])
-    combos = np.einsum("ij,ikl->jkl", psi, stack)
+    stack = np.stack([m.working() for m in mats])
+    combos = (psi.T @ stack.reshape(len(mats), -1)).reshape(-1, r, r)
     return RhoSimplex(field, r, n, tuple(Mat(field, b) for b in combos))
 
 

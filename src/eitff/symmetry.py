@@ -260,10 +260,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
             f"frame is not in canonical form (residual {canonical_res:.2e})"
         )
 
-    doubled = [
-        skew_double(np.asarray(a[rhat:] / p.beta, dtype=np.complex128))
-        for a in arrs[:-1]
-    ]
+    doubled = [skew_double(a[rhat:] / p.beta) for a in arrs[:-1]]
     # Row and column indices reordering the four rhat-blocks as (1, 4, 2, 3).
     order = np.concatenate([np.arange(b * rhat, (b + 1) * rhat) for b in (0, 3, 1, 2)])
 
@@ -271,7 +268,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
         (j, k) = sorted(i for i in range(1, n + 1) if sigma.apply(i) != i)
         return _transposition_matrix(doubled, j, k)[np.ix_(order, order)]
 
-    corner = (doubled_witness(sigma1) @ doubled_witness(sigma2))[: 2 * rhat, : 2 * rhat]
+    corner = doubled_witness(sigma1)[: 2 * rhat] @ doubled_witness(sigma2)[:, : 2 * rhat]
     sigma = sigma1.compose(sigma2)
     residual = _conjugation_residual(_projections(frame), sigma, corner)
     return SymmetryCertificate(sigma, Mat(frame.field, corner), residual)
@@ -286,65 +283,73 @@ def find_witness(
     """Search for a unitary witness of sigma by solving the intertwiner
     equations Upsilon Pi_i = Pi_{sigma(i)} Upsilon.
 
-    In row-major vec form equation i reads A_i x = 0 with
-    A_i = I (x) Pi_i^T - Pi_{sigma(i)} (x) I.  The solutions are the null
-    space of the d^2 x d^2 Hermitian PSD matrix L = sum_i A_i* A_i
-    (`_normal_operator`); the n d^2 x d^2 stack A of the A_i is never
-    formed.  The null-space threshold thus applies to lambda(L) =
-    sigma(A)^2: a vector is kept when lambda <= 1e-10 lambda_max.  The
-    basis only proposes candidates.  If it contains an invertible element
-    (tested on a random real combination of the basis, then on each basis
-    element), its unitary polar factor is itself an intertwiner, and it
-    is returned once its conjugation residual clears `tol`; this
-    polar-plus-residual check is the only acceptance gate.  Returns None
-    when no witness is found at this tolerance; that is a numeric
-    verdict, not a proof of asymmetry.  Frames with d > 32 are refused
-    with `DomainError`.
+    The solutions are the eigenvectors with lambda <= 1e-10 lambda_max of
+    a Hermitian PSD normal operator on the unknowns that subspace n leaves
+    free (`_search`).  They only propose candidates: a random real
+    combination of them, then each one.  The unitary polar factor of an
+    invertible candidate is itself an intertwiner; it is returned once its
+    conjugation residual clears `tol`, the only acceptance gate.  None
+    means no witness was found at this tolerance, a numeric verdict, not a
+    proof of asymmetry.  Frames with d > 32 are refused with
+    `DomainError`, a rank-deficient Phi_n or Phi_sigma(n) with
+    `InvalidInputError`.
     """
     if sigma.n != frame.n:
         raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
     return _search(frame, _projections(frame), sigma, tol, seed)
 
 
-def _normal_operator(projections: list[np.ndarray], sigma: Permutation) -> np.ndarray:
-    """L = sum_i A_i* A_i for A_i = I (x) P_i^T - P_sigma(i) (x) I.
-
-    Both terms of A_i are commuting Hermitian projections, so
-    A_i* A_i = I (x) P_i^T + P_sigma(i) (x) I - 2 P_sigma(i) (x) P_i^T and
-    L = I (x) sum_i P_i^T + sum_i P_sigma(i) (x) I
-        - 2 sum_i P_sigma(i) (x) P_i^T,
-    in the projections' own dtype.  No tightness is assumed.
+def _normal_operator(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L = sum_i A_i* A_i for A_i = I (x) P_i^T - Q_i (x) I, given (n, d, d)
+    stacks of Hermitian projections P_i and Q_i.  Both terms of A_i are
+    commuting projections, so L = I (x) sum_i P_i^T + sum_i Q_i (x) I
+    - 2 sum_i Q_i (x) P_i^T.  The cross term is one GEMM over i and a
+    transpose, in the projections' dtype.  No tightness is assumed.
     """
-    d = len(projections[0])
-    pt = np.stack([p.T for p in projections])
-    q = np.stack([projections[sigma.apply(i + 1) - 1] for i in range(len(projections))])
-    cross = np.einsum("iab,icd->acbd", q, pt).reshape(d * d, d * d)
+    n, d = p.shape[:2]
+    pt = p.swapaxes(1, 2)
+    cross = (q.reshape(n, -1).T @ pt.reshape(n, -1)).reshape(d, d, d, d)
+    cross = cross.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
     return np.kron(eye, pt.sum(axis=0)) + np.kron(q.sum(axis=0), eye) - 2.0 * cross
 
 
 def _search(
-    frame: FusionFrame,
-    projections: list[np.ndarray],
-    sigma: Permutation,
-    tol: float,
-    seed: int,
+    frame: FusionFrame, projections: list[np.ndarray], sigma: Permutation, tol: float, seed: int
 ):
     """`find_witness` on projections the caller has already formed.
 
-    One search costs O(d^6) time and O(d^4) memory whatever n is, so
-    frames with d > 32 are refused before L is formed.
+    Let U_k, U_m be the Q factors of complete QRs of Phi_k and Phi_m,
+    k = n, m = sigma(n).  Equation k maps ran Pi_k into ran Pi_m and
+    ker Pi_k into ker Pi_m, so every intertwiner is U_m W U_k* with W
+    block diagonal: r^2 + (d-r)^2 unknowns.  W solves the equations for
+    P_i = U_k* Pi_i U_k and Q_i = U_m* Pi_sigma(i) U_m; the block-diagonal
+    rows and columns of their L (`_normal_operator`) have the nullity of L
+    and, by Cauchy interlacing, no smaller gap.  Costs O(d^6) time and
+    O(d^4) memory, so d > 32 is refused before L is formed.
     """
-    d = frame.d
+    d, n = frame.d, frame.n
     if d > 32:
         raise DomainError(f"witness search is limited to d <= 32, got d={d}")
-    basis = nullspace(Mat(frame.field, _normal_operator(projections, sigma)), 1e-10)
+    ends = (n, sigma.apply(n))
+    ends_stack = np.stack(frame.arrays())[[i - 1 for i in ends]]
+    (uk, um), rmat = np.linalg.qr(ends_stack, mode="complete")
+    for i, diag in zip(ends, np.abs(np.diagonal(rmat, axis1=1, axis2=2))):
+        if diag.min() <= 1e-8 * diag.max():
+            raise InvalidInputError(f"subspace {i} is rank-deficient (|R_jj| {diag.min():.2e})")
+    stack = np.stack(projections)
+    p = uk.conj().T @ stack @ uk
+    q = um.conj().T @ stack[[sigma.apply(i) - 1 for i in range(1, n + 1)]] @ um
+    side = np.arange(d) < frame.r
+    block = np.equal.outer(side, side).ravel()
+    basis = nullspace(Mat(frame.field, _normal_operator(p, q)[np.ix_(block, block)]), 1e-10)
     if basis.cols == 0:
         return None
-    vecs = basis.working().T
+    lifted = np.zeros((basis.cols, d * d), dtype=p.dtype)
+    lifted[:, block] = basis.working().T
+    vecs = (um @ lifted.reshape(-1, d, d) @ uk.conj().T).reshape(basis.cols, d * d)
     rng = np.random.default_rng(seed)
-    candidates = [rng.standard_normal(basis.cols) @ vecs]
-    candidates.extend(vecs)
+    candidates = [rng.standard_normal(basis.cols) @ vecs, *vecs]
     for cand in candidates:
         x = cand.reshape(d, d)
         s = np.linalg.svd(x, compute_uv=False)

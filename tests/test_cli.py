@@ -399,6 +399,18 @@ class TestSym:
         assert out == ""
         assert "d <= 32" in err
 
+    def test_witness_refuses_rank_deficient_subspace(self, capsys, tmp_path):
+        frame = build_eitff(FieldTag.REAL, 2, 4)
+        arrays = list(frame.arrays())
+        arrays[-1] = np.zeros_like(arrays[-1])
+        path = tmp_path / "degenerate.json"
+        isometries = tuple(Mat(FieldTag.REAL, a) for a in arrays)
+        save_frame(FusionFrame(FieldTag.REAL, 4, 2, 4, isometries), str(path))
+        code, out, err = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
+        assert code == 1
+        assert out == ""
+        assert "subspace 4 is rank-deficient" in err
+
     def test_probe_total(self, capsys, frame_path):
         code, out, _ = run(capsys, "sym", "probe", str(frame_path))
         assert code == 0

@@ -143,9 +143,37 @@ class TestNullspace:
         overlap = abs(direction @ basis.array[:, 0])
         assert abs(overlap - 1.0) <= 1e-12
 
-    def test_wide_matrix_nullspace(self):
-        basis = nullspace(Mat.from_real([[1.0, 0.0, 0.0]]), 1e-10)
-        assert basis.cols == 2
+    def test_non_square_rejected(self):
+        with pytest.raises(ShapeError):
+            nullspace(Mat.from_real([[1.0, 0.0, 0.0]]), 1e-10)
+
+    @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [0.0] * 5 + [1.0, 2.0, 3.0],
+            # Clustered: a near-null cluster, and repeated and nearly equal
+            # eigenvalues on both sides of the threshold.
+            [0.0, 1e-15, -1e-15, 5e-12, 1.0, 1.0, 1.0 + 1e-9, 1.0 - 1e-9, 4.0, 4.0],
+            [1e-13] * 3 + [1e-8] * 3 + [1.0] * 6,
+        ],
+        ids=["plain", "clustered", "two-clusters"],
+    )
+    def test_projector_matches_svd_oracle(self, field, spectrum):
+        d = len(spectrum)
+        q = random_orthogonal(d, seed=d) if field is FieldTag.REAL else random_unitary(d, seed=d)
+        a = q @ np.diag(spectrum) @ q.conj().T
+        a = (a + a.conj().T) / 2
+        _, s, vh = np.linalg.svd(a)
+        null = vh[s <= 1e-10 * s[0]].conj().T
+        basis = nullspace(Mat(field, a), 1e-10).array
+        assert basis.shape == null.shape
+        assert max_abs(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
+        # Davis-Kahan: both projectors are within ~eps ||a|| / gap of the true one.
+        lam = np.sort(np.abs(spectrum))
+        gap = lam[null.shape[1]] - lam[null.shape[1] - 1]
+        bound = 100 * np.finfo(float).eps * lam[-1] / gap
+        assert max_abs(basis @ basis.conj().T - null @ null.conj().T) <= bound
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitff import symmetry
 from eitff.errors import (
     DomainError,
     InfeasibleParametersError,
@@ -174,9 +175,12 @@ class TestAlternatingWitness:
                 *sorted(rng.choice(np.arange(1, n + 1), 2, replace=False)),
             )
             pairs.append(((int(j1), int(k1)), (int(j2), int(k2))))
+        # The witness multiplies only the used corner, in the frame's dtype:
+        # equal to the full complex product up to rounding of 4r-term sums.
         for t1, t2 in pairs:
             cert = alternating_witness(frame, t1, t2)
-            assert np.array_equal(cert.upsilon.array, permutation_matrix_alternating(frame, t1, t2))
+            want = permutation_matrix_alternating(frame, t1, t2)
+            assert max_abs(cert.upsilon.array - want) <= 4 * r * np.finfo(float).eps
 
     def test_example_double_transposition(self, example_frame):
         cert = alternating_witness(example_frame, (1, 2), (3, 4))
@@ -285,6 +289,35 @@ def dense_stack_search(frame, sigma, tol=1e-10, seed=0):
     return len(vecs), False
 
 
+def full_normal_operator(projections, sigma):
+    """The uncompressed d^2 x d^2 L = sum_i A_i* A_i, cross term by einsum."""
+    d = len(projections[0])
+    pt = np.stack([p.T for p in projections])
+    q = np.stack([projections[sigma.apply(i + 1) - 1] for i in range(len(projections))])
+    cross = np.einsum("iab,icd->acbd", q, pt).reshape(d * d, d * d)
+    eye = np.eye(d)
+    return np.kron(eye, pt.sum(axis=0)) + np.kron(q.sum(axis=0), eye) - 2.0 * cross
+
+
+def svd_nullity(gram, tol=1e-10):
+    s = np.linalg.svd(gram, compute_uv=False)
+    return int(np.sum(s <= tol * s[0]))
+
+
+def searched_operators(monkeypatch, frame, sigma):
+    """Run `find_witness` and return it with every matrix the search handed
+    to `nullspace`, paired with the null-space dimension it got back."""
+    seen = []
+
+    def spy(a, tol):
+        basis = nullspace(a, tol)
+        seen.append((a.working(), basis.cols))
+        return basis
+
+    monkeypatch.setattr(symmetry, "nullspace", spy)
+    return find_witness(frame, sigma), seen
+
+
 def orbit_frame(field, k, m, r, seed):
     """Non-tight frame (U, W U, ..., W^{k-1} U, V) in F^{k m}: W = Q (S (x) I_m) Q*
     for the cyclic shift S of k blocks and a random unitary Q, so W^k = I and
@@ -314,9 +347,16 @@ def direct_sum_frame(field, r, n, seed):
     return FusionFrame(field, 4 * r, 2 * r, n, tuple(isos))
 
 
+def rotated_code(field, r, n, seed):
+    q = random_orthogonal(2 * r, seed) if field is R else random_unitary(2 * r, seed)
+    code = build_eitff(field, r, n)
+    return FusionFrame(field, 2 * r, r, n, tuple(Mat(field, q @ a) for a in code.arrays()))
+
+
 def oracle_frame(kind, field, *args):
     builder = {
         "code": build_eitff,
+        "rotated": rotated_code,
         "random": random_subspace_frame,
         "orbit": orbit_frame,
         "sum": direct_sum_frame,
@@ -347,6 +387,12 @@ ORACLE_CASES = [
     (("orbit", R, 3, 2, 2, 7), (3, 4), False),
     (("sum", R, 2, 4, 8), (1, 2), False),
     (("sum", C, 1, 4, 9), (1, 2, 3), False),
+    # sigma moves n, so U_m != U_k; on rotated codes U_k is not the identity.
+    (("code", C, 2, 5), (1, 2, 3, 4, 5), True),
+    (("code", R, 4, 6), (1, 2, 3, 4, 5, 6), False),
+    (("rotated", R, 4, 6, 3), (6, 1, 2), True),
+    (("rotated", C, 2, 5, 4), (1, 2, 3, 4, 5), True),
+    (("rotated", C, 1, 4, 5), (4, 1), False),
 ]
 
 
@@ -358,15 +404,20 @@ def case_id(value):
 
 class TestNormalOperator:
     @pytest.mark.parametrize("spec,cycle,want", ORACLE_CASES, ids=case_id)
-    def test_matches_dense_stack(self, spec, cycle, want):
+    def test_matches_dense_stack(self, monkeypatch, spec, cycle, want):
         frame = oracle_frame(*spec)
         sigma = Permutation.cycle(frame.n, cycle)
         nullity, found = dense_stack_search(frame, sigma)
         assert found == want
-        gram = _normal_operator(_projections(frame), sigma)
-        assert gram.shape == (frame.d ** 2, frame.d ** 2)
-        assert nullspace(Mat(frame.field, gram), 1e-10).cols == nullity
-        cert = find_witness(frame, sigma)
+        gram = full_normal_operator(_projections(frame), sigma)
+        assert svd_nullity(gram) == nullity
+        cert, seen = searched_operators(monkeypatch, frame, sigma)
+        # One compressed operator on the block-diagonal unknowns, with the
+        # nullity of the full L.
+        d, r = frame.d, frame.r
+        assert [(a.shape, cols) for a, cols in seen] == [
+            ((r * r + (d - r) ** 2,) * 2, nullity)
+        ]
         assert (cert is not None) == found
         if cert is not None:
             assert check_certificate(frame, cert) <= 1e-10
@@ -384,19 +435,35 @@ class TestNormalOperator:
         sigma = Permutation.cycle(4, (1, 2, 4))
         projections = _projections(frame)
         want = sum(a.conj().T @ a for a in kronecker_blocks(projections, sigma))
-        assert max_abs(_normal_operator(projections, sigma) - want) <= 1e-12
+        q = np.stack([projections[sigma.apply(i) - 1] for i in range(1, 5)])
+        got = _normal_operator(np.stack(projections), q)
+        assert got.dtype == projections[0].dtype
+        assert max_abs(got - want) <= 1e-12
+        assert max_abs(full_normal_operator(projections, sigma) - want) <= 1e-12
 
-    def test_spectral_gap_r8(self):
+    def test_spectral_gap_r8(self, monkeypatch):
         frame = build_eitff(R, 8, 8)
-        gram = _normal_operator(_projections(frame), Permutation.transposition(8, 1, 2))
-        assert gram.dtype == np.float64
+        sigma = Permutation.transposition(8, 1, 2)
+        full = np.linalg.eigvalsh(full_normal_operator(_projections(frame), sigma))
+        _, [(gram, nullity)] = searched_operators(monkeypatch, frame, sigma)
         lam = np.linalg.eigvalsh(gram)
         top = lam[-1]
         kept = lam[lam <= 1e-10 * top]
         dropped = lam[lam > 1e-10 * top]
-        assert len(kept) > 0
+        assert len(kept) == nullity > 0
         assert kept.max() <= 1e-12 * top
         assert dropped.min() >= 0.1 * top
+        # Cauchy interlacing: the relative gap is no smaller than the full L's.
+        assert dropped.min() / top >= full[nullity] / full[-1] * (1 - 1e-12)
+
+    @pytest.mark.parametrize("which", [4, 2])
+    def test_rank_deficient_subspace_refused(self, which):
+        # Phi_n (k) or Phi_sigma(n) (m) of rank 1 < r.
+        arrays = list(build_eitff(R, 2, 4).arrays())
+        arrays[which - 1] = np.outer(arrays[which - 1][:, 0], [1.0, 1.0])
+        frame = FusionFrame(R, 4, 2, 4, tuple(Mat(R, a) for a in arrays))
+        with pytest.raises(InvalidInputError, match=f"subspace {which} is rank-deficient"):
+            find_witness(frame, Permutation.transposition(4, 2, 4))
 
 
 class TestTotallySymmetricExists:
