@@ -27,13 +27,11 @@ from .radon_hurwitz import (
     decompose_r,
     inflate_real,
     real_base_family,
-    rho_inner,
     rho_number,
     verify_rho_orthonormal,
 )
 from .simplex import (
     RhoSimplex,
-    SimplexMatrix,
     normalize_rho_simplex,
     rho_simplex_from_orthonormal,
     simplex_basis_recovery,
@@ -43,7 +41,6 @@ from .simplex import (
 from .frames import (
     EitffParams,
     FusionFrame,
-    PrincipalAngles,
     VerificationReport,
     block_coherence,
     block_omp_recover,
@@ -54,7 +51,6 @@ from .frames import (
     gerzon_bound,
     naimark_complement,
     principal_angles,
-    spectral_distance,
     verify_eitff,
     welch_bound,
 )
@@ -88,12 +84,10 @@ __all__ = [
     "Mat",
     "NumericError",
     "Permutation",
-    "PrincipalAngles",
     "RHDecomposition",
     "RhoOrthonormalSeq",
     "RhoSimplex",
     "ShapeError",
-    "SimplexMatrix",
     "SingularMatrixError",
     "SymmetryCertificate",
     "TotalSymmetrySeed",
@@ -118,13 +112,11 @@ __all__ = [
     "principal_angles",
     "probe_symmetry",
     "real_base_family",
-    "rho_inner",
     "rho_number",
     "rho_simplex_from_orthonormal",
     "save_frame",
     "simplex_basis_recovery",
     "simplex_matrix",
-    "spectral_distance",
     "total_symmetry_seed",
     "totally_symmetric_exists",
     "transposition_witness",

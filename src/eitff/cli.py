@@ -9,6 +9,7 @@ is involved).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -48,6 +49,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive tolerance, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eitff",
@@ -77,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="measure every optimality property of a frame file")
     p_verify.add_argument("frame")
-    p_verify.add_argument("--tol", type=float, default=1e-10)
+    p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
     p_verify.set_defaults(func=cmd_verify)
 
     p_naimark = sub.add_parser("naimark", help="write the Naimark complement of a tight frame")
@@ -95,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness = sym_sub.add_parser("witness", help="search for a witness of a permutation")
     p_witness.add_argument("frame")
     p_witness.add_argument("--perm", required=True, help='one-line notation, e.g. "2 1 3 4"')
-    p_witness.add_argument("--tol", type=float, default=1e-10)
+    p_witness.add_argument("--tol", type=_tolerance, default=1e-10)
     p_witness.add_argument("--seed", type=int, default=0)
     p_witness.add_argument("--out", default=None, help="write the certificate as JSON")
     p_witness.set_defaults(func=cmd_sym_witness)
@@ -103,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sym_sub.add_parser("check", help="re-measure a stored certificate")
     p_check.add_argument("frame")
     p_check.add_argument("--cert", required=True)
-    p_check.add_argument("--tol", type=float, default=1e-10)
+    p_check.add_argument("--tol", type=_tolerance, default=1e-10)
     p_check.set_defaults(func=cmd_sym_check)
 
     p_probe = sym_sub.add_parser("probe", help="classify the symmetry group at desk scale")
     p_probe.add_argument("frame")
-    p_probe.add_argument("--tol", type=float, default=1e-10)
+    p_probe.add_argument("--tol", type=_tolerance, default=1e-10)
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.set_defaults(func=cmd_sym_probe)
 
@@ -179,10 +187,10 @@ def cmd_naimark(args) -> int:
 
 def cmd_angles(args) -> int:
     frame, _ = load_frame(args.frame)
-    table = principal_angles(frame)
+    angles = principal_angles(frame)
     for i in range(1, frame.n + 1):
         for j in range(i + 1, frame.n + 1):
-            theta = " ".join(f"{t:.6e}" for t in table.pair(i, j))
+            theta = " ".join(f"{t:.6e}" for t in angles[i - 1, j - 1])
             print(f"i={i} j={j} theta={theta}")
     return 0
 

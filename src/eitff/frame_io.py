@@ -1,10 +1,11 @@
 """JSON file formats for matrices, frames, and symmetry certificates.
 
-Matrices serialize as row-major [re, im] pairs; real-tagged matrices
-must carry literal zero imaginary parts.  Files are compact JSON whose
-floats go through Python's shortest round-trip repr, so writing and
-re-reading a file reproduces every binary64 entry bit-exactly.  Any
-malformed file raises `FormatError`.
+Matrices serialize as row-major [re, im] pairs under a field code taken
+from the array's dtype; real matrices must carry literal zero imaginary
+parts and read back as float64, complex ones as complex128.  Files are
+compact JSON whose floats go through Python's shortest round-trip repr,
+so writing and re-reading a file reproduces every binary64 entry
+bit-exactly.  Any malformed file raises `FormatError`.
 """
 
 from __future__ import annotations
@@ -23,19 +24,20 @@ from .linalg import FieldTag, Mat
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _matrix_payload(m: Mat) -> dict:
+def _matrix_payload(a: np.ndarray) -> dict:
+    pairs = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     return {
-        "field": m.field.value,
-        "rows": m.rows,
-        "cols": m.cols,
-        "data": m.array.view(np.float64).reshape(-1, 2).tolist(),
+        "field": "C" if np.iscomplexobj(a) else "R",
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "data": pairs.reshape(-1, 2).tolist(),
     }
 
 
 def _write(path: str, payload: dict) -> None:
     """Write `payload` as compact JSON to `path`, or to stdout for "-".
 
-    A tuple value holds matrices and is written one matrix at a time, so
+    A tuple value holds arrays and is written one matrix at a time, so
     the entry lists of only one matrix are in memory at once.
     """
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fp:
@@ -75,7 +77,9 @@ def _field(code) -> FieldTag:
         raise FormatError(f"unknown field code {code!r}") from None
 
 
-def _matrix(obj) -> Mat:
+def _matrix(obj) -> tuple[FieldTag, np.ndarray]:
+    """The field code and the entries of one matrix payload, as float64
+    for a real matrix and complex128 for a complex one."""
     _require(obj, "matrix", ("field", "rows", "cols", "data"))
     field = _field(obj["field"])
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
@@ -101,7 +105,9 @@ def _matrix(obj) -> Mat:
     if field is FieldTag.REAL and pairs[:, 1].any():
         pos = int(np.flatnonzero(pairs[:, 1])[0])
         raise FormatError(f"entry {pos} of a real matrix has im={pairs[pos, 1]}")
-    return Mat(field, pairs.view(np.complex128).reshape(rows, cols))
+    if field is FieldTag.REAL:
+        return field, pairs[:, 0].reshape(rows, cols)
+    return field, pairs.view(np.complex128).reshape(rows, cols)
 
 
 def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> None:
@@ -111,7 +117,7 @@ def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> N
         "d": frame.d,
         "r": frame.r,
         "n": frame.n,
-        "isometries": frame.isometries,
+        "isometries": tuple(frame.arrays()),
         "metadata": dict(metadata or {}),
     })
 
@@ -128,19 +134,25 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
         raise FormatError(f"expected {n} isometries")
     if not isinstance(metadata, dict):
         raise FormatError("metadata must be an object")
-    isometries = tuple(_matrix(payload) for payload in payloads)
-    for pos, m in enumerate(isometries, 1):
-        if m.shape != (d, r) or m.field is not field:
+    # Each isometry is wrapped as soon as it is decoded, so that only one
+    # decoded copy is alive at a time.
+    isometries = []
+    for pos, payload in enumerate(payloads, 1):
+        code, a = _matrix(payload)
+        if a.shape != (d, r) or code is not field:
             raise FormatError(
-                f"isometry {pos} is {m.field.value} {m.rows}x{m.cols}, want {field.value} {d}x{r}"
+                f"isometry {pos} is {code.value} {a.shape[0]}x{a.shape[1]}, want {field.value} {d}x{r}"
             )
+        isometries.append(Mat(field, a))
     try:
-        return FusionFrame(field, d, r, n, isometries), metadata
+        return FusionFrame(field, d, r, n, tuple(isometries)), metadata
     except DomainError as exc:
         raise FormatError(f"bad frame header: {exc}") from exc
 
 
-def save_certificate(path: str, sigma_one_line: str, upsilon: Mat, residual: float) -> None:
+def save_certificate(
+    path: str, sigma_one_line: str, upsilon: np.ndarray, residual: float
+) -> None:
     _write(path, {
         "perm": sigma_one_line,
         "upsilon": _matrix_payload(upsilon),
@@ -148,7 +160,7 @@ def save_certificate(path: str, sigma_one_line: str, upsilon: Mat, residual: flo
     })
 
 
-def load_certificate(path: str) -> tuple[str, Mat, float]:
+def load_certificate(path: str) -> tuple[str, np.ndarray, float]:
     obj = _read(path)
     _require(obj, "certificate", ("perm", "upsilon", "residual"))
     if not isinstance(obj["perm"], str):
@@ -156,4 +168,4 @@ def load_certificate(path: str) -> tuple[str, Mat, float]:
     residual = obj["residual"]
     if type(residual) not in (int, float) or not abs(residual) <= sys.float_info.max:
         raise FormatError("residual must be a finite number")
-    return obj["perm"], _matrix(obj["upsilon"]), float(residual)
+    return obj["perm"], _matrix(obj["upsilon"])[1], float(residual)

@@ -40,7 +40,11 @@ _IDENTICAL_SUBSPACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FusionFrame:
-    """n isometries Phi_i in F^{d x r}; columns of each span one subspace."""
+    """n isometries Phi_i in F^{d x r}; columns of each span one subspace.
+
+    Members are `Mat`s because the benchmark reads them; `from_arrays`
+    and `arrays` convert from and to arrays in the field's dtype.
+    """
 
     field: FieldTag
     d: int
@@ -66,10 +70,15 @@ class FusionFrame:
             if self.field is FieldTag.REAL and phi.field is not FieldTag.REAL:
                 raise InvalidInputError("complex isometry in a real-tagged frame")
 
+    @classmethod
+    def from_arrays(cls, field: FieldTag, arrays) -> "FusionFrame":
+        """The frame of the d x r arrays Phi_1 ... Phi_n, n >= 1: a
+        sequence of arrays or one (n, d, r) array."""
+        d, r = arrays[0].shape
+        return cls(field, d, r, len(arrays), tuple(Mat(field, a) for a in arrays))
+
     def arrays(self) -> list[np.ndarray]:
-        if self.field is FieldTag.REAL:
-            return [phi.working() for phi in self.isometries]
-        return [phi.array for phi in self.isometries]
+        return [phi.working() for phi in self.isometries]
 
 
 @dataclass(frozen=True)
@@ -82,18 +91,6 @@ class EitffParams:
     alpha: float
     beta: float
     sigma: float
-
-
-@dataclass(frozen=True, eq=False)
-class PrincipalAngles:
-    """Nondecreasing principal angles per ordered pair of subspaces."""
-
-    n: int
-    r: int
-    angles: dict
-
-    def pair(self, i: int, j: int) -> np.ndarray:
-        return self.angles[(i, j)]
 
 
 @dataclass(frozen=True)
@@ -130,13 +127,12 @@ def eitff_params(n: int) -> EitffParams:
 def frame_from_simplex(s: RhoSimplex) -> FusionFrame:
     """Assemble the canonical isometries [alpha I; beta B_i] and [I; 0]."""
     p = eitff_params(s.n)
-    eye = np.eye(s.r)
-    tops = p.alpha * eye
-    phis = [
-        Mat(s.field, np.vstack([tops, p.beta * b.array])) for b in s.mats
-    ]
-    phis.append(Mat(s.field, np.vstack([eye, np.zeros((s.r, s.r))])))
-    return FusionFrame(s.field, 2 * s.r, s.r, s.n, tuple(phis))
+    r = s.r
+    phis = np.zeros((s.n, 2 * r, r), dtype=s.blocks.dtype)
+    phis[:-1, :r] = p.alpha * np.eye(r)
+    phis[:-1, r:] = p.beta * s.blocks
+    phis[-1, :r] = np.eye(r)
+    return FusionFrame.from_arrays(s.field, phis)
 
 
 def build_eitff(
@@ -167,11 +163,8 @@ def build_eitff(
                 f"n <= rho+1 violated: n={n}, rho_{field.value}({r})={rho}",
                 bound="n <= rho+1",
             )
-        seq = build_rho_orthonormal(field, r, n - 1)
-        skews = _drop_identity_member(seq)
-        simplex = rho_simplex_from_orthonormal(
-            RhoOrthonormalSeq(field, r, tuple(skews))
-        )
+        skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1))
+        simplex = rho_simplex_from_orthonormal(skews)
     else:
         from .symmetry import total_symmetry_seed, totally_symmetric_exists
 
@@ -193,18 +186,13 @@ def build_eitff(
     return frame_from_simplex(simplex)
 
 
-def _drop_identity_member(seq: RhoOrthonormalSeq) -> list[Mat]:
+def _drop_identity_member(seq: RhoOrthonormalSeq) -> RhoOrthonormalSeq:
     """Remove the (unique) identity member; the rest are skew-Hermitian."""
     eye = np.eye(seq.r)
-    skews, found = [], False
-    for m in seq.mats:
-        if not found and max_abs(m.array - eye) <= 1e-12:
-            found = True
-            continue
-        skews.append(m)
-    if not found:
-        raise NumericError("built family unexpectedly lacks an identity member")
-    return skews
+    for i, m in enumerate(seq.mats):
+        if max_abs(m.working() - eye) <= 1e-12:
+            return RhoOrthonormalSeq(seq.field, seq.r, seq.mats[:i] + seq.mats[i + 1 :])
+    raise NumericError("built family unexpectedly lacks an identity member")
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:
@@ -236,22 +224,13 @@ def canonicalize(frame: FusionFrame, tol: float = 1e-8):
             f"{tol} (tightness {report.tightness_residual:.2e}, "
             f"equi-isoclinic {report.equiisoclinic_residual:.2e})"
         )
-    r, n = frame.r, frame.n
-    arrs = frame.arrays()
-    ups = _complete_unitary(arrs[-1])
-    omegas = [ups.conj().T @ a for a in arrs]
-    p = eitff_params(n)
-    eye = np.eye(r)
-    bs, phis = [], []
-    for om in omegas[:-1]:
-        z = om[:r] / p.alpha
-        b = (om[r:] @ z.conj().T) / p.beta
-        bs.append(Mat(frame.field, b))
-        phis.append(Mat(frame.field, np.vstack([p.alpha * eye, p.beta * b])))
-    phis.append(Mat(frame.field, np.vstack([eye, np.zeros((r, r))])))
-    canonical = FusionFrame(frame.field, frame.d, r, n, tuple(phis))
-    simplex = RhoSimplex(frame.field, r, n, tuple(bs))
-    return canonical, simplex
+    r, p = frame.r, eitff_params(frame.n)
+    stack = np.stack(frame.arrays())
+    omegas = _complete_unitary(stack[-1]).conj().T @ stack[:-1]
+    z = omegas[:, :r] / p.alpha
+    blocks = (omegas[:, r:] @ z.conj().swapaxes(1, 2)) / p.beta
+    simplex = RhoSimplex(frame.field, r, frame.n, blocks)
+    return frame_from_simplex(simplex), simplex
 
 
 def _cross_gram_rows(stack: np.ndarray):
@@ -263,8 +242,6 @@ def _cross_gram_rows(stack: np.ndarray):
 
 def block_coherence(frame: FusionFrame) -> float:
     """Largest operator norm among the cross-Gram matrices Phi_i* Phi_j."""
-    if frame.n < 2:
-        raise DomainError("block coherence needs at least two subspaces")
     rows = _cross_gram_rows(np.stack(frame.arrays()))
     return max(float(np.linalg.svd(g, compute_uv=False)[:, 0].max()) for g in rows)
 
@@ -278,29 +255,15 @@ def welch_bound(d: int, r: int, n: int) -> float:
     return math.sqrt((n * r - d) / (d * (n - 1)))
 
 
-def principal_angles(frame: FusionFrame) -> PrincipalAngles:
-    """arccos of the (clamped) cross-Gram singular values, per ordered pair."""
-    if frame.n < 2:
-        raise DomainError("principal angles need at least two subspaces")
-    angles = {}
+def principal_angles(frame: FusionFrame) -> np.ndarray:
+    """Symmetric (n, n, r) array: entry [i, j] holds the nondecreasing
+    principal angles between subspaces i+1 and j+1, the arccos of the
+    (clamped) cross-Gram singular values.  The diagonal is zero."""
+    angles = np.zeros((frame.n, frame.n, frame.r))
     for i, row in enumerate(_cross_gram_rows(np.stack(frame.arrays()))):
-        s = np.clip(np.linalg.svd(row, compute_uv=False), 0.0, 1.0)
-        for j, theta in enumerate(np.arccos(s), start=i + 2):
-            angles[(i + 1, j)] = theta
-            angles[(j, i + 1)] = theta.copy()
-    return PrincipalAngles(frame.n, frame.r, angles)
-
-
-def spectral_distance(frame: FusionFrame, i: int, j: int) -> float:
-    """sqrt(1 - ||Phi_i* Phi_j||_op^2), the sine of the smallest angle."""
-    if i == j:
-        raise DomainError("spectral distance needs two distinct subspaces")
-    if not (1 <= i <= frame.n and 1 <= j <= frame.n):
-        raise DomainError(f"indices must lie in [1, {frame.n}], got ({i}, {j})")
-    arrs = frame.arrays()
-    gram = arrs[i - 1].conj().T @ arrs[j - 1]
-    top = float(np.linalg.svd(gram, compute_uv=False)[0])
-    return math.sqrt(max(0.0, 1.0 - top * top))
+        theta = np.arccos(np.clip(np.linalg.svd(row, compute_uv=False), 0.0, 1.0))
+        angles[i, i + 1 :] = angles[i + 1 :, i] = theta
+    return angles
 
 
 def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
@@ -355,7 +318,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
             identical_pair = True
 
     gap = coherence - welch_bound(d, r, n)
-    gerzon_ok = n == 1 or identical_pair or n <= gerzon_bound(frame.field, d, r)
+    gerzon_ok = identical_pair or n <= gerzon_bound(frame.field, d, r)
     return VerificationReport(
         isometry_residual=float(iso),
         tightness_residual=float(tight),
@@ -387,10 +350,7 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     rows = math.sqrt(d / (n * r)) * np.hstack(frame.arrays())
     q = _complete_unitary(rows.conj().T)[:, d:]
     tilde = math.sqrt(n * r / (n * r - d)) * q.conj().T
-    isometries = tuple(
-        Mat(frame.field, tilde[:, i * r : (i + 1) * r]) for i in range(n)
-    )
-    return FusionFrame(frame.field, n * r - d, r, n, isometries)
+    return FusionFrame.from_arrays(frame.field, [tilde[:, i * r : (i + 1) * r] for i in range(n)])
 
 
 def block_omp_recover(frame: FusionFrame, y, k: int):

@@ -1,13 +1,17 @@
-"""Field-tagged matrix storage, the decompositions built on it, and the
+"""Field tags, the decompositions the package needs, and the
 block-relation kernel.
 
-`Mat` is an immutable dense matrix tagged as real or complex.  Real
-matrices ride inside the complex128 carrier with a hard zero-imaginary
-invariant; arithmetic happens on plain numpy arrays in the field's
-natural dtype (`Mat.working`).  Polar factors come from the SVD, null
-spaces of Hermitian matrices from `eigh`.  `relation_residual` measures
-the block-Gram identity shared by anticommuting families and unitary
-simplices.
+Matrices are plain numpy arrays in the field's dtype: float64 over R,
+complex128 over C; a stack of m matrices of size r x r is one (m, r, r)
+array, and the field tag lives on the container that holds it.  Polar
+factors come from the SVD, null spaces of Hermitian matrices from
+`eigh`.  `relation_residual` measures the block-Gram identity shared by
+anticommuting families and unitary simplices.
+
+`Mat`, a field-tagged complex128 carrier, is kept only where the
+benchmark in `perfbench/` reads it: as the element type of
+`FusionFrame.isometries` and `RhoOrthonormalSeq.mats`, and as the
+argument of `nullspace`.  It goes once the benchmark reads plain arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class FieldTag(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Mat:
-    """Immutable dense matrix over R or C.
+    """Immutable dense matrix over R or C, kept only as the benchmark's
+    carrier (see the module docstring).
 
     Entries are stored as C-ordered complex128 regardless of the field
     tag, so the storage always has a float64 view; a real-tagged matrix
@@ -50,8 +55,7 @@ class Mat:
         arr = np.array(self.array, dtype=np.complex128, order="C")
         if arr.ndim != 2:
             raise ShapeError(f"matrix must be 2-d, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInputError("matrix entries must be finite")
+        require_finite(arr, "matrix")
         if self.field is FieldTag.REAL:
             if np.any(arr.imag != 0.0):
                 raise InvalidInputError(
@@ -83,58 +87,45 @@ class Mat:
             return np.ascontiguousarray(self.array.real)
         return self.array
 
-    @classmethod
-    def from_real(cls, array) -> "Mat":
-        return cls(FieldTag.REAL, array)
-
-    @classmethod
-    def from_complex(cls, array) -> "Mat":
-        return cls(FieldTag.COMPLEX, array)
-
-    @classmethod
-    def identity(cls, n: int, field: FieldTag = FieldTag.REAL) -> "Mat":
-        return cls(field, np.eye(n))
-
 
 def max_abs(values) -> float:
     """Largest entrywise magnitude; zero for an empty array."""
-    arr = values.array if isinstance(values, Mat) else np.asarray(values)
+    arr = np.asarray(values)
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr)))
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product, (a.rows*b.rows) x (a.cols*b.cols); real when
-    both factors are real, otherwise complex."""
-    if a.field is FieldTag.REAL and b.field is FieldTag.REAL:
-        return Mat(FieldTag.REAL, np.kron(a.working(), b.working()))
-    return Mat(FieldTag.COMPLEX, np.kron(a.array, b.array))
+def require_finite(a: np.ndarray, what: str) -> None:
+    """Refuse NaN and infinite entries, which every residual test here
+    would otherwise read as a pass."""
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{what} entries must be finite")
 
 
-def polar_unitary(a: Mat) -> Mat:
-    """Unitary polar factor U V* of an invertible square matrix."""
-    if a.rows != a.cols:
+def polar_unitary(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factor U V* of an invertible square matrix, in its dtype."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"polar factor needs a square matrix, got {a.shape}")
     try:
-        u, s, vh = np.linalg.svd(a.working())
+        u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge on {a.shape} input") from exc
     if s[0] == 0.0 or s[-1] <= 1e-10 * s[0]:
         raise SingularMatrixError(
             f"matrix is numerically singular (s_min/s_max = {s[-1]}/{s[0]})"
         )
-    return Mat(a.field, u @ vh)
+    return u @ vh
 
 
-def nullspace(a: Mat, tol: float) -> Mat:
+def nullspace(a: Mat, tol: float) -> np.ndarray:
     """Orthonormal basis of the numerical null space of a Hermitian matrix.
 
     The basis comes from `eigh`, so only the lower triangle is read.  An
     eigenvector is kept when |lambda| <= tol * max |lambda|, the singular
     value rule ||a x|| <= tol ||a|| ||x||; for the PSD matrices of the
     witness search that is lambda <= tol * lambda_max.  May legitimately
-    have zero columns.
+    have zero columns.  The basis is in the field's dtype.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
@@ -142,7 +133,7 @@ def nullspace(a: Mat, tol: float) -> Mat:
         raise ShapeError(f"null space needs a square Hermitian matrix, got {a.shape}")
     lam, vecs = np.linalg.eigh(a.working())
     size = np.abs(lam)
-    return Mat(a.field, vecs[:, size <= tol * np.max(size, initial=0.0)])
+    return vecs[:, size <= tol * np.max(size, initial=0.0)]
 
 
 def relation_residual(

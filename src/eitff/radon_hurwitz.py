@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, kron, relation_residual
+from .linalg import FieldTag, Mat, relation_residual, require_finite
 
 
 @dataclass(frozen=True)
@@ -37,29 +37,32 @@ class RHDecomposition:
 
 @dataclass(frozen=True)
 class BaseGenerators:
-    """The four 2x2 generator matrices behind every family built here.
+    """The four 2x2 generator matrices behind every family built here,
+    as read-only float64 arrays.
 
     R is skew-symmetric unitary; M and T are symmetric unitaries; M, T, R
     pairwise anticommute.
     """
 
-    I: Mat
-    M: Mat
-    T: Mat
-    R: Mat
+    I: np.ndarray
+    M: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
 
 
 GEN = BaseGenerators(
-    I=Mat.from_real([[1.0, 0.0], [0.0, 1.0]]),
-    M=Mat.from_real([[1.0, 0.0], [0.0, -1.0]]),
-    T=Mat.from_real([[0.0, 1.0], [1.0, 0.0]]),
-    R=Mat.from_real([[0.0, -1.0], [1.0, 0.0]]),
+    I=np.eye(2),
+    M=np.diag([1.0, -1.0]),
+    T=np.array([[0.0, 1.0], [1.0, 0.0]]),
+    R=np.array([[0.0, -1.0], [1.0, 0.0]]),
 )
+for _g in vars(GEN).values():
+    _g.setflags(write=False)
 
 
-def tensor(*mats: Mat) -> Mat:
+def tensor(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product of several factors, left to right."""
-    return reduce(kron, mats)
+    return reduce(np.kron, mats)
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,9 @@ class RhoOrthonormalSeq:
 
     Structural facts (sizes, field, length <= rho_F(r)) are checked at
     construction; the numeric relations are the builder's business and
-    can be re-measured with `verify_rho_orthonormal`.
+    can be re-measured with `verify_rho_orthonormal`.  Members are `Mat`s
+    because the benchmark reads them; `from_stack` and `stack` convert
+    from and to one (m, r, r) array in the field's dtype.
     """
 
     field: FieldTag
@@ -89,6 +94,13 @@ class RhoOrthonormalSeq:
             raise InvalidInputError(
                 f"{len(self.mats)} members exceed rho({self.r}) = {cap}"
             )
+
+    @classmethod
+    def from_stack(cls, field: FieldTag, stack: np.ndarray) -> "RhoOrthonormalSeq":
+        return cls(field, stack.shape[-1], tuple(Mat(field, c) for c in stack))
+
+    def stack(self) -> np.ndarray:
+        return np.stack([m.working() for m in self.mats])
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -113,109 +125,98 @@ def rho_number(field: FieldTag, r: int) -> int:
     return 8 * dec.b + 2 * dec.c + 2
 
 
-def rho_inner(a: Mat, b: Mat) -> float:
-    """Normalized real trace inner product Re(Tr(a* b)) / r."""
-    if a.rows != a.cols or b.rows != b.cols or a.rows != b.rows:
-        raise ShapeError(f"need equal square matrices, got {a.shape} and {b.shape}")
-    return float(np.sum(np.conj(a.array) * b.array).real) / a.rows
-
-
-def real_base_family(r: int) -> tuple[Mat, ...]:
+def real_base_family(r: int) -> np.ndarray:
     """Transcribed real anticommuting skew-symmetric unitaries, r in {2,4,8,16}.
 
     The members are fixed tensor words in the base generators,
     transcribed rather than computed; the count is rho_R(r) - 1.
+    Returned as one (rho_R(r) - 1, r, r) float64 stack.
     """
     I, M, T, R = GEN.I, GEN.M, GEN.T, GEN.R
     if r == 2:
-        return (R,)
-    if r == 4:
-        return (tensor(I, R), tensor(R, T), tensor(R, M))
-    if r == 8:
-        return (
-            tensor(M, M, R),
-            tensor(M, T, R),
-            tensor(M, R, I),
-            tensor(T, R, M),
-            tensor(T, R, T),
-            tensor(T, I, R),
-            tensor(R, I, I),
-        )
-    if r == 16:
-        return (
-            tensor(R, T, T, T),
-            tensor(T, R, T, M),
-            tensor(T, M, R, T),
-            tensor(T, T, M, R),
-            tensor(R, M, M, M),
-            tensor(M, R, M, T),
-            tensor(M, T, R, M),
-            tensor(M, M, T, R),
-        )
-    raise DomainError(f"no transcribed family for r={r}; supported: 2, 4, 8, 16")
+        words = [(R,)]
+    elif r == 4:
+        words = [(I, R), (R, T), (R, M)]
+    elif r == 8:
+        words = [
+            (M, M, R),
+            (M, T, R),
+            (M, R, I),
+            (T, R, M),
+            (T, R, T),
+            (T, I, R),
+            (R, I, I),
+        ]
+    elif r == 16:
+        words = [
+            (R, T, T, T),
+            (T, R, T, M),
+            (T, M, R, T),
+            (T, T, M, R),
+            (R, M, M, M),
+            (M, R, M, T),
+            (M, T, R, M),
+            (M, M, T, R),
+        ]
+    else:
+        raise DomainError(f"no transcribed family for r={r}; supported: 2, 4, 8, 16")
+    return np.stack([tensor(*word) for word in words])
 
 
-def inflate_real(mats, size: int | None = None) -> tuple[Mat, ...]:
+def inflate_real(stack: np.ndarray) -> np.ndarray:
     """Trade m anticommuting skew unitaries of size r for m+8 of size 16r.
 
-    The new family is (R4 x C_i) for each input member followed by
-    (E_i x I_r) over the eight size-16 generators, R4 being the fourfold
-    tensor power of R.  `size` is only needed when `mats` is empty.
+    The input is an (m, r, r) stack; an empty (0, r, r) stack gives the
+    eight new members alone.  The new family is (R4 x C_i) for each input
+    member followed by (E_i x I_r) over the eight size-16 generators, R4
+    being the fourfold tensor power of R.
     """
-    mats = tuple(mats)
-    if mats:
-        size = mats[0].rows
-        for m in mats:
-            if m.shape != (size, size):
-                raise ShapeError(f"mixed sizes in input family: {m.shape}")
+    stack = np.asarray(stack)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise ShapeError(f"expected an (m, r, r) stack, got shape {stack.shape}")
+    require_finite(stack, "family")
+    size = stack.shape[-1]
+    if len(stack):
         # [I, C_1, ..., C_m] satisfies the Radon–Hurwitz relations exactly
         # when the C_i are anticommuting skew-Hermitian unitaries.
-        stack = np.stack([np.eye(size)] + [m.working() for m in mats])
-        residual, (i, j) = relation_residual(stack, 0.0)
+        residual, (i, j) = relation_residual(np.concatenate([np.eye(size)[None], stack]), 0.0)
         if residual > 1e-12:
             if i == 1:
                 raise InvalidInputError(f"member {j - 1} is not skew-Hermitian")
             if i == j:
                 raise InvalidInputError(f"member {i - 1} is not unitary")
             raise InvalidInputError(f"members {i - 1} and {j - 1} do not anticommute")
-    else:
-        size = size or 1
     r4 = tensor(GEN.R, GEN.R, GEN.R, GEN.R)
-    eye = Mat.identity(size)
-    out = [kron(r4, c) for c in mats]
-    out.extend(kron(e, eye) for e in real_base_family(16))
-    return tuple(out)
+    return np.concatenate([np.kron(r4, stack), np.kron(real_base_family(16), np.eye(size))])
 
 
-def _real_skew_tower(k: int) -> tuple[Mat, ...]:
+def _real_skew_tower(k: int) -> np.ndarray:
     """Anticommuting skew unitaries of size 2^k, rho_R(2^k) - 1 of them."""
     if k == 0:
-        return ()
+        return np.empty((0, 1, 1))
     if k <= 3:
         return real_base_family(2**k)
     return inflate_real(_real_skew_tower(k - 4))
 
 
 def skew_double(c: np.ndarray) -> np.ndarray:
-    """The skew-Hermitian doubling [[0, -C*], [C, 0]], in C's dtype."""
+    """The skew-Hermitian doubling [[0, -C*], [C, 0]], in C's dtype; a
+    stack of matrices is doubled member by member."""
     zero = np.zeros_like(c)
-    return np.block([[zero, -c.conj().T], [c, zero]])
+    return np.block([[zero, -c.conj().swapaxes(-1, -2)], [c, zero]])
 
 
-def _double_complex(seq: list[Mat]) -> list[Mat]:
+def _double_complex(stack: np.ndarray) -> np.ndarray:
     """One doubling step for complex families.
 
     Each member C becomes `skew_double(C)`, then i(M x I) and the
     identity are appended, giving two more members at twice the size.
     """
-    s = seq[0].rows
-    out = [Mat.from_complex(skew_double(c.array)) for c in seq]
+    s = stack.shape[-1]
     diag = np.zeros((2 * s, 2 * s), dtype=np.complex128)
     diag[:s, :s] = 1j * np.eye(s)
     diag[s:, s:] = -1j * np.eye(s)
-    out.append(Mat.from_complex(diag))
-    out.append(Mat.identity(2 * s, FieldTag.COMPLEX))
-    return out
+    return np.concatenate([skew_double(stack), diag[None], np.eye(2 * s)[None]])
 
 
 def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
@@ -238,36 +239,22 @@ def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
             bound="m <= rho",
         )
     dec = decompose_r(r)
-    odd = 2 * dec.a + 1
+    eye_odd = np.eye(2 * dec.a + 1)
     k = 4 * dec.b + dec.c
     if field is FieldTag.COMPLEX:
-        seq = [
-            Mat.from_complex(np.array([[1j]])),
-            Mat.from_complex(np.array([[1.0 + 0j]])),
-        ]
+        stack = np.array([[[1j]], [[1.0 + 0j]]])
         for _ in range(k):
-            seq = _double_complex(seq)
-        eye_odd = Mat.identity(odd, FieldTag.COMPLEX)
-        mats = [kron(eye_odd, c) for c in seq][-m:]
+            stack = _double_complex(stack)
+        stack = np.kron(eye_odd, stack)[-m:]
     else:
-        eye_odd = Mat.identity(odd)
-        mats = [Mat.identity(r)]
-        mats.extend(kron(eye_odd, d) for d in _real_skew_tower(k))
-        mats = mats[:m]
-    return RhoOrthonormalSeq(field, r, tuple(mats))
+        stack = np.concatenate([np.eye(r)[None], np.kron(eye_odd, _real_skew_tower(k))])[:m]
+    return RhoOrthonormalSeq.from_stack(field, stack)
 
 
-def verify_rho_orthonormal(seq) -> float:
+def verify_rho_orthonormal(seq: RhoOrthonormalSeq) -> float:
     """Worst residual of the Radon–Hurwitz relations; exact families
     measure ~1e-16.  With H = S* S for the stacked members S = [C_1 ... C_m]
     the relations are the block identity H_ij + H_ji = 2 delta_ij I,
     checked one block row at a time by `relation_residual`.
     """
-    mats = seq.mats if isinstance(seq, RhoOrthonormalSeq) else tuple(seq)
-    if not mats:
-        raise InvalidInputError("need at least one member")
-    size = mats[0].rows
-    for m in mats:
-        if m.shape != (size, size):
-            raise ShapeError(f"mixed member shapes: {m.shape} vs {size}x{size}")
-    return relation_residual(np.stack([m.working() for m in mats]), 0.0)[0]
+    return relation_residual(seq.stack(), 0.0)[0]

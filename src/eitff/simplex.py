@@ -14,49 +14,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, max_abs, relation_residual
+from .linalg import FieldTag, max_abs, relation_residual, require_finite
 from .radon_hurwitz import RhoOrthonormalSeq, verify_rho_orthonormal
 
 
 @dataclass(frozen=True)
-class SimplexMatrix:
-    """(m-1) x m real matrix whose columns form a regular simplex.
-
-    Upper triangular with positive diagonal and top-left entry 1, so it
-    doubles as the coordinate chart of the canonical orthonormal basis.
-    """
-
-    m: int
-    mat: Mat
-
-
-@dataclass(frozen=True)
 class RhoSimplex:
-    """n-1 unitaries B_i with B_i* B_j + B_j* B_i = -2/(n-2) I for i != j."""
+    """n-1 unitaries B_i with B_i* B_j + B_j* B_i = -2/(n-2) I for i != j,
+    held as one (n-1, r, r) array in the field's dtype."""
 
     field: FieldTag
     r: int
     n: int
-    mats: tuple[Mat, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mats", tuple(self.mats))
         if self.n < 3:
             raise InvalidInputError(f"a unitary simplex needs n >= 3, got n={self.n}")
-        if len(self.mats) != self.n - 1:
+        blocks = np.asarray(self.blocks)
+        if blocks.shape != (self.n - 1, self.r, self.r):
             raise ShapeError(
-                f"expected {self.n - 1} members for n={self.n}, got {len(self.mats)}"
+                f"expected {self.n - 1} members of size {self.r}x{self.r} for "
+                f"n={self.n}, got shape {blocks.shape}"
             )
-        for m in self.mats:
-            if m.shape != (self.r, self.r):
-                raise ShapeError(f"expected {self.r}x{self.r} members, got {m.shape}")
+        if self.field is FieldTag.REAL and np.iscomplexobj(blocks):
+            raise InvalidInputError("complex members in a real-tagged simplex")
+        require_finite(blocks, "simplex")
+        dtype = np.float64 if self.field is FieldTag.REAL else np.complex128
+        object.__setattr__(self, "blocks", blocks.astype(dtype, copy=False))
 
 
-def simplex_matrix(m: int) -> SimplexMatrix:
+def simplex_matrix(m: int) -> np.ndarray:
     """Coefficient matrix Psi_m, built by the standard recursion.
 
-    Psi_2 = [1 -1]; for larger m the first row is (1, -1/(m-1), ...) and
-    the trailing block is sqrt(m(m-2))/(m-1) times Psi_{m-1}.
+    Psi_m is (m-1) x m and real, and its columns form a regular simplex.
+    It is upper triangular with positive diagonal and top-left entry 1,
+    so it doubles as the coordinate chart of the canonical orthonormal
+    basis.  Psi_2 = [1 -1]; for larger m the first row is
+    (1, -1/(m-1), ...) and the trailing block is sqrt(m(m-2))/(m-1)
+    times Psi_{m-1}.
     """
     if m < 2:
         raise DomainError(f"simplex needs m >= 2 vectors, got {m}")
@@ -67,64 +63,38 @@ def simplex_matrix(m: int) -> SimplexMatrix:
         block[0, 1:] = -1.0 / (k - 1)
         block[1:, 1:] = (np.sqrt(k * (k - 2)) / (k - 1)) * psi
         psi = block
-    return SimplexMatrix(m, Mat.from_real(psi))
+    return psi
 
 
-def rho_simplex_from_orthonormal(seq) -> RhoSimplex:
+def rho_simplex_from_orthonormal(seq: RhoOrthonormalSeq) -> RhoSimplex:
     """Unitary simplex B_j = sum_i Psi_{n-1}(i, j) C_i from an
     anticommuting family of length n-2."""
-    if isinstance(seq, RhoOrthonormalSeq):
-        mats, field, r = seq.mats, seq.field, seq.r
-    else:
-        mats = tuple(seq)
-        if not mats:
-            raise InvalidInputError("need at least one generator")
-        field = (
-            FieldTag.REAL
-            if all(m.field is FieldTag.REAL for m in mats)
-            else FieldTag.COMPLEX
-        )
-        r = mats[0].rows
-    residual = verify_rho_orthonormal(mats)
+    residual = verify_rho_orthonormal(seq)
     if residual > 1e-12:
         raise InvalidInputError(
             f"generators violate the Radon–Hurwitz relations (residual {residual:.2e})"
         )
-    n = len(mats) + 2
-    psi = simplex_matrix(n - 1).mat.working()
-    stack = np.stack([m.working() for m in mats])
-    combos = (psi.T @ stack.reshape(len(mats), -1)).reshape(-1, r, r)
-    return RhoSimplex(field, r, n, tuple(Mat(field, b) for b in combos))
+    m, r = len(seq), seq.r
+    psi = simplex_matrix(m + 1)
+    blocks = (psi.T @ seq.stack().reshape(m, -1)).reshape(-1, r, r)
+    return RhoSimplex(seq.field, r, m + 2, blocks)
 
 
 def normalize_rho_simplex(s: RhoSimplex) -> RhoSimplex:
     """Left-multiply every member by B_1* so the first member is exactly I."""
-    b1h = s.mats[0].array.conj().T
-    mats = [Mat.identity(s.r, s.field)]
-    mats.extend(Mat(s.field, b1h @ b.array) for b in s.mats[1:])
-    return RhoSimplex(s.field, s.r, s.n, tuple(mats))
+    blocks = s.blocks[0].conj().T @ s.blocks
+    blocks[0] = np.eye(s.r)
+    return RhoSimplex(s.field, s.r, s.n, blocks)
 
 
-def verify_rho_simplex(s) -> float:
+def verify_rho_simplex(s: RhoSimplex) -> float:
     """Worst residual of the unitary-simplex relations.  With H = S* S for
     the stacked members S = [B_1 ... B_{n-1}] they are the block identity
     H_ii = I, H_ij + H_ji = -2/(n-2) I, checked by `relation_residual`."""
-    if isinstance(s, RhoSimplex):
-        mats, n = s.mats, s.n
-    else:
-        mats = tuple(s)
-        n = len(mats) + 1
-    if n < 3:
-        raise InvalidInputError("a unitary simplex needs at least two members")
-    size = mats[0].rows
-    for m in mats:
-        if m.shape != (size, size):
-            raise ShapeError(f"mixed member shapes: {m.shape} vs {size}x{size}")
-    stack = np.stack([m.working() for m in mats])
-    return relation_residual(stack, -2.0 / (n - 2))[0]
+    return relation_residual(s.blocks, -2.0 / (s.n - 2))[0]
 
 
-def simplex_basis_recovery(vectors: Mat) -> Mat:
+def simplex_basis_recovery(vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis (v_i) with phi_j = sum_i Psi_m(i, j) v_i.
 
     Input columns must be a regular simplex in a real space (Gram within
@@ -134,9 +104,13 @@ def simplex_basis_recovery(vectors: Mat) -> Mat:
     span of the first j columns, and v_{m-1} a positive multiple of
     phi_{m-1} - phi_m.
     """
-    if vectors.field is not FieldTag.REAL:
+    v = np.asarray(vectors)
+    if np.iscomplexobj(v):
         raise InvalidInputError("simplex vectors must live in a real space")
-    v = vectors.working()
+    if v.ndim != 2:
+        raise ShapeError(f"expected a matrix of column vectors, got shape {v.shape}")
+    require_finite(v, "simplex vector")
+    v = v.astype(np.float64, copy=False)
     m = v.shape[1]
     if m < 2:
         raise DomainError(f"simplex needs m >= 2 vectors, got {m}")
@@ -157,4 +131,4 @@ def simplex_basis_recovery(vectors: Mat) -> Mat:
         if norm < 1e-8:
             raise InvalidInputError(f"column {j + 1} is degenerate after projection")
         basis.append(col / norm)
-    return Mat.from_real(np.column_stack(basis))
+    return np.column_stack(basis)

@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     UnknownFeasibilityError,
 )
-from .linalg import FieldTag, Mat, kron, max_abs, nullspace, polar_unitary
+from .linalg import FieldTag, Mat, max_abs, nullspace, polar_unitary, require_finite
 from .frames import FusionFrame, _drop_identity_member, eitff_params, frame_from_simplex
 from .radon_hurwitz import (
     GEN,
@@ -115,11 +115,12 @@ class Permutation:
 
 @dataclass(frozen=True)
 class SymmetryCertificate:
-    """A permutation together with a unitary witnessing it, plus the
-    measured conjugation residual against the target frame."""
+    """A permutation together with a unitary witnessing it (a d x d array
+    whose dtype gives its field), plus the measured conjugation residual
+    against the target frame."""
 
     sigma: Permutation
-    upsilon: Mat
+    upsilon: np.ndarray
     residual: float
 
 
@@ -128,30 +129,30 @@ class TotalSymmetrySeed:
     """Generators certifying full permutation symmetry.
 
     `seq` is an anticommuting unitary family of length n-2 whose first
-    member is the identity; `u` is a unitary commuting with every member
-    except the last, with which it anticommutes.  Such a pair upgrades
-    the always-present even symmetries to all of S_n.
+    member is the identity; `u` is an r x r unitary array commuting with
+    every member except the last, with which it anticommutes.  Such a
+    pair upgrades the always-present even symmetries to all of S_n.
     """
 
     field: FieldTag
     r: int
     n: int
     seq: RhoOrthonormalSeq
-    u: Mat
+    u: np.ndarray
 
     def __post_init__(self):
-        mats = self.seq.mats
+        mats = self.seq.stack()
         if len(mats) != self.n - 2:
             raise ShapeError(
                 f"seed for n={self.n} needs {self.n - 2} generators, got {len(mats)}"
             )
-        if max_abs(mats[0].array - np.eye(self.r)) > 0.0:
+        if max_abs(mats[0] - np.eye(self.r)) > 0.0:
             raise InvalidInputError("first generator must be exactly the identity")
-        ua = self.u.array
+        u = self.u
+        require_finite(u, "witness")
         for i, c in enumerate(mats):
-            ca = c.array
             want_anti = i == len(mats) - 1
-            resid = max_abs(ua @ ca + ca @ ua) if want_anti else max_abs(ua @ ca - ca @ ua)
+            resid = max_abs(u @ c + c @ u) if want_anti else max_abs(u @ c - c @ u)
             if resid > 1e-12:
                 kind = "anticommute with" if want_anti else "commute with"
                 raise InvalidInputError(
@@ -184,7 +185,8 @@ def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
         raise ShapeError(
             f"witness must be {frame.d}x{frame.d}, got {cert.upsilon.shape}"
         )
-    return _conjugation_residual(_projections(frame), cert.sigma, cert.upsilon.array)
+    require_finite(cert.upsilon, "witness")
+    return _conjugation_residual(_projections(frame), cert.sigma, cert.upsilon)
 
 
 def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertificate:
@@ -193,21 +195,23 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
     n = simplex.n
     if not (1 <= j < k <= n):
         raise DomainError(f"need 1 <= j < k <= {n}, got j={j}, k={k}")
-    skew_res = max(max_abs(b.array.conj().T + b.array) for b in simplex.mats)
+    blocks = simplex.blocks
+    skew_res = max_abs(blocks.conj().swapaxes(1, 2) + blocks)
     if skew_res > 1e-12:
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
         )
-    ups = _transposition_matrix([b.array for b in simplex.mats], j, k)
+    ups = _transposition_matrix(blocks, j, k)
     sigma = Permutation.transposition(n, j, k)
     frame = frame_from_simplex(simplex)
     residual = _conjugation_residual(_projections(frame), sigma, ups)
-    return SymmetryCertificate(sigma, Mat(simplex.field, ups), residual)
+    return SymmetryCertificate(sigma, ups, residual)
 
 
-def _transposition_matrix(blocks: list[np.ndarray], j: int, k: int) -> np.ndarray:
+def _transposition_matrix(blocks: np.ndarray, j: int, k: int) -> np.ndarray:
     """Closed-form witness of the transposition (j k), j < k, for the frame
-    of the skew-Hermitian simplex whose members B_1 ... B_{n-1} are `blocks`.
+    of the skew-Hermitian simplex whose (n-1, r, r) members B_1 ... B_{n-1}
+    are `blocks`.
 
     For k < n the witness is alpha * blkdiag(B_j - B_k, B_k - B_j); for
     k = n it is the block matrix [[alpha B_j, beta I], [-beta I, -alpha B_j]].
@@ -260,7 +264,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
             f"frame is not in canonical form (residual {canonical_res:.2e})"
         )
 
-    doubled = [skew_double(a[rhat:] / p.beta) for a in arrs[:-1]]
+    doubled = skew_double(np.stack(arrs[:-1])[:, rhat:] / p.beta)
     # Row and column indices reordering the four rhat-blocks as (1, 4, 2, 3).
     order = np.concatenate([np.arange(b * rhat, (b + 1) * rhat) for b in (0, 3, 1, 2)])
 
@@ -271,7 +275,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
     corner = doubled_witness(sigma1)[: 2 * rhat] @ doubled_witness(sigma2)[:, : 2 * rhat]
     sigma = sigma1.compose(sigma2)
     residual = _conjugation_residual(_projections(frame), sigma, corner)
-    return SymmetryCertificate(sigma, Mat(frame.field, corner), residual)
+    return SymmetryCertificate(sigma, corner, residual)
 
 
 def find_witness(
@@ -343,20 +347,21 @@ def _search(
     side = np.arange(d) < frame.r
     block = np.equal.outer(side, side).ravel()
     basis = nullspace(Mat(frame.field, _normal_operator(p, q)[np.ix_(block, block)]), 1e-10)
-    if basis.cols == 0:
+    nullity = basis.shape[1]
+    if nullity == 0:
         return None
-    lifted = np.zeros((basis.cols, d * d), dtype=p.dtype)
-    lifted[:, block] = basis.working().T
-    vecs = (um @ lifted.reshape(-1, d, d) @ uk.conj().T).reshape(basis.cols, d * d)
+    lifted = np.zeros((nullity, d * d), dtype=p.dtype)
+    lifted[:, block] = basis.T
+    vecs = (um @ lifted.reshape(-1, d, d) @ uk.conj().T).reshape(nullity, d * d)
     rng = np.random.default_rng(seed)
-    candidates = [rng.standard_normal(basis.cols) @ vecs, *vecs]
+    candidates = [rng.standard_normal(nullity) @ vecs, *vecs]
     for cand in candidates:
         x = cand.reshape(d, d)
         s = np.linalg.svd(x, compute_uv=False)
         if s[0] == 0.0 or s[-1] <= 1e-8 * s[0]:
             continue
-        ups = polar_unitary(Mat(frame.field, x))
-        residual = _conjugation_residual(projections, sigma, ups.array)
+        ups = polar_unitary(x)
+        residual = _conjugation_residual(projections, sigma, ups)
         if residual <= tol:
             return SymmetryCertificate(sigma, ups, residual)
     return None
@@ -414,33 +419,31 @@ def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
             bound="n >= 4",
         )
     rho = rho_number(field, r)
+    eye = np.eye(r)[None]
     if n <= rho + 1:
-        skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1))
-        u = Mat(field, skews[n - 4].array @ skews[n - 3].array)
-        generators = (Mat.identity(r, field),) + tuple(skews[: n - 3])
-        seq = RhoOrthonormalSeq(field, r, generators)
-        return TotalSymmetrySeed(field, r, n, seq, u)
+        skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1)).stack()
+        seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, skews[: n - 3]]))
+        return TotalSymmetrySeed(field, r, n, seq, skews[n - 4] @ skews[n - 3])
 
     # Real boundary case n = rho + 2 with c in {0, 1}.
     dec = decompose_r(r)
-    odd_eye = Mat.identity(2 * dec.a + 1)
+    odd_eye = np.eye(2 * dec.a + 1)
     if dec.c == 1:
-        u = kron(GEN.M, odd_eye)
-        ds = [kron(GEN.R, odd_eye)]
+        u = np.kron(GEN.M, odd_eye)
+        ds = np.kron(GEN.R, odd_eye)[None]
         inflations = dec.b
     else:
-        u = kron(odd_eye, tensor(GEN.I, GEN.M, GEN.M, GEN.M))
-        ds = [kron(odd_eye, e) for e in real_base_family(16)]
+        u = np.kron(odd_eye, tensor(GEN.I, GEN.M, GEN.M, GEN.M))
+        ds = np.kron(odd_eye, real_base_family(16))
         inflations = dec.b - 1
     for _ in range(inflations):
-        ds = list(inflate_real(ds))
-        u = kron(Mat.identity(16), u)
+        ds = inflate_real(ds)
+        u = np.kron(np.eye(16), u)
     # Stable sort: the one generator anticommuting with u goes last.
     # TotalSymmetrySeed checks the commutation pattern.
-    ua = u.array
-    ds.sort(key=lambda c: max_abs(ua @ c.array + c.array @ ua) <= 1e-12)
-    generators = (Mat.identity(r, field),) + tuple(ds)
-    seq = RhoOrthonormalSeq(field, r, generators)
+    anti = [max_abs(u @ c + c @ u) <= 1e-12 for c in ds]
+    ds = ds[np.argsort(anti, kind="stable")]
+    seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, ds]))
     return TotalSymmetrySeed(field, r, n, seq, u)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eitff.frames import FusionFrame, build_eitff
-from eitff.linalg import FieldTag, Mat
+from eitff.linalg import FieldTag
 
 
 @pytest.fixture
@@ -26,8 +26,8 @@ def random_subspace_frame(field, d, r, n, seed=0):
         if field is FieldTag.COMPLEX:
             raw = raw + 1j * rng.standard_normal((d, r))
         q, _ = np.linalg.qr(raw)
-        isos.append(Mat(field, q[:, :r]))
-    return FusionFrame(field, d, r, n, tuple(isos))
+        isos.append(q[:, :r])
+    return FusionFrame.from_arrays(field, isos)
 
 
 def random_orthogonal(d, seed=0):

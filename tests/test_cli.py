@@ -7,7 +7,7 @@ import pytest
 from eitff.cli import main
 from eitff.frame_io import load_certificate, load_frame, save_certificate, save_frame
 from eitff.frames import FusionFrame, build_eitff
-from eitff.linalg import FieldTag, Mat
+from eitff.linalg import FieldTag
 
 
 def run(capsys, *argv):
@@ -47,7 +47,7 @@ class TestBuild:
         assert metadata["variant"] == "generic"
         values = {1 / math.sqrt(3), math.sqrt(2 / 3), -1 / math.sqrt(6),
                   1 / math.sqrt(2), -1 / math.sqrt(2), 1.0, 0.0}
-        seen = np.concatenate([phi.array.real.reshape(-1) for phi in frame.isometries])
+        seen = np.concatenate([phi.reshape(-1) for phi in frame.arrays()])
         for entry in seen:
             assert min(abs(entry - v) for v in values) <= 1e-12
 
@@ -130,13 +130,13 @@ class TestRoundTrip:
         assert meta == metadata
         for a, b in zip(frame.isometries, loaded.isometries):
             assert np.array_equal(a.array, b.array)
+        assert loaded.arrays()[0].dtype == np.complex128
         save_frame(loaded, str(second), meta)
         assert first.read_text() == second.read_text()
 
     def test_extreme_entries_bit_exact(self, tmp_path):
         a = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -5e-324]])
-        isometries = (Mat(FieldTag.COMPLEX, a - 1j * a[::-1]), Mat(FieldTag.COMPLEX, 1j * a))
-        frame = FusionFrame(FieldTag.COMPLEX, 2, 2, 2, isometries)
+        frame = FusionFrame.from_arrays(FieldTag.COMPLEX, [a - 1j * a[::-1], 1j * a])
         path = tmp_path / "extreme.json"
         save_frame(frame, str(path))
         loaded, _ = load_frame(str(path))
@@ -145,24 +145,25 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("field", [FieldTag.REAL, FieldTag.COMPLEX])
     def test_transposed_arrays_round_trip(self, tmp_path, field):
-        # Transposes and their slices are not C-contiguous; Mat stores a
-        # C-ordered copy, so both file writers can view them as float pairs.
+        # Transposes and their slices are not C-contiguous; both file
+        # writers must still view them as float pairs.
         from conftest import random_orthogonal, random_unitary
 
         u = random_orthogonal(4, 3) if field is FieldTag.REAL else random_unitary(4, 3)
         inverse = u.conj().T
         assert not inverse.flags["C_CONTIGUOUS"]
-        frame = FusionFrame(field, 4, 2, 2, (Mat(field, inverse[:, :2]), Mat(field, inverse[:, 2:])))
+        frame = FusionFrame.from_arrays(field, [inverse[:, :2], inverse[:, 2:]])
         frame_path = tmp_path / "frame.json"
         save_frame(frame, str(frame_path))
         loaded, _ = load_frame(str(frame_path))
         for want, got in zip(frame.isometries, loaded.isometries):
             assert np.array_equal(want.array, got.array)
         cert_path = tmp_path / "cert.json"
-        save_certificate(str(cert_path), "1 2", Mat(field, inverse), 0.0)
+        save_certificate(str(cert_path), "1 2", inverse, 0.0)
         perm, upsilon, residual = load_certificate(str(cert_path))
         assert (perm, residual) == ("1 2", 0.0)
-        assert np.array_equal(upsilon.array, inverse)
+        assert upsilon.dtype == inverse.dtype
+        assert np.array_equal(upsilon, inverse)
 
     def test_compact_and_indented_files_load_alike(self, tmp_path):
         frame = build_eitff(FieldTag.REAL, 2, 4)
@@ -270,7 +271,7 @@ class TestLoaderFuzz:
         frame_path = tmp_path / "frame.json"
         cert_path = tmp_path / "cert.json"
         save_frame(build_eitff(FieldTag.REAL, 2, 4), str(frame_path))
-        save_certificate(str(cert_path), "1 3 2 4", Mat.identity(4), 0.0)
+        save_certificate(str(cert_path), "1 3 2 4", np.eye(4), 0.0)
         return frame_path, cert_path
 
     @staticmethod
@@ -404,8 +405,7 @@ class TestSym:
         arrays = list(frame.arrays())
         arrays[-1] = np.zeros_like(arrays[-1])
         path = tmp_path / "degenerate.json"
-        isometries = tuple(Mat(FieldTag.REAL, a) for a in arrays)
-        save_frame(FusionFrame(FieldTag.REAL, 4, 2, 4, isometries), str(path))
+        save_frame(FusionFrame.from_arrays(FieldTag.REAL, arrays), str(path))
         code, out, err = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
         assert code == 1
         assert out == ""
@@ -425,7 +425,7 @@ class TestSym:
 
     def test_check_fail_exit_one(self, capsys, frame_path, tmp_path):
         cert_path = tmp_path / "bad.json"
-        save_certificate(str(cert_path), "2 1 3 4", Mat.identity(4), 0.0)
+        save_certificate(str(cert_path), "2 1 3 4", np.eye(4), 0.0)
         code, out, _ = run(
             capsys, "sym", "check", str(frame_path), "--cert", str(cert_path)
         )
@@ -474,5 +474,23 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
 
-    def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 2
+    # Argument errors exit 2 before any file is read, so the paths need
+    # not exist.  A tolerance must be finite and positive.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frobnicate"],
+            ["verify", "frame.json", "--tol", "nan"],
+            ["verify", "frame.json", "--tol", "-1"],
+            ["verify", "frame.json", "--tol", "0"],
+            ["verify", "frame.json", "--tol", "inf"],
+            ["verify", "frame.json", "--tol", "tiny"],
+            ["sym", "probe", "frame.json", "--tol", "nan"],
+            ["sym", "witness", "frame.json", "--perm", "2 1", "--tol", "-1"],
+            ["sym", "check", "frame.json", "--cert", "cert.json", "--tol", "inf"],
+        ],
+        ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")),
+    )
+    def test_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""

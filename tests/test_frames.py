@@ -17,11 +17,10 @@ from eitff.frames import (
     gerzon_bound,
     naimark_complement,
     principal_angles,
-    spectral_distance,
     verify_eitff,
     welch_bound,
 )
-from eitff.linalg import FieldTag, Mat, max_abs
+from eitff.linalg import FieldTag, max_abs
 from eitff.radon_hurwitz import GEN, rho_number
 from eitff.simplex import verify_rho_simplex
 
@@ -63,15 +62,15 @@ def reference_report(frame):
 
 
 def reference_angles(frame):
+    """One SVD per ordered pair; zero on the diagonal."""
     arrs = frame.arrays()
-    return {
-        (i + 1, j + 1): np.arccos(
-            np.clip(np.linalg.svd(arrs[i].conj().T @ arrs[j], compute_uv=False), 0.0, 1.0)
-        )
-        for i in range(frame.n)
-        for j in range(frame.n)
-        if i != j
-    }
+    angles = np.zeros((frame.n, frame.n, frame.r))
+    for i in range(frame.n):
+        for j in range(frame.n):
+            if i != j:
+                s = np.linalg.svd(arrs[i].conj().T @ arrs[j], compute_uv=False)
+                angles[i, j] = np.arccos(np.clip(s, 0.0, 1.0))
+    return angles
 
 
 def perturbed(frame, scale, seed):
@@ -81,23 +80,22 @@ def perturbed(frame, scale, seed):
         noise = rng.standard_normal(a.shape)
         if frame.field is C:
             noise = noise + 1j * rng.standard_normal(a.shape)
-        isos.append(Mat(frame.field, a + scale * noise))
-    return FusionFrame(frame.field, frame.d, frame.r, frame.n, tuple(isos))
+        isos.append(a + scale * noise)
+    return FusionFrame.from_arrays(frame.field, isos)
 
 
 def with_duplicate(frame, k):
     """The frame with its k-th subspace (1-indexed) appended once more."""
-    isos = frame.isometries + (frame.isometries[k - 1],)
-    return FusionFrame(frame.field, frame.d, frame.r, frame.n + 1, isos)
+    arrs = frame.arrays()
+    return FusionFrame.from_arrays(frame.field, arrs + [arrs[k - 1]])
 
 
 def lines_frame(degrees):
     """Lines in R^2 at the given angles, as 2x1 isometries."""
-    isos = tuple(
-        Mat.from_real([[math.cos(math.radians(t))], [math.sin(math.radians(t))]])
-        for t in degrees
-    )
-    return FusionFrame(R, 2, 1, len(isos), isos)
+    isos = [
+        np.array([[math.cos(math.radians(t))], [math.sin(math.radians(t))]]) for t in degrees
+    ]
+    return FusionFrame.from_arrays(R, isos)
 
 
 ORACLE_FRAMES = {
@@ -120,8 +118,7 @@ ORACLE_FRAMES = {
 def orthogonal_blocks_frame(field, r, n):
     """n mutually orthogonal subspaces: slices of the identity."""
     eye = np.eye(n * r)
-    isos = tuple(Mat(field, eye[:, i * r : (i + 1) * r]) for i in range(n))
-    return FusionFrame(field, n * r, r, n, isos)
+    return FusionFrame.from_arrays(field, [eye[:, i * r : (i + 1) * r] for i in range(n)])
 
 
 class TestParams:
@@ -153,15 +150,15 @@ class TestBuild:
         c = 1 / math.sqrt(6)
         d = 1 / math.sqrt(2)
         eye = np.eye(2)
-        rmat = GEN.R.array.real
+        rmat = GEN.R
         expected = [
             np.vstack([a * eye, b * eye]),
             np.vstack([a * eye, -c * eye + d * rmat]),
             np.vstack([a * eye, -c * eye - d * rmat]),
             np.vstack([eye, np.zeros((2, 2))]),
         ]
-        for phi, want in zip(example_frame.isometries, expected):
-            assert max_abs(phi.array - want) <= 1e-12
+        for phi, want in zip(example_frame.arrays(), expected):
+            assert max_abs(phi - want) <= 1e-12
 
     def test_complex_etf_sigma(self, complex_etf_frame):
         report = verify_eitff(complex_etf_frame)
@@ -181,8 +178,8 @@ class TestBuild:
     def test_skew_variant_members_are_skew(self):
         frame = build_eitff(C, 2, 5, "skew")
         p = eitff_params(5)
-        for phi in frame.isometries[:-1]:
-            b = phi.array[2:] / p.beta
+        for phi in frame.arrays()[:-1]:
+            b = phi[2:] / p.beta
             assert max_abs(b + b.conj().T) <= 1e-12
         assert verify_eitff(frame).passed
 
@@ -215,36 +212,34 @@ class TestBuild:
 class TestCanonicalize:
     def test_canonical_input_unchanged(self, example_frame):
         canon, simplex = canonicalize(example_frame)
-        for a, b in zip(example_frame.isometries, canon.isometries):
-            assert max_abs(a.array - b.array) <= 1e-12
+        for a, b in zip(example_frame.arrays(), canon.arrays()):
+            assert max_abs(a - b) <= 1e-12
         p = eitff_params(4)
-        for phi, b in zip(example_frame.isometries, simplex.mats):
-            assert max_abs(phi.array[2:] / p.beta - b.array) <= 1e-12
+        assert simplex.blocks.shape == (3, 2, 2)
+        for phi, b in zip(example_frame.arrays(), simplex.blocks):
+            assert max_abs(phi[2:] / p.beta - b) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rotated_frame_recovers_canonical_form(self, example_frame, seed):
         q = random_orthogonal(4, seed=seed)
         rng = np.random.default_rng(seed + 100)
         rotated = []
-        for phi in example_frame.isometries:
+        for phi in example_frame.arrays():
             z, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-            rotated.append(Mat(R, q @ phi.array.real @ z))
-        frame = FusionFrame(R, 4, 2, 4, tuple(rotated))
+            rotated.append(q @ phi @ z)
+        frame = FusionFrame.from_arrays(R, rotated)
         canon, simplex = canonicalize(frame)
         assert verify_eitff(canon, 1e-9).passed
         assert verify_rho_simplex(simplex) <= 1e-9
         p = eitff_params(4)
-        for phi in canon.isometries[:-1]:
-            assert max_abs(phi.array[:2] - p.alpha * np.eye(2)) <= 1e-12
+        for phi in canon.arrays()[:-1]:
+            assert max_abs(phi[:2] - p.alpha * np.eye(2)) <= 1e-12
 
     def test_canonical_frame_is_equivalent_to_input(self, example_frame):
         from eitff.frames import _complete_unitary
 
         q = random_orthogonal(4, seed=21)
-        frame = FusionFrame(
-            R, 4, 2, 4,
-            tuple(Mat(R, q @ p.array.real) for p in example_frame.isometries),
-        )
+        frame = FusionFrame.from_arrays(R, [q @ p for p in example_frame.arrays()])
         canon, _ = canonicalize(frame)
         ups = _complete_unitary(frame.arrays()[-1])
         for orig, new in zip(frame.arrays(), canon.arrays()):
@@ -255,21 +250,16 @@ class TestCanonicalize:
     def test_complex_frame_roundtrip(self):
         frame = build_eitff(C, 2, 6)
         q = random_unitary(4, seed=9)
-        rotated = FusionFrame(
-            C, 4, 2, 6, tuple(Mat(C, q @ p.array) for p in frame.isometries)
-        )
+        rotated = FusionFrame.from_arrays(C, [q @ p for p in frame.arrays()])
         canon, simplex = canonicalize(rotated)
         assert verify_eitff(canon, 1e-9).passed
         assert verify_rho_simplex(simplex) <= 1e-9
 
     def test_noisy_frame_rejected(self, example_frame):
         rng = np.random.default_rng(0)
-        noisy = tuple(
-            Mat(R, phi.array.real + 1e-3 * rng.standard_normal((4, 2)))
-            for phi in example_frame.isometries
-        )
+        noisy = [phi + 1e-3 * rng.standard_normal((4, 2)) for phi in example_frame.arrays()]
         with pytest.raises(InvalidInputError):
-            canonicalize(FusionFrame(R, 4, 2, 4, noisy))
+            canonicalize(FusionFrame.from_arrays(R, noisy))
 
     def test_wrong_shape_rejected(self):
         frame = orthogonal_blocks_frame(R, 2, 3)
@@ -285,8 +275,8 @@ class TestCoherenceAndBounds:
         assert block_coherence(orthogonal_blocks_frame(R, 2, 3)) == 0.0
 
     def test_duplicated_subspace_one(self):
-        phi = Mat.from_real(np.vstack([np.eye(2), np.zeros((2, 2))]))
-        frame = FusionFrame(R, 4, 2, 2, (phi, phi))
+        phi = np.vstack([np.eye(2), np.zeros((2, 2))])
+        frame = FusionFrame.from_arrays(R, [phi, phi])
         assert abs(block_coherence(frame) - 1.0) <= 1e-12
 
     def test_cross_gram_of_displayed_isometries(self):
@@ -295,7 +285,7 @@ class TestCoherenceAndBounds:
         a = math.sqrt(1 / 3)
         b = math.sqrt(2 / 3)
         phi1 = np.vstack([a * np.eye(2), b * np.eye(2)])
-        low = -np.eye(2) / math.sqrt(6) + GEN.R.working() / math.sqrt(2)
+        low = -np.eye(2) / math.sqrt(6) + GEN.R / math.sqrt(2)
         phi2 = np.vstack([a * np.eye(2), low])
         s = np.linalg.svd(phi1.T @ phi2, compute_uv=False)
         assert np.max(np.abs(s - a)) <= 1e-12
@@ -317,41 +307,28 @@ class TestCoherenceAndBounds:
 
 class TestAngles:
     def test_example_angles(self, example_frame):
-        table = principal_angles(example_frame)
-        want = math.acos(1 / math.sqrt(3))
-        for i in range(1, 5):
-            for j in range(1, 5):
-                if i != j:
-                    assert np.max(np.abs(table.pair(i, j) - want)) <= 1e-12
+        angles = principal_angles(example_frame)
+        assert angles.shape == (4, 4, 2)
+        off = ~np.eye(4, dtype=bool)
+        assert np.max(np.abs(angles[off] - math.acos(1 / math.sqrt(3)))) <= 1e-12
+        assert not angles[~off].any()
 
     def test_built_frames_have_constant_angles(self):
         for field, r, n in [(C, 2, 6), (R, 4, 6)]:
             frame = build_eitff(field, r, n)
-            table = principal_angles(frame)
+            angles = principal_angles(frame)
             want = math.acos(math.sqrt((n - 2) / (2 * n - 2)))
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i != j:
-                        assert np.max(np.abs(table.pair(i, j) - want)) <= 1e-9
+            off = ~np.eye(n, dtype=bool)
+            assert np.max(np.abs(angles[off] - want)) <= 1e-9
 
     def test_identical_subspaces_zero_angles(self):
-        phi = Mat.from_real(np.vstack([np.eye(2), np.zeros((2, 2))]))
-        frame = FusionFrame(R, 4, 2, 2, (phi, phi))
-        assert np.max(principal_angles(frame).pair(1, 2)) <= 1e-12
+        phi = np.vstack([np.eye(2), np.zeros((2, 2))])
+        frame = FusionFrame.from_arrays(R, [phi, phi])
+        assert np.max(principal_angles(frame)[0, 1]) <= 1e-12
 
     def test_orthogonal_subspaces_right_angles(self):
         frame = orthogonal_blocks_frame(R, 2, 3)
-        assert np.max(np.abs(principal_angles(frame).pair(1, 2) - math.pi / 2)) <= 1e-12
-
-    def test_spectral_distance(self, example_frame):
-        assert abs(spectral_distance(example_frame, 1, 2) - math.sqrt(2 / 3)) <= 1e-12
-        ortho = orthogonal_blocks_frame(R, 2, 3)
-        assert spectral_distance(ortho, 1, 3) == 1.0
-        phi = Mat.from_real(np.vstack([np.eye(2), np.zeros((2, 2))]))
-        dup = FusionFrame(R, 4, 2, 2, (phi, phi))
-        assert spectral_distance(dup, 1, 2) <= 1e-8
-        with pytest.raises(DomainError):
-            spectral_distance(example_frame, 2, 2)
+        assert np.max(np.abs(principal_angles(frame)[0, 1] - math.pi / 2)) <= 1e-12
 
 
 class TestVerify:
@@ -383,8 +360,8 @@ class TestVerify:
     def test_identical_subspaces_skip_dimension_count(self):
         # three copies of the whole space: fine as a tight frame even though
         # the nonidentical-subspace count bound would read 1
-        phi = Mat.identity(2)
-        frame = FusionFrame(R, 2, 2, 3, (phi, phi, phi))
+        phi = np.eye(2)
+        frame = FusionFrame.from_arrays(R, [phi, phi, phi])
         report = verify_eitff(frame)
         assert report.gerzon_ok
         assert report.passed
@@ -407,11 +384,11 @@ class TestVerifyAgainstReference:
     @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
     def test_angles_match_pairwise_reference(self, name):
         frame = ORACLE_FRAMES[name]()
-        got = principal_angles(frame).angles
+        got = principal_angles(frame)
         want = reference_angles(frame)
-        assert got.keys() == want.keys()
-        for pair, theta in want.items():
-            assert np.max(np.abs(got[pair] - theta)) <= 1e-12, pair
+        assert got.shape == want.shape
+        assert np.array_equal(got, got.swapaxes(0, 1))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_identical_pair_decides_dimension_count(self):
         # Four lines in R^2 exceed the count bound of 3 for nonidentical
@@ -431,9 +408,7 @@ class TestVerifyAgainstReference:
         n = data.draw(st.integers(min_value=3, max_value=rho_number(field, r) + 2))
         frame = build_eitff(field, r, n)
         q = random_orthogonal(2 * r, seed) if field is R else random_unitary(2 * r, seed)
-        rotated = FusionFrame(
-            field, 2 * r, r, n, tuple(Mat(field, q @ a) for a in frame.arrays())
-        )
+        rotated = FusionFrame.from_arrays(field, [q @ a for a in frame.arrays()])
         report = verify_eitff(rotated)
         assert report.passed
         residuals = (
@@ -456,8 +431,7 @@ def svd_complement(frame):
     keep = s > scale / 2
     assert int(np.count_nonzero(keep)) == n * r - d
     tilde = (u[:, keep] * np.sqrt(s[keep])).conj().T
-    isometries = tuple(Mat(frame.field, tilde[:, i * r : (i + 1) * r]) for i in range(n))
-    return FusionFrame(frame.field, n * r - d, r, n, isometries)
+    return FusionFrame.from_arrays(frame.field, [tilde[:, i * r : (i + 1) * r] for i in range(n)])
 
 
 def fusion_gram(frame):
@@ -471,8 +445,7 @@ def rotated(frame, seed):
         u = random_orthogonal(frame.d, seed)
     else:
         u = random_unitary(frame.d, seed)
-    isometries = tuple(Mat(frame.field, u @ a) for a in frame.arrays())
-    return FusionFrame(frame.field, frame.d, frame.r, frame.n, isometries)
+    return FusionFrame.from_arrays(frame.field, [u @ a for a in frame.arrays()])
 
 
 class TestNaimark:
@@ -534,8 +507,8 @@ class TestNaimark:
         frame = build_eitff(R, 3, 3)
         comp = naimark_complement(frame)
         assert (comp.d, comp.r, comp.n) == (3, 3, 3)
-        for phi in comp.isometries:
-            assert max_abs(phi.array.conj().T @ phi.array - np.eye(3)) <= 1e-12
+        for phi in comp.arrays():
+            assert max_abs(phi.conj().T @ phi - np.eye(3)) <= 1e-12
         assert verify_eitff(comp, 1e-9).passed
 
     def test_double_complement_equivalent(self, example_frame):
