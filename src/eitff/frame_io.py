@@ -37,13 +37,13 @@ def _matrix_payload(a: np.ndarray) -> dict:
 def _write(path: str, payload: dict) -> None:
     """Write `payload` as compact JSON to `path`, or to stdout for "-".
 
-    A tuple value holds arrays and is written one matrix at a time, so
-    the entry lists of only one matrix are in memory at once.
+    An ndarray value is a stack of matrices and is written one matrix at
+    a time, so the entry lists of only one matrix are in memory at once.
     """
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fp:
         for pos, (key, value) in enumerate(payload.items()):
             fp.write(("," if pos else "{") + _encode(key) + ":")
-            if isinstance(value, tuple):
+            if isinstance(value, np.ndarray):
                 fp.write("[")
                 for i, m in enumerate(value):
                     fp.write(("," if i else "") + _encode(_matrix_payload(m)))
@@ -117,7 +117,7 @@ def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> N
         "d": frame.d,
         "r": frame.r,
         "n": frame.n,
-        "isometries": tuple(frame.arrays()),
+        "isometries": frame.arrays(),
         "metadata": dict(metadata or {}),
     })
 

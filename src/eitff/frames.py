@@ -43,7 +43,7 @@ class FusionFrame:
     """n isometries Phi_i in F^{d x r}; columns of each span one subspace.
 
     Members are `Mat`s because the benchmark reads them; `from_arrays`
-    and `arrays` convert from and to arrays in the field's dtype.
+    and `arrays` convert from and to one (n, d, r) array in the field's dtype.
     """
 
     field: FieldTag
@@ -77,8 +77,10 @@ class FusionFrame:
         d, r = arrays[0].shape
         return cls(field, d, r, len(arrays), tuple(Mat(field, a) for a in arrays))
 
-    def arrays(self) -> list[np.ndarray]:
-        return [phi.working() for phi in self.isometries]
+    def arrays(self) -> np.ndarray:
+        """The isometries as one fresh C-contiguous (n, d, r) array."""
+        real = self.field is FieldTag.REAL
+        return np.stack([phi.array.real if real else phi.array for phi in self.isometries])
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,8 @@ def build_eitff(
 def _drop_identity_member(seq: RhoOrthonormalSeq) -> RhoOrthonormalSeq:
     """Remove the (unique) identity member; the rest are skew-Hermitian."""
     eye = np.eye(seq.r)
-    for i, m in enumerate(seq.mats):
-        if max_abs(m.working() - eye) <= 1e-12:
+    for i, m in enumerate(seq.stack()):
+        if max_abs(m - eye) <= 1e-12:
             return RhoOrthonormalSeq(seq.field, seq.r, seq.mats[:i] + seq.mats[i + 1 :])
     raise NumericError("built family unexpectedly lacks an identity member")
 
@@ -202,7 +204,8 @@ def _complete_unitary(cols: np.ndarray) -> np.ndarray:
     standard basis vectors completes to the exact identity.
     """
     q = np.linalg.qr(cols, mode="complete")[0]
-    return np.hstack([cols, q[:, cols.shape[1] :]])
+    q[:, : cols.shape[1]] = cols
+    return q
 
 
 def canonicalize(frame: FusionFrame, tol: float = 1e-8):
@@ -225,7 +228,7 @@ def canonicalize(frame: FusionFrame, tol: float = 1e-8):
             f"equi-isoclinic {report.equiisoclinic_residual:.2e})"
         )
     r, p = frame.r, eitff_params(frame.n)
-    stack = np.stack(frame.arrays())
+    stack = frame.arrays()
     omegas = _complete_unitary(stack[-1]).conj().T @ stack[:-1]
     z = omegas[:, :r] / p.alpha
     blocks = (omegas[:, r:] @ z.conj().swapaxes(1, 2)) / p.beta
@@ -242,7 +245,7 @@ def _cross_gram_rows(stack: np.ndarray):
 
 def block_coherence(frame: FusionFrame) -> float:
     """Largest operator norm among the cross-Gram matrices Phi_i* Phi_j."""
-    rows = _cross_gram_rows(np.stack(frame.arrays()))
+    rows = _cross_gram_rows(frame.arrays())
     return max(float(np.linalg.svd(g, compute_uv=False)[:, 0].max()) for g in rows)
 
 
@@ -260,7 +263,7 @@ def principal_angles(frame: FusionFrame) -> np.ndarray:
     principal angles between subspaces i+1 and j+1, the arccos of the
     (clamped) cross-Gram singular values.  The diagonal is zero."""
     angles = np.zeros((frame.n, frame.n, frame.r))
-    for i, row in enumerate(_cross_gram_rows(np.stack(frame.arrays()))):
+    for i, row in enumerate(_cross_gram_rows(frame.arrays())):
         theta = np.arccos(np.clip(np.linalg.svd(row, compute_uv=False), 0.0, 1.0))
         angles[i, i + 1 :] = angles[i + 1 :, i] = theta
     return angles
@@ -274,9 +277,10 @@ def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
     return d * d - r * r + 1
 
 
-def _tightness_residual(arrays, d: int, r: int) -> float:
-    """Largest entry of sum_i Phi_i Phi_i* - (nr/d) I."""
-    return max_abs(sum(a @ a.conj().T for a in arrays) - (len(arrays) * r / d) * np.eye(d))
+def _tightness_residual(stack: np.ndarray, d: int, r: int) -> float:
+    """Largest entry of sum_i Phi_i Phi_i* - (nr/d) I, summed one subspace
+    at a time: one d x nr product would round differently."""
+    return max_abs(sum(a @ a.conj().T for a in stack) - (len(stack) * r / d) * np.eye(d))
 
 
 def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -292,7 +296,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     check is vacuous when some pair of subspaces coincides, since it only
     speaks about nonidentical subspaces.
     """
-    stack = np.stack(frame.arrays())
+    stack = frame.arrays()
     d, r, n = frame.d, frame.r, frame.n
     eye_r = np.eye(r)
 
@@ -344,13 +348,15 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
-    tight = _tightness_residual(frame.arrays(), d, r)
-    if tight > 1e-8:
+    stack = frame.arrays()
+    tight = _tightness_residual(stack, d, r)
+    if not tight <= 1e-8:
         raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
-    rows = math.sqrt(d / (n * r)) * np.hstack(frame.arrays())
-    q = _complete_unitary(rows.conj().T)[:, d:]
-    tilde = math.sqrt(n * r / (n * r - d)) * q.conj().T
-    return FusionFrame.from_arrays(frame.field, [tilde[:, i * r : (i + 1) * r] for i in range(n)])
+    cols = (math.sqrt(d / (n * r)) * stack).conj().swapaxes(1, 2).reshape(n * r, d)
+    # T* = conj(Q[:, d:]); over C the full Q is freed before the blocks are copied.
+    tilde_h = _complete_unitary(cols)[:, d:].conj()
+    tilde_h *= math.sqrt(n * r / (n * r - d))
+    return FusionFrame.from_arrays(frame.field, tilde_h.reshape(n, r, -1).swapaxes(1, 2))
 
 
 def block_omp_recover(frame: FusionFrame, y, k: int):
@@ -367,10 +373,10 @@ def block_omp_recover(frame: FusionFrame, y, k: int):
     if k < 1:
         raise DomainError(f"sparsity level must be >= 1, got {k}")
     arrs = frame.arrays()
-    y = np.asarray(y, dtype=arrs[0].dtype).reshape(frame.d)
+    y = np.asarray(y, dtype=arrs.dtype).reshape(frame.d)
     selected: list[int] = []
     residual = y.copy()
-    coef = np.zeros(0, dtype=arrs[0].dtype)
+    coef = np.zeros(0, dtype=arrs.dtype)
     for _ in range(min(k, frame.n)):
         scores = np.array(
             [

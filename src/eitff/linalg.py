@@ -3,10 +3,10 @@ block-relation kernel.
 
 Matrices are plain numpy arrays in the field's dtype: float64 over R,
 complex128 over C; a stack of m matrices of size r x r is one (m, r, r)
-array, and the field tag lives on the container that holds it.  Polar
-factors come from the SVD, null spaces of Hermitian matrices from
-`eigh`.  `relation_residual` measures the block-Gram identity shared by
-anticommuting families and unitary simplices.
+array, a frame's n isometries one (n, d, r) array, and the field tag
+lives on the container that holds it.  Polar factors come from the SVD,
+null spaces of Hermitian matrices from `eigh`.  `relation_residual`
+measures the block-Gram identity of anticommuting families and simplices.
 
 `Mat`, a field-tagged complex128 carrier, is kept only where the
 benchmark in `perfbench/` reads it: as the element type of
@@ -77,16 +77,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return self.array.shape
 
-    def working(self) -> np.ndarray:
-        """Entries in the field's natural dtype (float64 when real).
-
-        Returns a contiguous array: the strided `.real` view would push
-        matmul off the fast BLAS path.
-        """
-        if self.field is FieldTag.REAL:
-            return np.ascontiguousarray(self.array.real)
-        return self.array
-
 
 def max_abs(values) -> float:
     """Largest entrywise magnitude; zero for an empty array."""
@@ -131,7 +121,7 @@ def nullspace(a: Mat, tol: float) -> np.ndarray:
         raise DomainError(f"tolerance must be positive, got {tol}")
     if a.rows != a.cols:
         raise ShapeError(f"null space needs a square Hermitian matrix, got {a.shape}")
-    lam, vecs = np.linalg.eigh(a.working())
+    lam, vecs = np.linalg.eigh(a.array.real if a.field is FieldTag.REAL else a.array)
     size = np.abs(lam)
     return vecs[:, size <= tol * np.max(size, initial=0.0)]
 
@@ -147,7 +137,8 @@ def relation_residual(
     block row C_i* [C_i ... C_m] is one batched product in the stack's
     own dtype, so the full (m r)^2 Gram is never formed.  Returns the
     largest entrywise residual and the 1-indexed pair (i, j), i <= j,
-    where it first occurs; (1, 1) when every relation holds exactly.
+    where it first occurs; (1, 1) when every relation holds exactly, and
+    NaN with the first pair that holds a NaN entry.
     """
     eye = np.eye(stack.shape[-1])
     worst, where = 0.0, (1, 1)
@@ -156,7 +147,9 @@ def relation_residual(
         row[1:] += row[1:].conj().swapaxes(1, 2) - offdiag * eye
         row[0] -= eye
         errs = np.abs(row).max(axis=(1, 2))
-        k = int(np.argmax(errs))
+        k = int(np.argmax(errs))  # the first NaN, if there is one
+        if np.isnan(errs[k]):
+            return float(errs[k]), (i + 1, i + 1 + k)
         if errs[k] > worst:
             worst, where = float(errs[k]), (i + 1, i + 1 + k)
     return worst, where

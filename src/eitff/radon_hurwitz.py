@@ -100,7 +100,8 @@ class RhoOrthonormalSeq:
         return cls(field, stack.shape[-1], tuple(Mat(field, c) for c in stack))
 
     def stack(self) -> np.ndarray:
-        return np.stack([m.working() for m in self.mats])
+        real = self.field is FieldTag.REAL
+        return np.stack([m.array.real if real else m.array for m in self.mats])
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -180,7 +181,7 @@ def inflate_real(stack: np.ndarray) -> np.ndarray:
         # [I, C_1, ..., C_m] satisfies the Radon–Hurwitz relations exactly
         # when the C_i are anticommuting skew-Hermitian unitaries.
         residual, (i, j) = relation_residual(np.concatenate([np.eye(size)[None], stack]), 0.0)
-        if residual > 1e-12:
+        if not residual <= 1e-12:
             if i == 1:
                 raise InvalidInputError(f"member {j - 1} is not skew-Hermitian")
             if i == j:

@@ -70,7 +70,7 @@ def rho_simplex_from_orthonormal(seq: RhoOrthonormalSeq) -> RhoSimplex:
     """Unitary simplex B_j = sum_i Psi_{n-1}(i, j) C_i from an
     anticommuting family of length n-2."""
     residual = verify_rho_orthonormal(seq)
-    if residual > 1e-12:
+    if not residual <= 1e-12:
         raise InvalidInputError(
             f"generators violate the Radon–Hurwitz relations (residual {residual:.2e})"
         )

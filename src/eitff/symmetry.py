@@ -160,19 +160,18 @@ class TotalSymmetrySeed:
                 )
 
 
-def _projections(frame: FusionFrame) -> list[np.ndarray]:
-    return [a @ a.conj().T for a in frame.arrays()]
+def _projections(frame: FusionFrame) -> np.ndarray:
+    """The (n, d, d) stack of projections Pi_i = Phi_i Phi_i*."""
+    stack = frame.arrays()
+    return stack @ stack.conj().swapaxes(1, 2)
 
 
 def _conjugation_residual(
-    projections: list[np.ndarray], sigma: Permutation, upsilon: np.ndarray
+    projections: np.ndarray, sigma: Permutation, upsilon: np.ndarray
 ) -> float:
-    uh = upsilon.conj().T
-    worst = 0.0
-    for i, p in enumerate(projections):
-        target = projections[sigma.apply(i + 1) - 1]
-        worst = max(worst, max_abs(upsilon @ p @ uh - target))
-    return worst
+    """Largest entry of Upsilon Pi_i Upsilon* - Pi_sigma(i) over all i."""
+    moved = upsilon @ projections @ upsilon.conj().T
+    return max_abs(moved - projections[np.array(sigma.image) - 1])
 
 
 def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
@@ -197,7 +196,7 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
         raise DomainError(f"need 1 <= j < k <= {n}, got j={j}, k={k}")
     blocks = simplex.blocks
     skew_res = max_abs(blocks.conj().swapaxes(1, 2) + blocks)
-    if skew_res > 1e-12:
+    if not skew_res <= 1e-12:
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
         )
@@ -253,18 +252,17 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
     sigma1 = _as_transposition(n, sigma1)
     sigma2 = _as_transposition(n, sigma2)
     p = eitff_params(n)
-    arrs = frame.arrays()
-    eye = np.eye(rhat)
-    canonical_res = max_abs(arrs[-1][:rhat] - eye)
-    canonical_res = max(canonical_res, max_abs(arrs[-1][rhat:]))
-    for a in arrs[:-1]:
-        canonical_res = max(canonical_res, max_abs(a[:rhat] - p.alpha * eye))
+    stack = frame.arrays()
+    canonical_res = max(
+        max_abs(stack[-1] - np.eye(2 * rhat, rhat)),
+        max_abs(stack[:-1, :rhat] - p.alpha * np.eye(rhat)),
+    )
     if canonical_res > 1e-8:
         raise InvalidInputError(
             f"frame is not in canonical form (residual {canonical_res:.2e})"
         )
 
-    doubled = skew_double(np.stack(arrs[:-1])[:, rhat:] / p.beta)
+    doubled = skew_double(stack[:-1, rhat:] / p.beta)
     # Row and column indices reordering the four rhat-blocks as (1, 4, 2, 3).
     order = np.concatenate([np.arange(b * rhat, (b + 1) * rhat) for b in (0, 3, 1, 2)])
 
@@ -319,7 +317,7 @@ def _normal_operator(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _search(
-    frame: FusionFrame, projections: list[np.ndarray], sigma: Permutation, tol: float, seed: int
+    frame: FusionFrame, projections: np.ndarray, sigma: Permutation, tol: float, seed: int
 ):
     """`find_witness` on projections the caller has already formed.
 
@@ -336,14 +334,13 @@ def _search(
     if d > 32:
         raise DomainError(f"witness search is limited to d <= 32, got d={d}")
     ends = (n, sigma.apply(n))
-    ends_stack = np.stack(frame.arrays())[[i - 1 for i in ends]]
+    ends_stack = frame.arrays()[[i - 1 for i in ends]]
     (uk, um), rmat = np.linalg.qr(ends_stack, mode="complete")
     for i, diag in zip(ends, np.abs(np.diagonal(rmat, axis1=1, axis2=2))):
         if diag.min() <= 1e-8 * diag.max():
             raise InvalidInputError(f"subspace {i} is rank-deficient (|R_jj| {diag.min():.2e})")
-    stack = np.stack(projections)
-    p = uk.conj().T @ stack @ uk
-    q = um.conj().T @ stack[[sigma.apply(i) - 1 for i in range(1, n + 1)]] @ um
+    p = uk.conj().T @ projections @ uk
+    q = um.conj().T @ projections[np.array(sigma.image) - 1] @ um
     side = np.arange(d) < frame.r
     block = np.equal.outer(side, side).ravel()
     basis = nullspace(Mat(frame.field, _normal_operator(p, q)[np.ix_(block, block)]), 1e-10)

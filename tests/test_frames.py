@@ -87,7 +87,7 @@ def perturbed(frame, scale, seed):
 def with_duplicate(frame, k):
     """The frame with its k-th subspace (1-indexed) appended once more."""
     arrs = frame.arrays()
-    return FusionFrame.from_arrays(frame.field, arrs + [arrs[k - 1]])
+    return FusionFrame.from_arrays(frame.field, np.concatenate([arrs, arrs[k - 1 : k]]))
 
 
 def lines_frame(degrees):
@@ -144,6 +144,19 @@ class TestParams:
 
 
 class TestBuild:
+    @pytest.mark.parametrize("field,r,n", [(R, 4, 6), (C, 4, 8)])
+    def test_arrays_is_one_fresh_stack(self, field, r, n):
+        frame = build_eitff(field, r, n)
+        stack = frame.arrays()
+        assert stack.shape == (n, 2 * r, r) and stack.flags.c_contiguous
+        assert stack.dtype == (np.float64 if field is R else np.complex128)
+        for a, phi in zip(stack, frame.isometries):
+            want = phi.array.real if field is R else phi.array
+            assert a.tobytes() == np.ascontiguousarray(want).tobytes()
+        before = stack.tobytes()
+        stack[:] = 0.0
+        assert frame.arrays().tobytes() == before
+
     def test_real_r2_n4_exact_entries(self, example_frame):
         a = 1 / math.sqrt(3)
         b = math.sqrt(2) / math.sqrt(3)

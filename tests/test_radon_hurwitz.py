@@ -321,6 +321,15 @@ class TestRelationKernel:
         assert abs(residual - 2.0) <= 1e-12
         assert reference_relation_residual(stack, 0.0)[1] == pair
 
+    @pytest.mark.parametrize("field", [R, C])
+    def test_nan_entry_reads_as_nan_with_its_pair(self, field):
+        # One NaN entry in the second member must not read as a pass.
+        stack = build_rho_orthonormal(field, 4, 2).stack()
+        stack[1, 0, 1] = np.nan
+        residual, pair = relation_residual(stack, 0.0)
+        assert np.isnan(residual)
+        assert pair == (1, 2)
+
     def test_inflate_names_equal_members(self):
         fam = real_base_family(8)
         with pytest.raises(InvalidInputError, match=r"members 2 and 5 do not anticommute"):

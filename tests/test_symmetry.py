@@ -32,6 +32,7 @@ from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
     TotalSymmetrySeed,
+    _conjugation_residual,
     _normal_operator,
     _projections,
     _transposition_matrix,
@@ -106,6 +107,14 @@ class TestCheckCertificate:
         cert = SymmetryCertificate(Permutation.identity(3), np.eye(4), 0.0)
         with pytest.raises(ShapeError):
             check_certificate(example_frame, cert)
+
+    def test_nan_in_witness_reads_as_nan(self, example_frame):
+        upsilon = np.eye(4)
+        upsilon[1, 2] = np.nan
+        residual = _conjugation_residual(
+            _projections(example_frame), Permutation.identity(4), upsilon
+        )
+        assert np.isnan(residual)
 
     def test_non_finite_witness_refused(self, example_frame):
         upsilon = np.eye(4)
@@ -318,7 +327,7 @@ def searched_operators(monkeypatch, frame, sigma):
 
     def spy(a, tol):
         basis = nullspace(a, tol)
-        seen.append((a.working(), basis.shape[1]))
+        seen.append((a.array.real if a.field is R else a.array, basis.shape[1]))
         return basis
 
     monkeypatch.setattr(symmetry, "nullspace", spy)
@@ -407,6 +416,47 @@ def case_id(value):
     if isinstance(value, tuple):
         return "-".join(v.value if isinstance(v, FieldTag) else str(v) for v in value)
     return None
+
+
+def loop_projections(frame):
+    """Per-subspace oracle for `_projections`: one product per isometry."""
+    return [a @ a.conj().T for a in frame.arrays()]
+
+
+def loop_conjugation_residual(projections, sigma, upsilon):
+    """Per-subspace oracle for `_conjugation_residual`."""
+    uh = upsilon.conj().T
+    return max(
+        max_abs(upsilon @ p @ uh - projections[sigma.apply(i + 1) - 1])
+        for i, p in enumerate(projections)
+    )
+
+
+class TestProjectionStack:
+    @pytest.mark.parametrize(
+        "spec",
+        [("code", R, 4, 6), ("code", C, 4, 8), ("rotated", R, 4, 6, 3),
+         ("rotated", C, 2, 5, 4), ("orbit", R, 3, 2, 2, 7), ("orbit", C, 3, 2, 2, 8)],
+        ids=case_id,
+    )
+    def test_matches_per_subspace_loops(self, spec):
+        frame = oracle_frame(*spec)
+        n, d = frame.n, frame.d
+        tol = 4 * d * np.finfo(np.float64).eps
+        got = _projections(frame)
+        want = loop_projections(frame)
+        assert got.shape == (n, d, d)
+        assert got.dtype == frame.arrays().dtype
+        assert max_abs(got - np.stack(want)) <= tol
+        unitary = random_orthogonal(d, 5) if frame.field is R else random_unitary(d, 5)
+        sigmas = [Permutation.identity(n), Permutation.cycle(n, (1, 2, 3)),
+                  Permutation.transposition(n, 1, n)]
+        for upsilon in (np.eye(d), unitary):
+            for sigma in sigmas:
+                assert abs(
+                    _conjugation_residual(got, sigma, upsilon)
+                    - loop_conjugation_residual(want, sigma, upsilon)
+                ) <= tol
 
 
 class TestNormalOperator:
