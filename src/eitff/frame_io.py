@@ -19,35 +19,50 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .frames import FusionFrame
-from .linalg import FieldTag, Mat
+from .linalg import FieldTag, Mat, require_finite
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _matrix_payload(a: np.ndarray) -> dict:
-    pairs = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-    return {
-        "field": "C" if np.iscomplexobj(a) else "R",
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "data": pairs.reshape(-1, 2).tolist(),
-    }
+def _matrix_text(a: np.ndarray) -> str:
+    """One matrix payload as compact JSON text.
+
+    Entries are formatted with `float.__repr__`, the function the json
+    encoder calls for a float, so the text equals the encoding of the
+    [[re, im], ...] list without that list being built.  A real matrix
+    writes its imaginary parts as the fixed text 0.0.
+    """
+    if np.iscomplexobj(a):
+        parts = map(float.__repr__, np.asarray(a, np.complex128).ravel().view(np.float64).tolist())
+        field, sep, tail = "C", "],[", "]"
+        items = map(",".join, zip(parts, parts))
+    else:
+        items = map(float.__repr__, np.asarray(a, np.float64).ravel().tolist())
+        field, sep, tail = "R", ",0.0],[", ",0.0]"
+    head = _encode({"field": field, "rows": a.shape[0], "cols": a.shape[1]})
+    return head[:-1] + ',"data":[[' + sep.join(items) + tail + "]}"
 
 
 def _write(path: str, payload: dict) -> None:
     """Write `payload` as compact JSON to `path`, or to stdout for "-".
 
-    An ndarray value is a stack of matrices and is written one matrix at
-    a time, so the entry lists of only one matrix are in memory at once.
+    An ndarray value is one matrix (2-D) or a stack of matrices (3-D),
+    written one matrix at a time.  Non-finite entries are refused before
+    the file is opened, because JSON has no literal for them.
     """
+    for key, value in payload.items():
+        if isinstance(value, (np.ndarray, float)):
+            require_finite(np.asarray(value), key)
     with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fp:
         for pos, (key, value) in enumerate(payload.items()):
             fp.write(("," if pos else "{") + _encode(key) + ":")
-            if isinstance(value, np.ndarray):
+            if isinstance(value, np.ndarray) and value.ndim == 3:
                 fp.write("[")
                 for i, m in enumerate(value):
-                    fp.write(("," if i else "") + _encode(_matrix_payload(m)))
+                    fp.write(("," if i else "") + _matrix_text(m))
                 fp.write("]")
+            elif isinstance(value, np.ndarray):
+                fp.write(_matrix_text(value))
             else:
                 fp.write(_encode(value))
         fp.write("}\n")
@@ -93,12 +108,13 @@ def _matrix(obj) -> tuple[FieldTag, np.ndarray]:
         raise FormatError("entries must be [re, im] pairs")
     if not set(map(type, chain.from_iterable(data))) <= {int, float}:
         raise FormatError("entries must be numbers")
-    try:
-        pairs = np.array(data, dtype=np.float64)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"entries are not binary64 [re, im] pairs: {exc}") from exc
-    if pairs.shape != (rows * cols, 2):
+    if set(map(len, data)) != {2}:
         raise FormatError("entries must be [re, im] pairs")
+    try:
+        flat = np.fromiter(chain.from_iterable(data), np.float64, 2 * len(data))
+    except OverflowError as exc:
+        raise FormatError(f"entries are not binary64 [re, im] pairs: {exc}") from exc
+    pairs = flat.reshape(-1, 2)
     finite = np.isfinite(pairs).all(axis=1)
     if not finite.all():
         raise FormatError(f"entry {int(np.argmin(finite))} is not finite")
@@ -155,7 +171,7 @@ def save_certificate(
 ) -> None:
     _write(path, {
         "perm": sigma_one_line,
-        "upsilon": _matrix_payload(upsilon),
+        "upsilon": upsilon,
         "residual": float(residual),
     })
 

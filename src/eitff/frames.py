@@ -359,6 +359,27 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     return FusionFrame.from_arrays(frame.field, tilde_h.reshape(n, r, -1).swapaxes(1, 2))
 
 
+def _refit(stacked: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of y on the columns of `stacked`.
+
+    Solves the normal equations on the small block Gram when Cholesky
+    shows it positive definite.  A singular Gram (more columns than
+    rows, or intersecting subspaces) falls back to lstsq, which returns
+    the minimum-norm solution.  More columns than rows skips Cholesky,
+    which can pass on such a Gram in floating point (C2 n=4, k = 3).
+    """
+    if stacked.shape[1] <= stacked.shape[0]:
+        adjoint = stacked.conj().T
+        gram = adjoint @ stacked
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.linalg.solve(gram, adjoint @ y)
+    return np.linalg.lstsq(stacked, y, rcond=None)[0]
+
+
 def block_omp_recover(frame: FusionFrame, y, k: int):
     """Greedy block-sparse recovery of y against the frame's dictionary.
 
@@ -387,7 +408,7 @@ def block_omp_recover(frame: FusionFrame, y, k: int):
         pick = int(np.argmax(scores))
         selected.append(pick)
         stacked = np.hstack([arrs[i] for i in selected])
-        coef, *_ = np.linalg.lstsq(stacked, y, rcond=None)
+        coef = _refit(stacked, y)
         residual = y - stacked @ coef
     r = frame.r
     return [

@@ -3,11 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from eitff import cli
 from eitff.cli import main
-from eitff.frame_io import load_certificate, load_frame, save_certificate, save_frame
+from eitff.errors import InvalidInputError
+from eitff.frame_io import (
+    _matrix_text,
+    load_certificate,
+    load_frame,
+    save_certificate,
+    save_frame,
+)
 from eitff.frames import FusionFrame, build_eitff
 from eitff.linalg import FieldTag
+from eitff.symmetry import SymmetryCertificate
 
 
 def run(capsys, *argv):
@@ -180,6 +192,92 @@ class TestRoundTrip:
         assert meta == {"variant": "generic"}
         for want, got in zip(frame.isometries, loaded.isometries):
             assert want.array.tobytes() == got.array.tobytes()
+
+
+def list_payload(a):
+    """A matrix payload as the json encoder writes the [[re, im], ...] list."""
+    pairs = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+    return json.JSONEncoder(separators=(",", ":")).encode({
+        "field": "C" if np.iscomplexobj(a) else "R",
+        "rows": a.shape[0],
+        "cols": a.shape[1],
+        "data": pairs.reshape(-1, 2).tolist(),
+    })
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, 1.7976931348623157e308, 0.1]
+entries = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def matrices(draw):
+    """Float64 or complex128 matrices, as given or as a strided slice."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    parts = draw(hnp.arrays(np.float64, (2, 2 * rows, 2 * cols), elements=entries))
+    a = parts[0] + 1j * parts[1] if draw(st.booleans()) else parts[0]
+    view = draw(st.sampled_from(["whole", "strided", "transposed"]))
+    if view == "strided":
+        return a[::2, 1::2]
+    if view == "transposed":
+        return a[:rows, :cols].T
+    return a[:rows, :cols]
+
+
+class TestWriter:
+    """The writer formats entries itself; its bytes are the json encoder's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_matrix_text_equals_list_encoding(self, a):
+        assert _matrix_text(a) == list_payload(a)
+
+    @pytest.mark.parametrize("value", EDGE_FLOATS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_one_by_one(self, value, dtype):
+        a = np.array([[value]], dtype=dtype)
+        if dtype is np.complex128:
+            a = a + 1j * np.array([[-value]])
+        assert _matrix_text(a) == list_payload(a)
+
+    def test_complement_and_certificate_files_are_canonical(self, capsys, tmp_path):
+        from conftest import random_unitary
+
+        src, comp = tmp_path / "r16.json", tmp_path / "comp.json"
+        save_frame(build_eitff(FieldTag.REAL, 16, 11), str(src), {"variant": "generic"})
+        assert run(capsys, "naimark", str(src), "--out", str(comp))[0] == 0
+        cert = tmp_path / "cert.json"
+        save_certificate(str(cert), "2 1 3", random_unitary(6, 2), 3.5e-16)
+        for path in (src, comp, cert):
+            with open(path, encoding="utf-8") as fp:
+                text = fp.read()
+            assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_witness_refused(self, tmp_path, bad):
+        upsilon = np.eye(4)
+        upsilon[1, 2] = bad
+        path = tmp_path / "cert.json"
+        with pytest.raises(InvalidInputError):
+            save_certificate(str(path), "1 2 3 4", upsilon, 0.0)
+        with pytest.raises(InvalidInputError):
+            save_certificate(str(path), "1 2 3 4", np.eye(4), float(bad))
+        assert not path.exists()
+
+    def test_cli_refuses_nan_witness(self, capsys, tmp_path, monkeypatch):
+        frame_path, cert_path = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(build_eitff(FieldTag.REAL, 2, 4), str(frame_path))
+        upsilon = np.full((4, 4), np.nan)
+
+        def nan_witness(frame, sigma, tol, seed):
+            return SymmetryCertificate(sigma, upsilon, 0.0)
+
+        monkeypatch.setattr(cli, "find_witness", nan_witness)
+        code, _, err = run(
+            capsys, "sym", "witness", str(frame_path), "--perm", "2 1 3 4", "--out", str(cert_path)
+        )
+        assert code == 1
+        assert err.startswith("invalid input: ")
+        assert not cert_path.exists()
 
 
 DEEP = "[" * 200_000 + "]" * 200_000
@@ -459,6 +557,27 @@ class TestExists:
 
 
 class TestOmp:
+    @pytest.fixture(scope="class")
+    def code_paths(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("omp")
+        paths = {}
+        for field, r in (("R", 64), ("C", 32)):
+            paths[field] = out / f"{field}{r}.json"
+            save_frame(build_eitff(FieldTag(field), r, 14), str(paths[field]))
+        return paths
+
+    # Outputs of the lstsq-only refit.  Beyond k = 2 the kr columns exceed
+    # d = 2r, so the minimum-norm fit spreads over blocks not planted.
+    @pytest.mark.parametrize("field", ["R", "C"])
+    @pytest.mark.parametrize("k,want", [(1, "40/40"), (2, "40/40"), (3, "0/40")])
+    def test_demo_stdout_on_n14_codes(self, capsys, code_paths, field, k, want):
+        code, out, _ = run(
+            capsys,
+            "omp", "demo", str(code_paths[field]), "--k", str(k), "--trials", "40", "--seed", "3",
+        )
+        assert code == 0
+        assert out == f"recovered={want}\n"
+
     def test_demo_recovers_everything(self, capsys, tmp_path):
         path = tmp_path / "frame.json"
         save_frame(build_eitff(FieldTag.REAL, 2, 4), str(path))

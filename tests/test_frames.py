@@ -543,6 +543,30 @@ class TestNaimark:
             naimark_complement(frame)
 
 
+def check_omp_against_lstsq(frame, y, k, result):
+    """Replay `result` with a plain lstsq refit every round.
+
+    Each pick must hold the largest score of its round within 1e-12: in
+    a code with d = 2r every block left after the first scores the same
+    in exact arithmetic, so rounding decides between them.  The returned
+    coefficients must match lstsq on all picked blocks within 1e-12.
+    """
+    arrs = frame.arrays()
+    y = np.asarray(y, dtype=arrs.dtype)
+    picks = [i - 1 for i, _ in result]
+    assert len(picks) == min(k, frame.n) and len(set(picks)) == len(picks)
+    residual = y
+    for rnd, pick in enumerate(picks):
+        scores = [np.linalg.norm(arrs[i].conj().T @ residual)
+                  for i in range(frame.n) if i not in picks[:rnd]]
+        assert np.linalg.norm(arrs[pick].conj().T @ residual) >= max(scores) - 1e-12
+        stacked = np.hstack([arrs[i] for i in picks[: rnd + 1]])
+        coef = np.linalg.lstsq(stacked, y, rcond=None)[0]
+        residual = y - stacked @ coef
+    got = np.concatenate([c for _, c in result])
+    assert np.max(np.abs(got - coef)) <= 1e-12
+
+
 class TestBlockOmp:
     def test_single_block_recovery(self, example_frame):
         x = np.array([0.3, -1.2])
@@ -582,3 +606,37 @@ class TestBlockOmp:
     def test_rejects_bad_sparsity(self, example_frame):
         with pytest.raises(DomainError):
             block_omp_recover(example_frame, np.zeros(4), 0)
+
+    @pytest.mark.parametrize(
+        "field,r,n,k",
+        [
+            (R, 8, 10, 1), (R, 8, 10, 2), (C, 4, 6, 1), (C, 4, 6, 2), (R, 64, 14, 2),
+            # kr > d: the block Gram is singular and the refit falls back
+            # to lstsq's minimum-norm solution.
+            (R, 2, 4, 4), (C, 2, 4, 3), (R, 64, 14, 3),
+        ],
+    )
+    def test_code_matches_lstsq_reference(self, field, r, n, k):
+        frame = build_eitff(field, r, n)
+        rng = np.random.default_rng(r + n + k)
+        arrs = frame.arrays()
+        for trial in range(4):
+            if trial % 2:
+                y = rng.standard_normal(frame.d)
+                if field is C:
+                    y = y + 1j * rng.standard_normal(frame.d)
+            else:
+                blocks = rng.choice(frame.n, size=min(k, 2), replace=False)
+                y = sum(arrs[b] @ rng.standard_normal(r) for b in blocks)
+            check_omp_against_lstsq(frame, y, k, block_omp_recover(frame, y, k))
+
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_random_frame_matches_lstsq_reference(self, field, k):
+        # Random subspaces have no tied scores, so the picks are the
+        # reference's own.
+        frame = random_subspace_frame(field, 12, 3, 7, seed=k)
+        rng = np.random.default_rng(k)
+        for _ in range(4):
+            y = rng.standard_normal(12) + (1j * rng.standard_normal(12) if field is C else 0)
+            check_omp_against_lstsq(frame, y, k, block_omp_recover(frame, y, k))
