@@ -37,6 +37,15 @@ VARIANTS = ("generic", "skew", "totally_symmetric")
 # as coming from identical subspaces.
 _IDENTICAL_SUBSPACE_TOL = 1e-8
 
+# Block OMP scores within this fraction of ||y|| of a round's top score
+# tie, and the lowest index among them is picked.  In a code with d = 2r
+# every block left after the first scores the same in exact arithmetic,
+# and once kr >= d the residual, and with it every score, is rounding
+# noise; either way the pick would otherwise follow rounding.  The window
+# scales with ||y|| because the residual's rounding error does; 1e-12 is
+# far above that error and far below the gap between distinct scores.
+_OMP_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FusionFrame:
@@ -384,28 +393,27 @@ def block_omp_recover(frame: FusionFrame, y, k: int):
     """Greedy block-sparse recovery of y against the frame's dictionary.
 
     Runs k rounds of block orthogonal matching pursuit: pick the block
-    whose analysis coefficients have the largest norm (ties broken by the
-    lowest index, already-selected blocks skipped), then least-squares
-    refit on everything selected.  Returns (block index, coefficient
-    vector) pairs in selection order, 1-indexed.  Recovery is exact
-    whenever the number of active blocks is below (1/mu + 1)/2 for the
-    frame's block coherence mu.
+    whose analysis coefficients have the largest norm (scores within
+    `_OMP_TIE_RTOL` ||y|| of the top one tie and go to the lowest index,
+    already-selected blocks skipped), then least-squares refit on
+    everything selected.  Returns (block index, coefficient vector) pairs
+    in selection order, 1-indexed.  Recovery is exact whenever the number
+    of active blocks is below (1/mu + 1)/2 for the frame's block coherence
+    mu.
     """
     if k < 1:
         raise DomainError(f"sparsity level must be >= 1, got {k}")
     arrs = frame.arrays()
     y = np.asarray(y, dtype=arrs.dtype).reshape(frame.d)
+    tie = _OMP_TIE_RTOL * np.linalg.norm(y)
     selected: list[int] = []
     residual = y.copy()
     coef = np.zeros(0, dtype=arrs.dtype)
     for _ in range(min(k, frame.n)):
-        scores = np.array(
-            [
-                -1.0 if i in selected else np.linalg.norm(arrs[i].conj().T @ residual)
-                for i in range(frame.n)
-            ]
-        )
-        pick = int(np.argmax(scores))
+        # Row i of the product is conj(Phi_i* residual), for every block at once.
+        scores = np.linalg.norm(residual.conj() @ arrs, axis=1)
+        scores[selected] = -1.0
+        pick = int(np.argmax(scores >= scores.max() - tie))
         selected.append(pick)
         stacked = np.hstack([arrs[i] for i in selected])
         coef = _refit(stacked, y)

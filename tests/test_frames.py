@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputError
 from eitff.frames import (
+    _OMP_TIE_RTOL,
     FusionFrame,
     block_coherence,
     block_omp_recover,
@@ -544,22 +545,26 @@ class TestNaimark:
 
 
 def check_omp_against_lstsq(frame, y, k, result):
-    """Replay `result` with a plain lstsq refit every round.
+    """Replay `result` with a plain lstsq refit and per-block scores.
 
-    Each pick must hold the largest score of its round within 1e-12: in
-    a code with d = 2r every block left after the first scores the same
-    in exact arithmetic, so rounding decides between them.  The returned
-    coefficients must match lstsq on all picked blocks within 1e-12.
+    Each pick must be the lowest index whose score is within
+    `_OMP_TIE_RTOL` ||y|| of its round's top score: in a code with d = 2r
+    every block left after the first scores the same in exact arithmetic,
+    and once kr >= d every score is rounding noise; the window turns
+    both into the lowest-index pick.  The returned coefficients must
+    match lstsq on all picked blocks within 1e-12.
     """
     arrs = frame.arrays()
     y = np.asarray(y, dtype=arrs.dtype)
     picks = [i - 1 for i, _ in result]
     assert len(picks) == min(k, frame.n) and len(set(picks)) == len(picks)
     residual = y
+    tie = _OMP_TIE_RTOL * np.linalg.norm(y)
     for rnd, pick in enumerate(picks):
-        scores = [np.linalg.norm(arrs[i].conj().T @ residual)
-                  for i in range(frame.n) if i not in picks[:rnd]]
-        assert np.linalg.norm(arrs[pick].conj().T @ residual) >= max(scores) - 1e-12
+        scores = {i: np.linalg.norm(arrs[i].conj().T @ residual)
+                  for i in range(frame.n) if i not in picks[:rnd]}
+        top = max(scores.values())
+        assert pick == min(i for i, s in scores.items() if s >= top - tie)
         stacked = np.hstack([arrs[i] for i in picks[: rnd + 1]])
         coef = np.linalg.lstsq(stacked, y, rcond=None)[0]
         residual = y - stacked @ coef

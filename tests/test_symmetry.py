@@ -486,17 +486,38 @@ class TestNormalOperator:
             scale = np.trace(op).real / frame.d
             assert max_abs(op - scale * np.eye(frame.d)) > 0.1
 
-    @pytest.mark.parametrize("field", [R, C])
-    def test_equals_sum_of_block_normals(self, field):
-        frame = orbit_frame(field, 3, 2, 2, seed=11)
-        sigma = Permutation.cycle(4, (1, 2, 4))
+    @pytest.mark.parametrize(
+        "spec,cycle",
+        [
+            (("orbit", R, 3, 2, 2, 11), (1, 2, 4)),
+            (("orbit", C, 3, 2, 2, 11), (1, 2, 4)),
+            # Orbit frames have r = 2 < d/2 (d = 6 above, d = 8 here); a
+            # direct sum of a code of r-subspaces with a random frame has
+            # d = 4r and subspaces of dimension 2r.
+            (("orbit", R, 4, 2, 2, 12), (1, 2, 3, 5)),
+            (("orbit", C, 4, 2, 2, 13), (2, 5)),
+            (("sum", R, 2, 4, 14), (1, 2)),
+            (("sum", C, 1, 4, 15), (1, 2, 3)),
+        ],
+        ids=case_id,
+    )
+    def test_equals_sum_of_block_normals(self, spec, cycle):
+        frame = oracle_frame(*spec)
+        n, d, r = frame.n, frame.d, frame.r
+        sigma = Permutation.cycle(n, cycle)
         projections = _projections(frame)
+        side = np.arange(d) < r
+        block = np.equal.outer(side, side).ravel()
+        compress = np.ix_(block, block)
         want = sum(a.conj().T @ a for a in kronecker_blocks(projections, sigma))
-        q = np.stack([projections[sigma.apply(i) - 1] for i in range(1, 5)])
-        got = _normal_operator(np.stack(projections), q)
-        assert got.dtype == projections[0].dtype
-        assert max_abs(got - want) <= 1e-12
-        assert max_abs(full_normal_operator(projections, sigma) - want) <= 1e-12
+        q = projections[np.array(sigma.image) - 1]
+        got = _normal_operator(projections, q, r)
+        assert got.dtype == projections.dtype
+        assert got.shape == ((r * r + (d - r) ** 2,) * 2)
+        assert max_abs(got - want[compress]) <= 1e-12
+        full = full_normal_operator(projections, sigma)
+        assert max_abs(full - want) <= 1e-12
+        assert max_abs(got - full[compress]) <= 1e-12
 
     def test_spectral_gap_r8(self, monkeypatch):
         frame = build_eitff(R, 8, 8)
