@@ -6,6 +6,12 @@ parts and read back as float64, complex ones as complex128.  Files are
 compact JSON whose floats go through Python's shortest round-trip repr,
 so writing and re-reading a file reproduces every binary64 entry
 bit-exactly.  Any malformed file raises `FormatError`.
+
+Reading decodes each matrix payload as soon as `json` has parsed it, so
+a load holds the file text, the decoded arrays and the [re, im] lists of
+one matrix at a time.  An object with the keys field, rows, cols and data
+is read as a matrix wherever it sits, so a matrix payload anywhere but
+where the format puts one (frame metadata, say) is a `FormatError`.
 """
 
 from __future__ import annotations
@@ -68,10 +74,29 @@ def _write(path: str, payload: dict) -> None:
         fp.write("}\n")
 
 
-def _read(path: str):
+_MATRIX_KEYS = frozenset(("field", "rows", "cols", "data"))
+
+
+def _read(path: str) -> tuple[object, int]:
+    """The parsed file and the number of matrix payloads in it.
+
+    Each matrix payload is replaced by its `_matrix` decoding as json
+    parses it, so its pair lists are freed before the next one is built.
+    """
+    decoded = 0
+
+    def hook(obj: dict):
+        nonlocal decoded
+        if obj.keys() >= _MATRIX_KEYS:
+            decoded += 1
+            return _matrix(obj)
+        return obj
+
     with open(path, "r", encoding="utf-8") as fp:
         try:
-            return json.load(fp)
+            return json.load(fp, object_hook=hook), decoded
+        except FormatError:
+            raise
         except (ValueError, RecursionError) as exc:
             # ValueError covers bad UTF-8, bad JSON and over-long integers.
             raise FormatError(f"not valid UTF-8 JSON: {exc}") from exc
@@ -92,10 +117,10 @@ def _field(code) -> FieldTag:
         raise FormatError(f"unknown field code {code!r}") from None
 
 
-def _matrix(obj) -> tuple[FieldTag, np.ndarray]:
-    """The field code and the entries of one matrix payload, as float64
-    for a real matrix and complex128 for a complex one."""
-    _require(obj, "matrix", ("field", "rows", "cols", "data"))
+def _matrix(obj: dict) -> tuple[FieldTag, np.ndarray]:
+    """The field code and the entries of one matrix payload (an object
+    with the `_MATRIX_KEYS`), as a fresh C-contiguous float64 array for a
+    real matrix and complex128 for a complex one."""
     field = _field(obj["field"])
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
@@ -122,7 +147,7 @@ def _matrix(obj) -> tuple[FieldTag, np.ndarray]:
         pos = int(np.flatnonzero(pairs[:, 1])[0])
         raise FormatError(f"entry {pos} of a real matrix has im={pairs[pos, 1]}")
     if field is FieldTag.REAL:
-        return field, pairs[:, 0].reshape(rows, cols)
+        return field, pairs[:, 0].copy().reshape(rows, cols)
     return field, pairs.view(np.complex128).reshape(rows, cols)
 
 
@@ -139,7 +164,7 @@ def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> N
 
 
 def load_frame(path: str) -> tuple[FusionFrame, dict]:
-    obj = _read(path)
+    obj, decoded = _read(path)
     _require(obj, "frame", ("field", "d", "r", "n", "isometries", "metadata"))
     field = _field(obj["field"])
     d, r, n = obj["d"], obj["r"], obj["n"]
@@ -150,11 +175,15 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
         raise FormatError(f"expected {n} isometries")
     if not isinstance(metadata, dict):
         raise FormatError("metadata must be an object")
-    # Each isometry is wrapped as soon as it is decoded, so that only one
-    # decoded copy is alive at a time.
+    if decoded != sum(isinstance(p, tuple) for p in payloads):
+        raise FormatError("a matrix payload lies outside the isometries")
+    # `_read` has decoded every isometry; all n arrays are alive while
+    # they are wrapped, but no payload's pair lists are.
     isometries = []
     for pos, payload in enumerate(payloads, 1):
-        code, a = _matrix(payload)
+        if not isinstance(payload, tuple):
+            raise FormatError(f"isometry {pos} is not a matrix payload")
+        code, a = payload
         if a.shape != (d, r) or code is not field:
             raise FormatError(
                 f"isometry {pos} is {code.value} {a.shape[0]}x{a.shape[1]}, want {field.value} {d}x{r}"
@@ -177,11 +206,15 @@ def save_certificate(
 
 
 def load_certificate(path: str) -> tuple[str, np.ndarray, float]:
-    obj = _read(path)
+    obj, decoded = _read(path)
     _require(obj, "certificate", ("perm", "upsilon", "residual"))
+    if not isinstance(obj["upsilon"], tuple):
+        raise FormatError("upsilon is not a matrix payload")
+    if decoded != 1:
+        raise FormatError("a matrix payload lies outside upsilon")
     if not isinstance(obj["perm"], str):
         raise FormatError("perm must be a one-line notation string")
     residual = obj["residual"]
     if type(residual) not in (int, float) or not abs(residual) <= sys.float_info.max:
         raise FormatError("residual must be a finite number")
-    return obj["perm"], _matrix(obj["upsilon"])[1], float(residual)
+    return obj["perm"], obj["upsilon"][1], float(residual)

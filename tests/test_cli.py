@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from eitff.frame_io import (
     save_certificate,
     save_frame,
 )
-from eitff.frames import FusionFrame, build_eitff
+from eitff.frames import FusionFrame, build_eitff, naimark_complement
 from eitff.linalg import FieldTag
 from eitff.symmetry import SymmetryCertificate
 
@@ -328,6 +329,12 @@ MATRIX_DEFECTS = {
     "short-data": (lambda m: m["data"].pop(), None),
 }
 
+# Matrix defects whose message must survive the JSON parse that finds them.
+OWN_MESSAGES = {
+    "nan-literal": "entry 0 is not finite",
+    "short-data": "data does not hold",
+}
+
 # Whole-file defects, as edits of the file's text.
 FILE_DEFECTS = {
     "not-utf8": lambda text: b"\xff" + text.encode(),
@@ -349,6 +356,16 @@ HEADER_DEFECTS = {
     "single-subspace": lambda p: p.update(n=1, isometries=p["isometries"][:1]),
     "bool-dimension": lambda p: p.update(n=True),
     "metadata-list": lambda p: p.update(metadata=[]),
+    "isometry-number": lambda p: p["isometries"].__setitem__(0, 0.5),
+    "isometry-missing-data": lambda p: p["isometries"][0].pop("data"),
+    "metadata-matrix": lambda p: p.update(metadata={"m": _isometry(1, 1)}),
+}
+
+# Certificates whose witness is missing, not a matrix, or not alone.
+CERTIFICATE_DEFECTS = {
+    "missing-upsilon": lambda p: p.pop("upsilon"),
+    "upsilon-number": lambda p: p.update(upsilon=0.5),
+    "second-matrix": lambda p: p.update(extra=_isometry(1, 1)),
 }
 
 # Certificate residuals, as JSON text.
@@ -381,6 +398,7 @@ class TestLoaderFuzz:
             code, _, err = run(capsys, "sym", "check", str(frame_path), "--cert", str(cert_path))
         assert code == 4
         assert err.startswith("format error: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize("target", ["frame", "certificate"])
     @pytest.mark.parametrize("defect", MATRIX_DEFECTS)
@@ -393,7 +411,11 @@ class TestLoaderFuzz:
         if raw is not None:
             text = text.replace(f'"{RAW}"', raw)
         path.write_text(text)
-        self.assert_format_error(capsys, target, paths)
+        err = self.assert_format_error(capsys, target, paths)
+        if defect in OWN_MESSAGES:
+            # A matrix is decoded inside json's parse; its own error must
+            # not be reported as a JSON syntax error.
+            assert OWN_MESSAGES[defect] in err and "not valid UTF-8 JSON" not in err
 
     @pytest.mark.parametrize("target", ["frame", "certificate"])
     @pytest.mark.parametrize("defect", FILE_DEFECTS)
@@ -408,6 +430,13 @@ class TestLoaderFuzz:
         HEADER_DEFECTS[defect](payload)
         paths[0].write_text(json.dumps(payload))
         self.assert_format_error(capsys, "frame", paths)
+
+    @pytest.mark.parametrize("defect", CERTIFICATE_DEFECTS)
+    def test_certificate_defect(self, capsys, paths, defect):
+        payload = json.loads(paths[1].read_text())
+        CERTIFICATE_DEFECTS[defect](payload)
+        paths[1].write_text(json.dumps(payload))
+        self.assert_format_error(capsys, "certificate", paths)
 
     @pytest.mark.parametrize("defect", RESIDUAL_DEFECTS)
     def test_certificate_residual_defect(self, capsys, paths, defect):
@@ -428,6 +457,21 @@ class TestNaimark:
         assert (frame.d, frame.r, frame.n) == (16, 4, 6)
         code, _, _ = run(capsys, "verify", str(dst), "--tol", "1e-9")
         assert code == 0
+
+    @pytest.mark.parametrize("field, r, n", [(FieldTag.REAL, 16, 11), (FieldTag.COMPLEX, 8, 8)])
+    def test_load_peak_memory_is_near_file_size(self, tmp_path, field, r, n):
+        # Matrices are decoded while json parses, so a load holds the file
+        # text, the arrays and one matrix's [re, im] lists, not the lists
+        # of every matrix at once (about 6x the file size).
+        path = tmp_path / "comp.json"
+        save_frame(naimark_complement(build_eitff(field, r, n)), str(path))
+        tracemalloc.start()
+        try:
+            load_frame(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
 
     def test_untight_input_exit_one(self, capsys, tmp_path):
         from conftest import random_subspace_frame
