@@ -175,8 +175,6 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
         raise FormatError(f"expected {n} isometries")
     if not isinstance(metadata, dict):
         raise FormatError("metadata must be an object")
-    if decoded != sum(isinstance(p, tuple) for p in payloads):
-        raise FormatError("a matrix payload lies outside the isometries")
     # `_read` has decoded every isometry; all n arrays are alive while
     # they are wrapped, but no payload's pair lists are.
     isometries = []
@@ -189,6 +187,8 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
                 f"isometry {pos} is {code.value} {a.shape[0]}x{a.shape[1]}, want {field.value} {d}x{r}"
             )
         isometries.append(Mat(field, a))
+    if decoded != n:
+        raise FormatError("a matrix payload lies outside the isometries")
     try:
         return FusionFrame(field, d, r, n, tuple(isometries)), metadata
     except DomainError as exc:
