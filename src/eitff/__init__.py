@@ -32,9 +32,7 @@ from .radon_hurwitz import (
 )
 from .simplex import (
     RhoSimplex,
-    normalize_rho_simplex,
     rho_simplex_from_orthonormal,
-    simplex_basis_recovery,
     simplex_matrix,
     verify_rho_simplex,
 )
@@ -108,14 +106,12 @@ __all__ = [
     "inflate_real",
     "load_frame",
     "naimark_complement",
-    "normalize_rho_simplex",
     "principal_angles",
     "probe_symmetry",
     "real_base_family",
     "rho_number",
     "rho_simplex_from_orthonormal",
     "save_frame",
-    "simplex_basis_recovery",
     "simplex_matrix",
     "total_symmetry_seed",
     "totally_symmetric_exists",

@@ -177,14 +177,8 @@ def build_eitff(
         skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1))
         simplex = rho_simplex_from_orthonormal(skews)
     else:
-        from .symmetry import total_symmetry_seed, totally_symmetric_exists
+        from .symmetry import total_symmetry_seed
 
-        status = totally_symmetric_exists(field, r, n)
-        if status == "no":
-            raise InfeasibleParametersError(
-                f"no totally symmetric code for field={field.value}, r={r}, n={n}",
-                bound="total symmetry",
-            )
         if n == 3:
             # Three subspaces are trivially totally symmetric; the generic
             # construction already delivers them.
@@ -192,6 +186,7 @@ def build_eitff(
                 build_rho_orthonormal(field, r, 1)
             )
         else:
+            # Raises for the infeasible and the open cases.
             seed = total_symmetry_seed(field, r, n)
             simplex = rho_simplex_from_orthonormal(seed.seq)
     return frame_from_simplex(simplex)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import FieldTag, max_abs, relation_residual, require_finite
+from .linalg import FieldTag, relation_residual, require_finite
 from .radon_hurwitz import RhoOrthonormalSeq, verify_rho_orthonormal
 
 
@@ -80,55 +80,8 @@ def rho_simplex_from_orthonormal(seq: RhoOrthonormalSeq) -> RhoSimplex:
     return RhoSimplex(seq.field, r, m + 2, blocks)
 
 
-def normalize_rho_simplex(s: RhoSimplex) -> RhoSimplex:
-    """Left-multiply every member by B_1* so the first member is exactly I."""
-    blocks = s.blocks[0].conj().T @ s.blocks
-    blocks[0] = np.eye(s.r)
-    return RhoSimplex(s.field, s.r, s.n, blocks)
-
-
 def verify_rho_simplex(s: RhoSimplex) -> float:
     """Worst residual of the unitary-simplex relations.  With H = S* S for
     the stacked members S = [B_1 ... B_{n-1}] they are the block identity
     H_ii = I, H_ij + H_ji = -2/(n-2) I, checked by `relation_residual`."""
     return relation_residual(s.blocks, -2.0 / (s.n - 2))[0]
-
-
-def simplex_basis_recovery(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (v_i) with phi_j = sum_i Psi_m(i, j) v_i.
-
-    Input columns must be a regular simplex in a real space (Gram within
-    1e-8 of (mI - J)/(m-1)).  The basis is recovered by classical
-    Gram–Schmidt on the first m-1 columns with one re-orthogonalization
-    pass, which pins down the unique basis with v_1 = phi_1, v_j in the
-    span of the first j columns, and v_{m-1} a positive multiple of
-    phi_{m-1} - phi_m.
-    """
-    v = np.asarray(vectors)
-    if np.iscomplexobj(v):
-        raise InvalidInputError("simplex vectors must live in a real space")
-    if v.ndim != 2:
-        raise ShapeError(f"expected a matrix of column vectors, got shape {v.shape}")
-    require_finite(v, "simplex vector")
-    v = v.astype(np.float64, copy=False)
-    m = v.shape[1]
-    if m < 2:
-        raise DomainError(f"simplex needs m >= 2 vectors, got {m}")
-    gram = v.T @ v
-    target = (m * np.eye(m) - np.ones((m, m))) / (m - 1)
-    residual = max_abs(gram - target)
-    if residual > 1e-8:
-        raise InvalidInputError(
-            f"columns are not a regular simplex (Gram residual {residual:.2e})"
-        )
-    basis: list[np.ndarray] = []
-    for j in range(m - 1):
-        col = v[:, j].copy()
-        for _ in range(2):
-            for u in basis:
-                col -= (u @ col) * u
-        norm = np.linalg.norm(col)
-        if norm < 1e-8:
-            raise InvalidInputError(f"column {j + 1} is degenerate after projection")
-        basis.append(col / norm)
-    return np.column_stack(basis)

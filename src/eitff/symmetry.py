@@ -3,8 +3,8 @@
 A permutation sigma is a symmetry of (U_i) when some unitary Upsilon
 conjugates each projection onto U_i into the projection onto
 U_{sigma(i)}.  This module checks such certificates, manufactures them
-in closed form for the canonical half-dimension codes (transpositions
-from skew simplices, even permutations via a doubling trick), searches
+in closed form for the half-dimension codes (transpositions from skew
+simplices, even permutations from two reflections), searches
 for them numerically through the intertwiner equations, and decides at
 desk scale whether a frame's symmetry group is all of S_n, the
 alternating group, or something smaller.
@@ -33,7 +33,6 @@ from .radon_hurwitz import (
     inflate_real,
     real_base_family,
     rho_number,
-    skew_double,
     tensor,
 )
 from .simplex import RhoSimplex
@@ -98,19 +97,7 @@ class Permutation:
         """self after other: (self . other)(i) = self(other(i))."""
         if self.n != other.n:
             raise ShapeError("cannot compose permutations of different sizes")
-        return Permutation(self.n, tuple(self.apply(other.apply(i)) for i in self._dom()))
-
-    def inverse(self) -> "Permutation":
-        image = [0] * self.n
-        for i in self._dom():
-            image[self.apply(i) - 1] = i
-        return Permutation(self.n, tuple(image))
-
-    def is_identity(self) -> bool:
-        return all(self.apply(i) == i for i in self._dom())
-
-    def _dom(self):
-        return range(1, self.n + 1)
+        return Permutation(self.n, tuple(self.apply(j) for j in other.image))
 
 
 @dataclass(frozen=True)
@@ -236,44 +223,47 @@ def _as_transposition(n: int, t) -> Permutation:
 
 
 def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertificate:
-    """Witness for a product of two transpositions of a canonical frame.
+    """Witness for the product sigma1 . sigma2 of two transpositions of a
+    code with d = 2r, in any basis.
 
-    The frame's simplex blocks are doubled into skew-Hermitian form
-    (`skew_double`), closed-form witnesses for the two transpositions are
-    built there, their rhat-blocks reordered as (1, 4, 2, 3) and
-    multiplied; the product is block diagonal and its upper-left corner
-    acts on the original frame as a witness for sigma1 . sigma2.
+    Set Gamma_i = 2 Pi_i - I.  Tightness at d = 2r gives sum_i Gamma_i = 0,
+    and equi-isoclinism then gives Gamma_i Gamma_j + Gamma_j Gamma_i =
+    -2/(n-1) I for i != j.  So V_ab = sqrt((n-1)/(2n)) (Gamma_a - Gamma_b)
+    is a Hermitian unitary, and conjugating by it sends Pi_i to
+    I - Pi_(a b)(i).  Two such conjugations compose to a witness of
+    (a b)(c d):
+
+        Upsilon = -(2(n-1)/n) (Pi_a - Pi_b)(Pi_c - Pi_d).
+
+    The sign -1 is a convention: on canonical frames it makes Upsilon the
+    product of the `_transposition_matrix` witnesses of the doubled skew
+    simplex, restricted to the frame's space.
+
+    Frames for which Upsilon is not unitary within 1e-8 are refused with
+    `InvalidInputError`; the conjugation residual is the verdict.
     """
-    n, rhat = frame.n, frame.r
+    n = frame.n
     if n < 4:
         raise DomainError(f"even-permutation witnesses need n >= 4, got n={n}")
-    if frame.d != 2 * rhat:
+    if frame.d != 2 * frame.r:
         raise DomainError("frame must have d = 2r")
     sigma1 = _as_transposition(n, sigma1)
     sigma2 = _as_transposition(n, sigma2)
-    p = eitff_params(n)
-    stack = frame.arrays()
-    canonical_res = max(
-        max_abs(stack[-1] - np.eye(2 * rhat, rhat)),
-        max_abs(stack[:-1, :rhat] - p.alpha * np.eye(rhat)),
-    )
-    if canonical_res > 1e-8:
+    projections = _projections(frame)
+
+    def difference(sigma: Permutation) -> np.ndarray:
+        (a, b) = (i for i in range(1, n + 1) if sigma.apply(i) != i)
+        return projections[a - 1] - projections[b - 1]
+
+    ups = (-2.0 * (n - 1) / n) * (difference(sigma1) @ difference(sigma2))
+    defect = max_abs(ups @ ups.conj().T - np.eye(frame.d))
+    if not defect <= 1e-8:
         raise InvalidInputError(
-            f"frame is not in canonical form (residual {canonical_res:.2e})"
+            f"frame is not an EITFF with d = 2r (witness unitarity defect {defect:.2e})"
         )
-
-    doubled = skew_double(stack[:-1, rhat:] / p.beta)
-    # Row and column indices reordering the four rhat-blocks as (1, 4, 2, 3).
-    order = np.concatenate([np.arange(b * rhat, (b + 1) * rhat) for b in (0, 3, 1, 2)])
-
-    def doubled_witness(sigma: Permutation) -> np.ndarray:
-        (j, k) = sorted(i for i in range(1, n + 1) if sigma.apply(i) != i)
-        return _transposition_matrix(doubled, j, k)[np.ix_(order, order)]
-
-    corner = doubled_witness(sigma1)[: 2 * rhat] @ doubled_witness(sigma2)[:, : 2 * rhat]
     sigma = sigma1.compose(sigma2)
-    residual = _conjugation_residual(_projections(frame), sigma, corner)
-    return SymmetryCertificate(sigma, corner, residual)
+    residual = _conjugation_residual(projections, sigma, ups)
+    return SymmetryCertificate(sigma, ups, residual)
 
 
 def find_witness(

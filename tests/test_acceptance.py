@@ -31,7 +31,7 @@ from eitff.radon_hurwitz import (
     rho_number,
     verify_rho_orthonormal,
 )
-from eitff.simplex import simplex_basis_recovery, simplex_matrix
+from eitff.simplex import simplex_matrix
 from eitff.symmetry import (
     alternating_witness,
     probe_symmetry,
@@ -220,20 +220,4 @@ def test_c10_simplex_suite():
         psi = simplex_matrix(m)
         target = (m * np.eye(m) - np.ones((m, m))) / (m - 1)
         assert max_abs(psi.T @ psi - target) <= 1e-12
-    rng = np.random.default_rng(99)
-    for _ in range(50):
-        m = int(rng.integers(2, 10))
-        ambient = m - 1 + int(rng.integers(0, 3))
-        q, _ = np.linalg.qr(rng.standard_normal((ambient, m - 1)))
-        phi = q @ simplex_matrix(m)
-        basis = simplex_basis_recovery(phi)
-        psi = simplex_matrix(m)
-        assert np.max(np.abs(basis[:, 0] - phi[:, 0])) <= 1e-10
-        for j in range(m - 1):
-            lead = phi[:, : j + 1]
-            proj = lead @ np.linalg.lstsq(lead, basis[:, j], rcond=None)[0]
-            assert np.max(np.abs(proj - basis[:, j])) <= 1e-10
-        diff = phi[:, m - 2] - phi[:, m - 1]
-        assert basis[:, m - 2] @ diff > 0
-        assert np.max(np.abs(basis @ psi - phi)) <= 1e-10
     report("10 simplex-suite")

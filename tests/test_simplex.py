@@ -2,17 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from eitff.errors import DomainError, InvalidInputError, ShapeError
 from eitff.linalg import FieldTag, max_abs
 from eitff.radon_hurwitz import GEN, RhoOrthonormalSeq, build_rho_orthonormal, rho_number
 from eitff.simplex import (
     RhoSimplex,
-    normalize_rho_simplex,
     rho_simplex_from_orthonormal,
-    simplex_basis_recovery,
     simplex_matrix,
     verify_rho_simplex,
 )
@@ -97,27 +93,6 @@ class TestRhoSimplexFromOrthonormal:
             assert verify_rho_simplex(s) <= 1e-12
 
 
-class TestNormalize:
-    def test_already_normalized_unchanged(self):
-        s = rho_simplex_from_orthonormal(seq_of(R, GEN.I, GEN.R))
-        out = normalize_rho_simplex(s)
-        assert max_abs(s.blocks - out.blocks) <= 1e-15
-
-    def test_scalar_pair(self):
-        s = RhoSimplex(C, 1, 3, np.array([[[1j]], [[-1j]]]))
-        out = normalize_rho_simplex(s)
-        assert out.blocks[0, 0, 0] == 1.0
-        assert abs(out.blocks[1, 0, 0] + 1.0) <= 1e-15
-
-    def test_residual_preserved(self):
-        seq = build_rho_orthonormal(C, 4, 4)
-        s = rho_simplex_from_orthonormal(seq)
-        before = verify_rho_simplex(s)
-        out = normalize_rho_simplex(s)
-        assert max_abs(out.blocks[0] - np.eye(4)) == 0.0
-        assert verify_rho_simplex(out) <= before + 1e-13
-
-
 class TestVerifySimplex:
     def test_identity_pair_residual_four(self):
         assert verify_rho_simplex(RhoSimplex(R, 2, 3, np.stack([GEN.I, GEN.I]))) == 4.0
@@ -142,66 +117,3 @@ class TestRhoSimplexContainer:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(InvalidInputError, match="must be finite"):
             RhoSimplex(R, 1, 3, np.array([[[1.0]], [[np.nan]]]))
-
-
-class TestBasisRecovery:
-    def test_psi_columns_give_standard_basis(self):
-        basis = simplex_basis_recovery(simplex_matrix(5))
-        assert max_abs(basis - np.eye(4)) <= 1e-12
-
-    def test_two_vectors(self):
-        phi = np.array([[0.6, -0.6], [0.8, -0.8]])
-        basis = simplex_basis_recovery(phi)
-        assert basis.shape == (2, 1)
-        assert max_abs(basis[:, 0] - phi[:, 0]) <= 1e-12
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_rotated_simplex_properties(self, seed):
-        m = 4
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((m + 1, m - 1)))
-        phi = q @ simplex_matrix(m)
-        basis = simplex_basis_recovery(phi)
-        self._check_properties(phi, basis, m)
-
-    @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_recovery_properties_random(self, m, seed):
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((m + 1, m - 1)))
-        phi = q @ simplex_matrix(m)
-        basis = simplex_basis_recovery(phi)
-        self._check_properties(phi, basis, m)
-
-    @staticmethod
-    def _check_properties(phi, basis, m, tol=1e-10):
-        psi = simplex_matrix(m)
-        # (a) first basis vector is the first simplex vector
-        assert np.max(np.abs(basis[:, 0] - phi[:, 0])) <= tol
-        # (b) v_j lies in the span of the first j simplex vectors
-        for j in range(m - 1):
-            lead = phi[:, : j + 1]
-            proj = lead @ np.linalg.lstsq(lead, basis[:, j], rcond=None)[0]
-            assert np.max(np.abs(proj - basis[:, j])) <= tol
-        # (c) last basis vector is a positive multiple of phi_{m-1} - phi_m
-        diff = phi[:, m - 2] - phi[:, m - 1]
-        assert basis[:, m - 2] @ diff > 0
-        cross = diff - (basis[:, m - 2] @ diff) * basis[:, m - 2]
-        assert np.max(np.abs(cross)) <= tol
-        # reconstruction through the coefficient matrix
-        recon = basis @ psi
-        assert np.max(np.abs(recon - phi)) <= tol
-
-    def test_rejects_non_simplex(self):
-        with pytest.raises(InvalidInputError):
-            simplex_basis_recovery(np.eye(3))
-
-    def test_rejects_complex_vectors(self):
-        with pytest.raises(InvalidInputError):
-            simplex_basis_recovery(simplex_matrix(3).astype(np.complex128))
-
-    def test_rejects_non_finite_vectors(self):
-        phi = simplex_matrix(3)
-        phi[0, 1] = np.inf
-        with pytest.raises(InvalidInputError, match="must be finite"):
-            simplex_basis_recovery(phi)
