@@ -207,6 +207,14 @@ class TestBuild:
         frame3 = build_eitff(R, 3, 3, "totally_symmetric")
         assert verify_eitff(frame3).passed
 
+    @pytest.mark.parametrize("field,r,n", [(C, 1, 4), (C, 2, 6), (C, 4, 8), (R, 8, 10)])
+    def test_totally_symmetric_infeasible_rejected(self, field, r, n):
+        # A code exists (n <= rho + 2) but no totally symmetric one does.
+        assert verify_eitff(build_eitff(field, r, n)).passed
+        with pytest.raises(InfeasibleParametersError, match="no totally symmetric code") as info:
+            build_eitff(field, r, n, "totally_symmetric")
+        assert info.value.bound == "total symmetry"
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(DomainError):
             build_eitff(R, 2, 4, "fancy")

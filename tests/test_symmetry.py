@@ -235,6 +235,50 @@ class TestAlternatingWitness:
             assert max_abs(u.conj().T @ u - np.eye(2 * r)) <= 1e-12
             assert check_certificate(frame, cert) == cert.residual
 
+    @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (C, 4, 8), (R, 16, 11), (C, 32, 14)])
+    def test_reflection_identities(self, field, r, n):
+        """The derivation behind the formula, on a rotated code: with
+        Gamma_i = 2 Pi_i - I, sum Gamma_i = 0, the anticommutators are
+        -2/(n-1) I, and V_ab = sqrt((n-1)/(2n)) (Gamma_a - Gamma_b) is a
+        Hermitian unitary sending Pi_i to I - Pi_(a b)(i)."""
+        frame = rotated_code(field, r, n, seed=n)
+        eye = np.eye(2 * r)
+        projections = _projections(frame)
+        gammas = 2 * projections - eye
+        assert max_abs(gammas.sum(axis=0)) <= 1e-10
+        for i, j in [(0, 1), (0, n - 1), (n - 2, n - 1)]:
+            anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+            assert max_abs(anti + 2.0 / (n - 1) * eye) <= 1e-10
+        for a, b in [(1, 2), (1, n), (n - 1, n)]:
+            v = np.sqrt((n - 1) / (2 * n)) * (gammas[a - 1] - gammas[b - 1])
+            assert max_abs(v - v.conj().T) <= 1e-12
+            assert max_abs(v @ v - eye) <= 1e-10
+            swap = Permutation.transposition(n, a, b)
+            for i in range(1, n + 1):
+                image = projections[swap.apply(i) - 1]
+                assert max_abs(v @ projections[i - 1] @ v - (eye - image)) <= 1e-10
+
+    @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (C, 1, 4), (R, 8, 10), (C, 32, 14)])
+    def test_covariant_under_change_of_basis(self, field, r, n):
+        """Rotating the code by Q conjugates every witness by Q."""
+        code = build_eitff(field, r, n)
+        q = random_orthogonal(2 * r, n) if field is R else random_unitary(2 * r, n)
+        rotated = rotated_code(field, r, n, seed=n)
+        for t1, t2 in [((1, 2), (2, 3)), ((1, n), (2, n - 1)), ((2, n), (n - 1, n))]:
+            want = q @ alternating_witness(code, t1, t2).upsilon @ q.conj().T
+            cert = alternating_witness(rotated, t1, t2)
+            assert max_abs(cert.upsilon - want) <= 1e-10
+            assert cert.residual <= 1e-10
+
+    @pytest.mark.parametrize(
+        "field,r,n,seed", [(C, 2, 4, 0), (R, 4, 6, 1), (C, 8, 5, 2), (R, 32, 14, 3)]
+    )
+    def test_rejects_random_frames(self, field, r, n, seed):
+        """Random d = 2r frames, also past the search cap, are not EITFFs."""
+        frame = random_subspace_frame(field, 2 * r, r, n, seed=seed)
+        with pytest.raises(InvalidInputError, match="not an EITFF"):
+            alternating_witness(frame, (1, 2), (2, 3))
+
     def test_rejects_non_canonical_frame(self):
         frame = random_subspace_frame(R, 4, 2, 4, seed=3)
         with pytest.raises(InvalidInputError):
