@@ -24,7 +24,6 @@ from .errors import (
     DomainError,
     InfeasibleParametersError,
     InvalidInputError,
-    NumericError,
     ShapeError,
 )
 from .linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
@@ -174,8 +173,7 @@ def build_eitff(
                 f"n <= rho+1 violated: n={n}, rho_{field.value}({r})={rho}",
                 bound="n <= rho+1",
             )
-        skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1))
-        simplex = rho_simplex_from_orthonormal(skews)
+        simplex = rho_simplex_from_orthonormal(_skew_members(field, r, n - 2))
     else:
         from .symmetry import total_symmetry_seed
 
@@ -192,13 +190,12 @@ def build_eitff(
     return frame_from_simplex(simplex)
 
 
-def _drop_identity_member(seq: RhoOrthonormalSeq) -> RhoOrthonormalSeq:
-    """Remove the (unique) identity member; the rest are skew-Hermitian."""
-    eye = np.eye(seq.r)
-    for i, m in enumerate(seq.stack()):
-        if max_abs(m - eye) <= 1e-12:
-            return RhoOrthonormalSeq(seq.field, seq.r, seq.mats[:i] + seq.mats[i + 1 :])
-    raise NumericError("built family unexpectedly lacks an identity member")
+def _skew_members(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
+    """The m skew-Hermitian members of the built family of length m + 1,
+    whose identity member is first over R and last over C
+    (`build_rho_orthonormal`)."""
+    mats = build_rho_orthonormal(field, r, m + 1).mats
+    return RhoOrthonormalSeq(field, r, mats[1:] if field is FieldTag.REAL else mats[:-1])
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:

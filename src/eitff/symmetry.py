@@ -3,11 +3,16 @@
 A permutation sigma is a symmetry of (U_i) when some unitary Upsilon
 conjugates each projection onto U_i into the projection onto
 U_{sigma(i)}.  This module checks such certificates, manufactures them
-in closed form for the half-dimension codes (transpositions from skew
-simplices, even permutations from two reflections), searches
-for them numerically through the intertwiner equations, and decides at
-desk scale whether a frame's symmetry group is all of S_n, the
-alternating group, or something smaller.
+in closed form for the half-dimension codes, searches for them
+numerically through the intertwiner equations, and decides at desk
+scale whether a frame's symmetry group is all of S_n, the alternating
+group, or something smaller.
+
+Every closed-form witness comes from one identity: for a code with
+d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with
+V_ab Pi_i V_ab = I - Pi_(a b)(i).  A transposition of a skew code is
+witnessed by S V_ab, with S the swap of the two r-blocks, and a product
+of two transpositions of any code by -V_ab V_cd.
 """
 
 from __future__ import annotations
@@ -24,11 +29,10 @@ from .errors import (
     UnknownFeasibilityError,
 )
 from .linalg import FieldTag, Mat, max_abs, nullspace, polar_unitary, require_finite
-from .frames import FusionFrame, _drop_identity_member, eitff_params, frame_from_simplex
+from .frames import FusionFrame, _skew_members, frame_from_simplex
 from .radon_hurwitz import (
     GEN,
     RhoOrthonormalSeq,
-    build_rho_orthonormal,
     decompose_r,
     inflate_real,
     real_base_family,
@@ -175,9 +179,29 @@ def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
     return _conjugation_residual(_projections(frame), cert.sigma, cert.upsilon)
 
 
+def _reflection(projections: np.ndarray, a: int, b: int) -> np.ndarray:
+    """V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) for the (n, d, d) projection
+    stack of a code with d = 2r; a and b are 1-indexed.
+
+    Set Gamma_i = 2 Pi_i - I.  Tightness at d = 2r gives sum_i Gamma_i = 0,
+    and equi-isoclinism then gives Gamma_i Gamma_j + Gamma_j Gamma_i =
+    -2/(n-1) I for i != j.  So V_ab = sqrt((n-1)/(2n)) (Gamma_a - Gamma_b)
+    is a Hermitian unitary, and conjugating by it sends Pi_i to
+    I - Pi_(a b)(i).  Every closed-form witness is built from it.
+    """
+    n = len(projections)
+    return np.sqrt(2.0 * (n - 1) / n) * (projections[a - 1] - projections[b - 1])
+
+
 def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertificate:
-    """Closed-form witness for the transposition (j k) of the frame built
-    from a skew-Hermitian unitary simplex."""
+    """Closed-form witness S V_jk for the transposition (j k) of the frame
+    built from a skew-Hermitian unitary simplex, where V_jk is
+    `_reflection` and S = [[0, I], [I, 0]] swaps the two r-blocks.
+
+    On a skew canonical frame S Pi_i S = I - Pi_i for every i, so S undoes
+    the complement that V_jk introduces.  Non-skew simplices are refused
+    with `InvalidInputError`.
+    """
     n = simplex.n
     if not (1 <= j < k <= n):
         raise DomainError(f"need 1 <= j < k <= {n}, got j={j}, k={k}")
@@ -187,81 +211,42 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
         )
-    ups = _transposition_matrix(blocks, j, k)
+    projections = _projections(frame_from_simplex(simplex))
+    v = _reflection(projections, j, k)
+    r = simplex.r
+    ups = np.concatenate([v[r:], v[:r]])
     sigma = Permutation.transposition(n, j, k)
-    frame = frame_from_simplex(simplex)
-    residual = _conjugation_residual(_projections(frame), sigma, ups)
+    residual = _conjugation_residual(projections, sigma, ups)
     return SymmetryCertificate(sigma, ups, residual)
 
 
-def _transposition_matrix(blocks: np.ndarray, j: int, k: int) -> np.ndarray:
-    """Closed-form witness of the transposition (j k), j < k, for the frame
-    of the skew-Hermitian simplex whose (n-1, r, r) members B_1 ... B_{n-1}
-    are `blocks`.
-
-    For k < n the witness is alpha * blkdiag(B_j - B_k, B_k - B_j); for
-    k = n it is the block matrix [[alpha B_j, beta I], [-beta I, -alpha B_j]].
-    """
-    n = len(blocks) + 1
-    p = eitff_params(n)
-    if k < n:
-        diff = blocks[j - 1] - blocks[k - 1]
-        zero = np.zeros_like(diff)
-        return np.block([[p.alpha * diff, zero], [zero, -p.alpha * diff]])
-    bj, eye = blocks[j - 1], np.eye(len(blocks[j - 1]))
-    return np.block([[p.alpha * bj, p.beta * eye], [-p.beta * eye, -p.alpha * bj]])
-
-
-def _as_transposition(n: int, t) -> Permutation:
-    if isinstance(t, Permutation):
-        moved = [i for i in range(1, n + 1) if t.apply(i) != i]
-        if len(moved) != 2:
-            raise DomainError(f"{t.image} is not a transposition")
-        return t
-    j, k = t
-    return Permutation.transposition(n, min(j, k), max(j, k))
-
-
 def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertificate:
-    """Witness for the product sigma1 . sigma2 of two transpositions of a
-    code with d = 2r, in any basis.
+    """Witness -V_ab V_cd for the product (a b)(c d) of two transpositions,
+    given as pairs, of a code with d = 2r, in any basis; V is `_reflection`.
 
-    Set Gamma_i = 2 Pi_i - I.  Tightness at d = 2r gives sum_i Gamma_i = 0,
-    and equi-isoclinism then gives Gamma_i Gamma_j + Gamma_j Gamma_i =
-    -2/(n-1) I for i != j.  So V_ab = sqrt((n-1)/(2n)) (Gamma_a - Gamma_b)
-    is a Hermitian unitary, and conjugating by it sends Pi_i to
-    I - Pi_(a b)(i).  Two such conjugations compose to a witness of
-    (a b)(c d):
+    Two conjugations by reflections send Pi_i to Pi_(a b)(c d)(i).  Each
+    pair is put in (min, max) order, and the sign -1 is a convention: on
+    canonical frames it makes Upsilon the product of the block witnesses
+    of the doubled skew simplex, restricted to the frame's space.
 
-        Upsilon = -(2(n-1)/n) (Pi_a - Pi_b)(Pi_c - Pi_d).
-
-    The sign -1 is a convention: on canonical frames it makes Upsilon the
-    product of the `_transposition_matrix` witnesses of the doubled skew
-    simplex, restricted to the frame's space.
-
-    Frames for which Upsilon is not unitary within 1e-8 are refused with
-    `InvalidInputError`; the conjugation residual is the verdict.
+    Pairs that are not two distinct indices in [1, n] are refused with
+    `DomainError`, frames for which Upsilon is not unitary within 1e-8
+    with `InvalidInputError`; the conjugation residual is the verdict.
     """
     n = frame.n
     if n < 4:
         raise DomainError(f"even-permutation witnesses need n >= 4, got n={n}")
     if frame.d != 2 * frame.r:
         raise DomainError("frame must have d = 2r")
-    sigma1 = _as_transposition(n, sigma1)
-    sigma2 = _as_transposition(n, sigma2)
+    (a, b), (c, d) = sorted(sigma1), sorted(sigma2)
+    sigma = Permutation.transposition(n, a, b).compose(Permutation.transposition(n, c, d))
     projections = _projections(frame)
-
-    def difference(sigma: Permutation) -> np.ndarray:
-        (a, b) = (i for i in range(1, n + 1) if sigma.apply(i) != i)
-        return projections[a - 1] - projections[b - 1]
-
-    ups = (-2.0 * (n - 1) / n) * (difference(sigma1) @ difference(sigma2))
+    ups = -_reflection(projections, a, b) @ _reflection(projections, c, d)
     defect = max_abs(ups @ ups.conj().T - np.eye(frame.d))
     if not defect <= 1e-8:
         raise InvalidInputError(
             f"frame is not an EITFF with d = 2r (witness unitarity defect {defect:.2e})"
         )
-    sigma = sigma1.compose(sigma2)
     residual = _conjugation_residual(projections, sigma, ups)
     return SymmetryCertificate(sigma, ups, residual)
 
@@ -433,7 +418,7 @@ def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
     rho = rho_number(field, r)
     eye = np.eye(r)[None]
     if n <= rho + 1:
-        skews = _drop_identity_member(build_rho_orthonormal(field, r, n - 1)).stack()
+        skews = _skew_members(field, r, n - 2).stack()
         seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, skews[: n - 3]]))
         return TotalSymmetrySeed(field, r, n, seq, skews[n - 4] @ skews[n - 3])
 

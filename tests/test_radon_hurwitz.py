@@ -229,6 +229,18 @@ class TestBuildRhoOrthonormal:
                 assert len(hits) == 1
 
     @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("r", [1, 2, 3, 8, 16])
+    def test_identity_slot(self, field, r):
+        """The identity is exactly the first member over R and the last over
+        C, for every length; the other members are skew-Hermitian."""
+        for m in range(1, rho_number(field, r) + 1):
+            stack = build_rho_orthonormal(field, r, m).stack()
+            slot = 0 if field is R else m - 1
+            assert max_abs(stack[slot] - np.eye(r)) == 0.0
+            others = np.delete(stack, slot, axis=0)
+            assert max_abs(others.conj().swapaxes(1, 2) + others) == 0.0
+
+    @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64])
     def test_maximal_families_to_r64(self, field, r):
         seq = build_rho_orthonormal(field, r, rho_number(field, r))

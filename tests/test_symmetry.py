@@ -33,7 +33,6 @@ from eitff.symmetry import (
     _conjugation_residual,
     _normal_operator,
     _projections,
-    _transposition_matrix,
     alternating_witness,
     check_certificate,
     find_witness,
@@ -116,6 +115,28 @@ class TestCheckCertificate:
             check_certificate(example_frame, cert)
 
 
+def block_transposition_matrix(blocks, j, k):
+    """Reference witness of (j k), j < k, for the frame of the skew simplex
+    B_1 ... B_{n-1} = `blocks`: alpha * blkdiag(B_j - B_k, B_k - B_j) for
+    k < n, [[alpha B_j, beta I], [-beta I, -alpha B_j]] for k = n."""
+    n = len(blocks) + 1
+    p = eitff_params(n)
+    if k < n:
+        diff = blocks[j - 1] - blocks[k - 1]
+        zero = np.zeros_like(diff)
+        return np.block([[p.alpha * diff, zero], [zero, -p.alpha * diff]])
+    bj, eye = blocks[j - 1], np.eye(len(blocks[j - 1]))
+    return np.block([[p.alpha * bj, p.beta * eye], [-p.beta * eye, -p.alpha * bj]])
+
+
+def block_swap_defect(field, r, n, variant):
+    """max_i |S Pi_i S - (I - Pi_i)| on the canonical form of a built code,
+    where S = [[0, I], [I, 0]] swaps the two r-blocks."""
+    projections = _projections(canonicalize(build_eitff(field, r, n, variant))[0])
+    swapped = np.roll(projections, r, axis=(1, 2))
+    return max_abs(swapped - (np.eye(2 * r) - projections))
+
+
 class TestTranspositionWitness:
     def test_scalar_simplex_inner_pair(self):
         cert = transposition_witness(scalar_skew_simplex(), 1, 2)
@@ -137,9 +158,12 @@ class TestTranspositionWitness:
             transposition_witness(simplex, 1, 2)
 
     @pytest.mark.parametrize(
-        "field,r,n", [(C, 1, 3), (R, 2, 3), (C, 2, 5), (R, 4, 5), (R, 8, 9), (C, 16, 11)]
+        "field,r,n",
+        [(C, 1, 3), (R, 2, 3), (C, 2, 5), (R, 4, 5), (R, 8, 9), (C, 16, 11), (R, 64, 13)],
     )
     def test_all_transpositions_of_skew_frames(self, field, r, n):
+        """S V_jk equals the two-branch block formula, also past the search
+        cap (R64 n=13, d = 128)."""
         frame = build_eitff(field, r, n, "skew")
         _, simplex = canonicalize(frame)
         for j in range(1, n + 1):
@@ -149,6 +173,20 @@ class TestTranspositionWitness:
                 u = cert.upsilon
                 assert u.dtype == simplex.blocks.dtype
                 assert max_abs(u.conj().T @ u - np.eye(2 * r)) <= 1e-10
+                want = block_transposition_matrix(simplex.blocks, j, k)
+                assert max_abs(u - want) <= 4 * r * np.finfo(float).eps
+
+    @pytest.mark.parametrize("field,r,n", [(R, 8, 9), (C, 4, 5)])
+    def test_block_swap_complements_skew_frames(self, field, r, n):
+        """S Pi_i S = I - Pi_i on a canonical skew frame: the premise of
+        the witness S V_jk."""
+        assert block_swap_defect(field, r, n, "skew") <= 1e-12
+
+    @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (C, 4, 6)])
+    def test_block_swap_fails_on_generic_frames(self, field, r, n):
+        """On canonical generic frames S Pi_i S is far from I - Pi_i, which
+        is why non-skew simplices are refused."""
+        assert block_swap_defect(field, r, n, "generic") > 0.5
 
 
 def permutation_matrix_alternating(frame, t1, t2):
@@ -166,7 +204,7 @@ def permutation_matrix_alternating(frame, t1, t2):
     perm = np.zeros((4 * rhat, 4 * rhat))
     for new, old in enumerate((0, 3, 1, 2)):
         perm[new * rhat : (new + 1) * rhat, old * rhat : (old + 1) * rhat] = np.eye(rhat)
-    w1, w2 = (perm @ _transposition_matrix(doubled, *t) @ perm.T for t in (t1, t2))
+    w1, w2 = (perm @ block_transposition_matrix(doubled, *t) @ perm.T for t in (t1, t2))
     return (w1 @ w2)[: 2 * rhat, : 2 * rhat]
 
 
@@ -182,8 +220,8 @@ class TestAlternatingWitness:
                 *sorted(rng.choice(np.arange(1, n + 1), 2, replace=False)),
             )
             pairs.append(((int(j1), int(k1)), (int(j2), int(k2))))
-        # The witness multiplies only the used corner, in the frame's dtype:
-        # equal to the full complex product up to rounding of 4r-term sums.
+        # The reference takes the used corner of a complex product of
+        # doubled witnesses: equal up to rounding of 4r-term sums.
         for t1, t2 in pairs:
             cert = alternating_witness(frame, t1, t2)
             want = permutation_matrix_alternating(frame, t1, t2)
@@ -271,7 +309,8 @@ class TestAlternatingWitness:
             assert cert.residual <= 1e-10
 
     @pytest.mark.parametrize(
-        "field,r,n,seed", [(C, 2, 4, 0), (R, 4, 6, 1), (C, 8, 5, 2), (R, 32, 14, 3)]
+        "field,r,n,seed",
+        [(R, 2, 4, 3), (C, 2, 4, 0), (R, 4, 6, 1), (C, 8, 5, 2), (R, 32, 14, 3)],
     )
     def test_rejects_random_frames(self, field, r, n, seed):
         """Random d = 2r frames, also past the search cap, are not EITFFs."""
@@ -279,10 +318,19 @@ class TestAlternatingWitness:
         with pytest.raises(InvalidInputError, match="not an EITFF"):
             alternating_witness(frame, (1, 2), (2, 3))
 
-    def test_rejects_non_canonical_frame(self):
-        frame = random_subspace_frame(R, 4, 2, 4, seed=3)
-        with pytest.raises(InvalidInputError):
-            alternating_witness(frame, (1, 2), (3, 4))
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 2), (2, 5)])
+    def test_rejects_bad_pairs(self, example_frame, pair):
+        with pytest.raises(DomainError):
+            alternating_witness(example_frame, pair, (1, 2))
+        with pytest.raises(DomainError):
+            alternating_witness(example_frame, (1, 2), pair)
+
+    def test_reversed_pair_keeps_sign(self, example_frame):
+        want = alternating_witness(example_frame, (1, 2), (3, 4))
+        for t1, t2 in [((2, 1), (3, 4)), ((1, 2), (4, 3)), ((2, 1), (4, 3))]:
+            cert = alternating_witness(example_frame, t1, t2)
+            assert cert.sigma == want.sigma
+            assert max_abs(cert.upsilon - want.upsilon) == 0.0
 
     def test_rejects_small_n(self):
         frame = build_eitff(R, 2, 3)
