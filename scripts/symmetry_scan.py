@@ -14,19 +14,15 @@ import argparse
 from eitff.errors import InfeasibleParametersError, UnknownFeasibilityError
 from eitff.frames import build_eitff
 from eitff.linalg import FieldTag
-from eitff.radon_hurwitz import rho_number
-from eitff.symmetry import probe_symmetry, totally_symmetric_exists
+from eitff.radon_hurwitz import VARIANTS, rho_number, totally_symmetric_exists
+from eitff.symmetry import probe_symmetry
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rs", default="1,2,3,4", help="comma-separated subspace dimensions")
     parser.add_argument("--fields", default="RC", help="subset of 'RC'")
-    parser.add_argument(
-        "--variant",
-        default="generic",
-        choices=("generic", "skew", "totally_symmetric"),
-    )
+    parser.add_argument("--variant", default="generic", choices=VARIANTS)
     parser.add_argument("--max-n", type=int, default=8, help="largest n to scan")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -40,7 +36,7 @@ def main() -> None:
         for r in rs:
             rho = rho_number(field, r)
             for n in range(3, min(rho + 2, args.max_n) + 1):
-                exists = totally_symmetric_exists(field, r, n)
+                exists = totally_symmetric_exists(field, r, n)[0]
                 try:
                     frame = build_eitff(field, r, n, args.variant)
                 except (InfeasibleParametersError, UnknownFeasibilityError):

@@ -32,14 +32,13 @@ from .frames import (
     verify_eitff,
 )
 from .linalg import FieldTag
-from .radon_hurwitz import decompose_r, rho_number
+from .radon_hurwitz import VARIANTS, decompose_r, rho_number, totally_symmetric_exists
 from .symmetry import (
     Permutation,
     SymmetryCertificate,
     check_certificate,
     find_witness,
     probe_symmetry,
-    totally_symmetric_exists,
 )
 
 def _positive_int(text: str) -> int:
@@ -75,11 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--field", choices=("R", "C"), required=True)
     p_build.add_argument("--r", type=_positive_int, required=True)
     p_build.add_argument("--n", type=_positive_int, required=True)
-    p_build.add_argument(
-        "--variant",
-        choices=("generic", "skew", "totally_symmetric"),
-        default="generic",
-    )
+    p_build.add_argument("--variant", choices=VARIANTS, default="generic")
     p_build.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_build.set_defaults(func=cmd_build)
 
@@ -147,11 +142,7 @@ def cmd_rho(args) -> int:
 
 
 def cmd_build(args) -> int:
-    field = FieldTag(args.field)
-    if args.n < 3:
-        print(f"usage error: need n >= 3, got {args.n}", file=sys.stderr)
-        return 2
-    frame = build_eitff(field, args.r, args.n, args.variant)
+    frame = build_eitff(FieldTag(args.field), args.r, args.n, args.variant)
     metadata = {
         "variant": args.variant,
         "field": args.field,
@@ -250,27 +241,13 @@ def cmd_exists(args) -> int:
     if args.n < 3:
         print(f"usage error: need n >= 3, got {args.n}", file=sys.stderr)
         return 2
-    rho = rho_number(field, args.r)
-    if not args.total:
-        answer = "yes" if args.n <= rho + 2 else "no"
-        print(f"{answer} (existence bound n <= rho+2, rho={rho})")
-        return 0
-    status = totally_symmetric_exists(field, args.r, args.n)
-    if field is FieldTag.COMPLEX:
-        rule = f"complex total-symmetry bound n <= rho+1, rho={rho}"
-    elif args.n <= rho + 1:
-        rule = f"skew-simplex construction at n <= rho+1, rho={rho}"
-    elif args.n == rho + 2:
-        c = decompose_r(args.r).c
-        if status == "yes":
-            rule = f"boundary construction at n = rho+2 (c={c})"
-        elif status == "no":
-            rule = f"complex obstruction at n = rho+2 (c={c})"
-        else:
-            rule = f"open case at n = rho+2 (c={c})"
+    if args.total:
+        answer, rule = totally_symmetric_exists(field, args.r, args.n)
     else:
+        rho = rho_number(field, args.r)
+        answer = "yes" if args.n <= rho + 2 else "no"
         rule = f"existence bound n <= rho+2, rho={rho}"
-    print(f"{status} ({rule})")
+    print(f"{answer} ({rule})")
     return 0
 
 

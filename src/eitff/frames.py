@@ -20,17 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleParametersError,
-    InvalidInputError,
-    ShapeError,
-)
+from .errors import DomainError, InvalidInputError, ShapeError
 from .linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
-from .radon_hurwitz import RhoOrthonormalSeq, build_rho_orthonormal, rho_number
+from .radon_hurwitz import variant_family
 from .simplex import RhoSimplex, rho_simplex_from_orthonormal
-
-VARIANTS = ("generic", "skew", "totally_symmetric")
 
 # Cross-Gram pairs whose smallest singular value exceeds this are treated
 # as coming from identical subspaces.
@@ -145,57 +138,10 @@ def frame_from_simplex(s: RhoSimplex) -> FusionFrame:
     return FusionFrame.from_arrays(s.field, phis)
 
 
-def build_eitff(
-    field: FieldTag, r: int, n: int, variant: str = "generic"
-) -> FusionFrame:
-    """Optimal code of n subspaces of dimension r in F^{2r}.
-
-    generic        exists iff n <= rho_F(r) + 2
-    skew           all B_i skew-Hermitian; exists iff n <= rho_F(r) + 1
-    totally_symmetric  every permutation is an automorphism; existence
-                   depends on field and the dyadic type of r
-    """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    if n < 3:
-        raise DomainError(f"need n >= 3 subspaces, got n={n}")
-    rho = rho_number(field, r)
-    if variant == "generic":
-        if n > rho + 2:
-            raise InfeasibleParametersError(
-                f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
-                bound="n <= rho+2",
-            )
-        simplex = rho_simplex_from_orthonormal(build_rho_orthonormal(field, r, n - 2))
-    elif variant == "skew":
-        if n > rho + 1:
-            raise InfeasibleParametersError(
-                f"n <= rho+1 violated: n={n}, rho_{field.value}({r})={rho}",
-                bound="n <= rho+1",
-            )
-        simplex = rho_simplex_from_orthonormal(_skew_members(field, r, n - 2))
-    else:
-        from .symmetry import total_symmetry_seed
-
-        if n == 3:
-            # Three subspaces are trivially totally symmetric; the generic
-            # construction already delivers them.
-            simplex = rho_simplex_from_orthonormal(
-                build_rho_orthonormal(field, r, 1)
-            )
-        else:
-            # Raises for the infeasible and the open cases.
-            seed = total_symmetry_seed(field, r, n)
-            simplex = rho_simplex_from_orthonormal(seed.seq)
-    return frame_from_simplex(simplex)
-
-
-def _skew_members(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
-    """The m skew-Hermitian members of the built family of length m + 1,
-    whose identity member is first over R and last over C
-    (`build_rho_orthonormal`)."""
-    mats = build_rho_orthonormal(field, r, m + 1).mats
-    return RhoOrthonormalSeq(field, r, mats[1:] if field is FieldTag.REAL else mats[:-1])
+def build_eitff(field: FieldTag, r: int, n: int, variant: str = "generic") -> FusionFrame:
+    """Optimal code of n subspaces of dimension r in F^{2r} of the given
+    variant, built from the family `variant_family` picks and checks."""
+    return frame_from_simplex(rho_simplex_from_orthonormal(variant_family(field, r, n, variant)))
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ explicit families of every admissible length over both fields:
 * real families come from transcribed tensor-product generators for
   sizes 2, 4, 8, 16 and an inflation step that trades size 16r for
   eight extra members.
+
+Every half-dimension optimal code is built from such a family: this
+module also picks the family of each code variant (`variant_family`) and
+decides total symmetry, with the seed data that certifies it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,16 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, relation_residual, require_finite
+from .errors import (
+    DomainError,
+    InfeasibleParametersError,
+    InvalidInputError,
+    ShapeError,
+    UnknownFeasibilityError,
+)
+from .linalg import FieldTag, Mat, max_abs, relation_residual, require_finite
+
+VARIANTS = ("generic", "skew", "totally_symmetric")
 
 
 @dataclass(frozen=True)
@@ -259,3 +271,171 @@ def verify_rho_orthonormal(seq: RhoOrthonormalSeq) -> float:
     checked one block row at a time by `relation_residual`.
     """
     return relation_residual(seq.stack(), 0.0)[0]
+
+
+def _skew_members(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
+    """The m skew-Hermitian members of the built family of length m + 1,
+    whose identity member is first over R and last over C
+    (`build_rho_orthonormal`)."""
+    mats = build_rho_orthonormal(field, r, m + 1).mats
+    return RhoOrthonormalSeq(field, r, mats[1:] if field is FieldTag.REAL else mats[:-1])
+
+
+@dataclass(frozen=True)
+class TotalSymmetrySeed:
+    """Generators certifying full permutation symmetry.
+
+    `seq` is an anticommuting unitary family of length n-2 whose first
+    member is the identity; `u` is an r x r unitary array commuting with
+    every member except the last, with which it anticommutes.  Such a
+    pair upgrades the always-present even symmetries to all of S_n.
+    """
+
+    field: FieldTag
+    r: int
+    n: int
+    seq: RhoOrthonormalSeq
+    u: np.ndarray
+
+    def __post_init__(self):
+        mats = self.seq.stack()
+        if len(mats) != self.n - 2:
+            raise ShapeError(
+                f"seed for n={self.n} needs {self.n - 2} generators, got {len(mats)}"
+            )
+        if max_abs(mats[0] - np.eye(self.r)) > 0.0:
+            raise InvalidInputError("first generator must be exactly the identity")
+        u = self.u
+        require_finite(u, "witness")
+        for i, c in enumerate(mats):
+            want_anti = i == len(mats) - 1
+            resid = max_abs(u @ c + c @ u) if want_anti else max_abs(u @ c - c @ u)
+            if resid > 1e-12:
+                kind = "anticommute with" if want_anti else "commute with"
+                raise InvalidInputError(
+                    f"witness fails to {kind} generator {i + 1} (residual {resid:.2e})"
+                )
+
+
+def totally_symmetric_exists(field: FieldTag, r: int, n: int) -> tuple[str, str]:
+    """Does an optimal code of n half-dimension subspaces with full
+    permutation symmetry exist?  Returns the answer, "yes", "no" or
+    "unknown", and the text of the rule that decides it.
+
+    Over C the answer is yes exactly when n <= rho_C(r) + 1.  Over R the
+    skew construction settles n <= rho_R(r) + 1; at n = rho_R(r) + 2 the
+    answer depends on the dyadic type c of r: yes for c in {0, 1}, no for
+    c = 3, and open for c = 2.
+    """
+    if n < 3:
+        raise DomainError(f"need n >= 3, got {n}")
+    rho = rho_number(field, r)
+    if field is FieldTag.COMPLEX:
+        answer = "yes" if n <= rho + 1 else "no"
+        return answer, f"complex total-symmetry bound n <= rho+1, rho={rho}"
+    if n <= rho + 1:
+        return "yes", f"skew-simplex construction at n <= rho+1, rho={rho}"
+    if n > rho + 2:
+        return "no", f"existence bound n <= rho+2, rho={rho}"
+    c = decompose_r(r).c
+    answer, rule = {
+        0: ("yes", "boundary construction"),
+        1: ("yes", "boundary construction"),
+        2: ("unknown", "open case"),
+        3: ("no", "complex obstruction"),
+    }[c]
+    return answer, f"{rule} at n = rho+2 (c={c})"
+
+
+def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
+    """Generators plus witness unitary certifying total symmetry.
+
+    For n <= rho_F(r) + 1 the seed comes from a family of n - 2 skew
+    anticommuting unitaries D_i: the generators are (I, D_1, ...,
+    D_{n-3}) and the witness is the product D_{n-3} D_{n-2}, which
+    commutes with the earlier D's and anticommutes with D_{n-3}.  The
+    boundary real cases n = rho_R(r) + 2 use explicit tensor data: for r
+    an odd multiple of 2 the witness M (x) I with generator R (x) I, for
+    an odd multiple of 16 the witness I (x) M (x) M (x) M against the
+    eight size-16 generators; larger powers of 16 inflate both.
+    """
+    status = totally_symmetric_exists(field, r, n)[0]
+    if status == "no":
+        raise InfeasibleParametersError(
+            f"no totally symmetric code for field={field.value}, r={r}, n={n}",
+            bound="total symmetry",
+        )
+    if status == "unknown":
+        raise UnknownFeasibilityError(
+            f"existence is open for field={field.value}, r={r}, n={n} "
+            "(dyadic type c=2 at n = rho+2)"
+        )
+    if n == 3:
+        raise InfeasibleParametersError(
+            "seed data needs n >= 4 (nothing can anticommute with the identity); "
+            "3-subspace codes are trivially totally symmetric",
+            bound="n >= 4",
+        )
+    rho = rho_number(field, r)
+    eye = np.eye(r)[None]
+    if n <= rho + 1:
+        skews = _skew_members(field, r, n - 2).stack()
+        seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, skews[: n - 3]]))
+        return TotalSymmetrySeed(field, r, n, seq, skews[n - 4] @ skews[n - 3])
+
+    # Real boundary case n = rho + 2 with c in {0, 1}.
+    dec = decompose_r(r)
+    odd_eye = np.eye(2 * dec.a + 1)
+    if dec.c == 1:
+        u = np.kron(GEN.M, odd_eye)
+        ds = np.kron(GEN.R, odd_eye)[None]
+        inflations = dec.b
+    else:
+        u = np.kron(odd_eye, tensor(GEN.I, GEN.M, GEN.M, GEN.M))
+        ds = np.kron(odd_eye, real_base_family(16))
+        inflations = dec.b - 1
+    for _ in range(inflations):
+        ds = inflate_real(ds)
+        u = np.kron(np.eye(16), u)
+    # Stable sort: the one generator anticommuting with u goes last.
+    # TotalSymmetrySeed checks the commutation pattern.
+    anti = [max_abs(u @ c + c @ u) <= 1e-12 for c in ds]
+    ds = ds[np.argsort(anti, kind="stable")]
+    seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, ds]))
+    return TotalSymmetrySeed(field, r, n, seq, u)
+
+
+def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonormalSeq:
+    """The length n - 2 family that `frames.build_eitff` builds a code of
+    n subspaces of F^{2r} from, and the rule for whether that code exists.
+
+    generic            the built family; n <= rho_F(r) + 2
+    skew               its skew members; n <= rho_F(r) + 1
+    totally_symmetric  the seed generators (`total_symmetry_seed`), or at
+                       n = 3 the one-member family; rule: `totally_symmetric_exists`
+
+    Unknown variants and n < 3 raise `DomainError`, codes that do not
+    exist `InfeasibleParametersError`, the open case `UnknownFeasibilityError`.
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    if n < 3:
+        raise DomainError(f"need n >= 3 subspaces, got n={n}")
+    rho = rho_number(field, r)
+    if variant == "generic":
+        if n > rho + 2:
+            raise InfeasibleParametersError(
+                f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
+                bound="n <= rho+2",
+            )
+        return build_rho_orthonormal(field, r, n - 2)
+    if variant == "skew":
+        if n > rho + 1:
+            raise InfeasibleParametersError(
+                f"n <= rho+1 violated: n={n}, rho_{field.value}({r})={rho}",
+                bound="n <= rho+1",
+            )
+        return _skew_members(field, r, n - 2)
+    if n == 3:
+        return build_rho_orthonormal(field, r, 1)
+    return total_symmetry_seed(field, r, n).seq

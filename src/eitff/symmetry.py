@@ -4,9 +4,10 @@ A permutation sigma is a symmetry of (U_i) when some unitary Upsilon
 conjugates each projection onto U_i into the projection onto
 U_{sigma(i)}.  This module checks such certificates, manufactures them
 in closed form for the half-dimension codes, searches for them
-numerically through the intertwiner equations, and decides at desk
+numerically through the intertwiner equations, and probes at desk
 scale whether a frame's symmetry group is all of S_n, the alternating
-group, or something smaller.
+group, or something smaller.  Whether a totally symmetric code exists
+at all, and the seed that builds one, are decided in `radon_hurwitz`.
 
 Every closed-form witness comes from one identity: for a code with
 d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with
@@ -21,24 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleParametersError,
-    InvalidInputError,
-    ShapeError,
-    UnknownFeasibilityError,
-)
-from .linalg import FieldTag, Mat, max_abs, nullspace, polar_unitary, require_finite
-from .frames import FusionFrame, _skew_members, frame_from_simplex
-from .radon_hurwitz import (
-    GEN,
-    RhoOrthonormalSeq,
-    decompose_r,
-    inflate_real,
-    real_base_family,
-    rho_number,
-    tensor,
-)
+from .errors import DomainError, InvalidInputError, ShapeError
+from .linalg import Mat, max_abs, nullspace, polar_unitary, require_finite
+from .frames import FusionFrame, frame_from_simplex
 from .simplex import RhoSimplex
 
 
@@ -113,42 +99,6 @@ class SymmetryCertificate:
     sigma: Permutation
     upsilon: np.ndarray
     residual: float
-
-
-@dataclass(frozen=True)
-class TotalSymmetrySeed:
-    """Generators certifying full permutation symmetry.
-
-    `seq` is an anticommuting unitary family of length n-2 whose first
-    member is the identity; `u` is an r x r unitary array commuting with
-    every member except the last, with which it anticommutes.  Such a
-    pair upgrades the always-present even symmetries to all of S_n.
-    """
-
-    field: FieldTag
-    r: int
-    n: int
-    seq: RhoOrthonormalSeq
-    u: np.ndarray
-
-    def __post_init__(self):
-        mats = self.seq.stack()
-        if len(mats) != self.n - 2:
-            raise ShapeError(
-                f"seed for n={self.n} needs {self.n - 2} generators, got {len(mats)}"
-            )
-        if max_abs(mats[0] - np.eye(self.r)) > 0.0:
-            raise InvalidInputError("first generator must be exactly the identity")
-        u = self.u
-        require_finite(u, "witness")
-        for i, c in enumerate(mats):
-            want_anti = i == len(mats) - 1
-            resid = max_abs(u @ c + c @ u) if want_anti else max_abs(u @ c - c @ u)
-            if resid > 1e-12:
-                kind = "anticommute with" if want_anti else "commute with"
-                raise InvalidInputError(
-                    f"witness fails to {kind} generator {i + 1} (residual {resid:.2e})"
-                )
 
 
 def _projections(frame: FusionFrame) -> np.ndarray:
@@ -362,86 +312,6 @@ def _search(
         if residual <= tol:
             return SymmetryCertificate(sigma, ups, residual)
     return None
-
-
-def totally_symmetric_exists(field: FieldTag, r: int, n: int) -> str:
-    """Does an optimal code of n half-dimension subspaces with full
-    permutation symmetry exist?  Returns "yes", "no", or "unknown".
-
-    Over C the answer is yes exactly when n <= rho_C(r) + 1.  Over R the
-    skew construction settles n <= rho_R(r) + 1; at n = rho_R(r) + 2 the
-    answer depends on the dyadic type c of r: yes for c in {0, 1}, no for
-    c = 3, and open for c = 2.
-    """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    rho = rho_number(field, r)
-    if field is FieldTag.COMPLEX:
-        return "yes" if n <= rho + 1 else "no"
-    if n <= rho + 1:
-        return "yes"
-    if n == rho + 2:
-        c = decompose_r(r).c
-        return {0: "yes", 1: "yes", 2: "unknown", 3: "no"}[c]
-    return "no"
-
-
-def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
-    """Generators plus witness unitary certifying total symmetry.
-
-    For n <= rho_F(r) + 1 the seed comes from a family of n - 2 skew
-    anticommuting unitaries D_i: the generators are (I, D_1, ...,
-    D_{n-3}) and the witness is the product D_{n-3} D_{n-2}, which
-    commutes with the earlier D's and anticommutes with D_{n-3}.  The
-    boundary real cases n = rho_R(r) + 2 use explicit tensor data: for r
-    an odd multiple of 2 the witness M (x) I with generator R (x) I, for
-    an odd multiple of 16 the witness I (x) M (x) M (x) M against the
-    eight size-16 generators; larger powers of 16 inflate both.
-    """
-    status = totally_symmetric_exists(field, r, n)
-    if status == "no":
-        raise InfeasibleParametersError(
-            f"no totally symmetric code for field={field.value}, r={r}, n={n}",
-            bound="total symmetry",
-        )
-    if status == "unknown":
-        raise UnknownFeasibilityError(
-            f"existence is open for field={field.value}, r={r}, n={n} "
-            "(dyadic type c=2 at n = rho+2)"
-        )
-    if n == 3:
-        raise InfeasibleParametersError(
-            "seed data needs n >= 4 (nothing can anticommute with the identity); "
-            "3-subspace codes are trivially totally symmetric",
-            bound="n >= 4",
-        )
-    rho = rho_number(field, r)
-    eye = np.eye(r)[None]
-    if n <= rho + 1:
-        skews = _skew_members(field, r, n - 2).stack()
-        seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, skews[: n - 3]]))
-        return TotalSymmetrySeed(field, r, n, seq, skews[n - 4] @ skews[n - 3])
-
-    # Real boundary case n = rho + 2 with c in {0, 1}.
-    dec = decompose_r(r)
-    odd_eye = np.eye(2 * dec.a + 1)
-    if dec.c == 1:
-        u = np.kron(GEN.M, odd_eye)
-        ds = np.kron(GEN.R, odd_eye)[None]
-        inflations = dec.b
-    else:
-        u = np.kron(odd_eye, tensor(GEN.I, GEN.M, GEN.M, GEN.M))
-        ds = np.kron(odd_eye, real_base_family(16))
-        inflations = dec.b - 1
-    for _ in range(inflations):
-        ds = inflate_real(ds)
-        u = np.kron(np.eye(16), u)
-    # Stable sort: the one generator anticommuting with u goes last.
-    # TotalSymmetrySeed checks the commutation pattern.
-    anti = [max_abs(u @ c + c @ u) <= 1e-12 for c in ds]
-    ds = ds[np.argsort(anti, kind="stable")]
-    seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, ds]))
-    return TotalSymmetrySeed(field, r, n, seq, u)
 
 
 def probe_symmetry(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):

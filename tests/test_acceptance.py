@@ -29,15 +29,11 @@ from eitff.radon_hurwitz import (
     inflate_real,
     real_base_family,
     rho_number,
+    totally_symmetric_exists,
     verify_rho_orthonormal,
 )
 from eitff.simplex import simplex_matrix
-from eitff.symmetry import (
-    alternating_witness,
-    probe_symmetry,
-    totally_symmetric_exists,
-    transposition_witness,
-)
+from eitff.symmetry import alternating_witness, probe_symmetry, transposition_witness
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 FRONTIER_RS = (1, 2, 3, 4, 6, 8, 12, 16)
@@ -161,7 +157,7 @@ def test_c07_symmetry_classification():
     assert probe_symmetry(build_eitff(R, 2, 4))[0] == "total"
     assert probe_symmetry(build_eitff(C, 1, 4))[0] == "alternating"
     # full decision table, including the open case
-    assert totally_symmetric_exists(R, 4, 6) == "unknown"
+    assert totally_symmetric_exists(R, 4, 6)[0] == "unknown"
     from eitff.radon_hurwitz import decompose_r
 
     by_c = {0: "yes", 1: "yes", 2: "unknown", 3: "no"}
@@ -169,7 +165,7 @@ def test_c07_symmetry_classification():
         for field in (R, C):
             rho = rho_number(field, r)
             for n in range(3, rho + 4):
-                got = totally_symmetric_exists(field, r, n)
+                got = totally_symmetric_exists(field, r, n)[0]
                 if field is C:
                     want = "yes" if n <= rho + 1 else "no"
                 elif n <= rho + 1:

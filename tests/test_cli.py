@@ -600,6 +600,27 @@ class TestExists:
         assert code == 0 and out.startswith("yes")
 
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            ("R 2 4", "yes (existence bound n <= rho+2, rho=2)"),
+            ("R 2 5", "no (existence bound n <= rho+2, rho=2)"),
+            ("C 1 4 --total", "no (complex total-symmetry bound n <= rho+1, rho=2)"),
+            ("C 2 5 --total", "yes (complex total-symmetry bound n <= rho+1, rho=4)"),
+            ("R 4 5 --total", "yes (skew-simplex construction at n <= rho+1, rho=4)"),
+            ("R 2 4 --total", "yes (boundary construction at n = rho+2 (c=1))"),
+            ("R 16 11 --total", "yes (boundary construction at n = rho+2 (c=0))"),
+            ("R 4 6 --total", "unknown (open case at n = rho+2 (c=2))"),
+            ("R 8 10 --total", "no (complex obstruction at n = rho+2 (c=3))"),
+            ("R 8 11 --total", "no (existence bound n <= rho+2, rho=8)"),
+        ],
+    )
+    def test_stdout_names_the_deciding_rule(self, capsys, argv, want):
+        field, r, n, *total = argv.split()
+        code, out, err = run(capsys, "exists", "--field", field, "--r", r, "--n", n, *total)
+        assert (code, out, err) == (0, want + "\n", "")
+
+
 class TestOmp:
     @pytest.fixture(scope="class")
     def code_paths(self, tmp_path_factory):

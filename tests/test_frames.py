@@ -219,6 +219,18 @@ class TestBuild:
         with pytest.raises(DomainError):
             build_eitff(R, 2, 4, "fancy")
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 12, 16])
+    def test_totally_symmetric_skew_branch_is_generic_over_r_only(self, r):
+        # At 4 <= n <= rho + 1 the real seed generators are the generic
+        # family itself, so the two variants write the same isometries;
+        # over C the seed uses the skew members and the codes differ.
+        for field in (R, C):
+            for n in range(4, rho_number(field, r) + 2):
+                generic = build_eitff(field, r, n).arrays()
+                total = build_eitff(field, r, n, "totally_symmetric").arrays()
+                same = generic.tobytes() == total.tobytes()
+                assert same == (field is R), (field, r, n)
+
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 16, 32])
     def test_feasible_range_verifies(self, field, r):

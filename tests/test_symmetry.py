@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from eitff import symmetry
-from eitff.errors import (
-    DomainError,
-    InfeasibleParametersError,
-    InvalidInputError,
-    ShapeError,
-    UnknownFeasibilityError,
-)
+from eitff.errors import DomainError, InvalidInputError, ShapeError
 from eitff.frames import (
     FusionFrame,
     build_eitff,
@@ -18,18 +12,11 @@ from eitff.frames import (
     verify_eitff,
 )
 from eitff.linalg import FieldTag, max_abs, nullspace
-from eitff.radon_hurwitz import (
-    GEN,
-    RhoOrthonormalSeq,
-    rho_number,
-    tensor,
-    verify_rho_orthonormal,
-)
+from eitff.radon_hurwitz import GEN, rho_number, totally_symmetric_exists
 from eitff.simplex import RhoSimplex
 from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
-    TotalSymmetrySeed,
     _conjugation_residual,
     _normal_operator,
     _projections,
@@ -37,8 +24,6 @@ from eitff.symmetry import (
     check_certificate,
     find_witness,
     probe_symmetry,
-    total_symmetry_seed,
-    totally_symmetric_exists,
     transposition_witness,
 )
 
@@ -647,105 +632,6 @@ class TestNormalOperator:
             find_witness(frame, Permutation.transposition(4, 2, 4))
 
 
-class TestTotallySymmetricExists:
-    def test_spot_values(self):
-        assert totally_symmetric_exists(C, 1, 4) == "no"
-        assert totally_symmetric_exists(R, 2, 4) == "yes"
-        assert totally_symmetric_exists(R, 4, 6) == "unknown"
-
-    def test_complex_threshold(self):
-        for r in (1, 2, 3, 4, 6, 8, 16):
-            rho = rho_number(C, r)
-            for n in range(3, rho + 4):
-                want = "yes" if n <= rho + 1 else "no"
-                assert totally_symmetric_exists(C, r, n) == want
-
-    def test_real_truth_table(self):
-        by_c = {0: "yes", 1: "yes", 2: "unknown", 3: "no"}
-        for r in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48):
-            rho = rho_number(R, r)
-            from eitff.radon_hurwitz import decompose_r
-
-            c = decompose_r(r).c
-            for n in range(3, rho + 4):
-                if n <= rho + 1:
-                    want = "yes"
-                elif n == rho + 2:
-                    want = by_c[c]
-                else:
-                    want = "no"
-                assert totally_symmetric_exists(R, r, n) == want
-
-    def test_rejects_small_n(self):
-        with pytest.raises(DomainError):
-            totally_symmetric_exists(R, 2, 2)
-
-
-class TestTotalSymmetrySeed:
-    def test_r2_boundary_case(self):
-        seed = total_symmetry_seed(R, 2, 4)
-        assert max_abs(seed.seq.stack() - np.stack([np.eye(2), GEN.R])) == 0.0
-        assert max_abs(seed.u - GEN.M) == 0.0
-
-    def test_r16_boundary_case(self):
-        seed = total_symmetry_seed(R, 16, 11)
-        assert len(seed.seq.mats) == 9
-        want_u = tensor(GEN.I, GEN.M, GEN.M, GEN.M)
-        assert max_abs(seed.u - want_u) == 0.0
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-
-    def test_inflated_boundary_case(self):
-        seed = total_symmetry_seed(R, 32, 12)
-        assert len(seed.seq.mats) == 10
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-
-    def test_odd_multiple_boundary_case(self):
-        seed = total_symmetry_seed(R, 6, 4)
-        assert seed.seq.mats[0].shape == (6, 6)
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-
-    @pytest.mark.parametrize("field,r,n", [(C, 2, 5), (R, 4, 5), (C, 4, 7), (R, 16, 10)])
-    def test_skew_branch(self, field, r, n):
-        seed = total_symmetry_seed(field, r, n)
-        assert len(seed.seq.mats) == n - 2
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-        u = seed.u
-        assert max_abs(u.conj().T @ u - np.eye(r)) <= 1e-12
-
-    def test_direct_construction_rejects_wrong_length(self):
-        seed = total_symmetry_seed(R, 2, 4)
-        with pytest.raises(ShapeError, match="needs 3 generators"):
-            TotalSymmetrySeed(R, 2, 5, seed.seq, seed.u)
-
-    def test_direct_construction_rejects_non_identity_first(self):
-        seq = RhoOrthonormalSeq.from_stack(R, np.stack([GEN.R, GEN.I]))
-        with pytest.raises(InvalidInputError, match="exactly the identity"):
-            TotalSymmetrySeed(R, 2, 4, seq, GEN.M)
-
-    def test_direct_construction_rejects_commutation_failures(self):
-        seed = total_symmetry_seed(C, 2, 5)
-        TotalSymmetrySeed(C, 2, 5, seed.seq, seed.u)
-        eye, _, d2 = seed.seq.stack()
-        # d2 anticommutes with generator 2 where it should commute
-        with pytest.raises(InvalidInputError, match="fails to commute with generator 2"):
-            TotalSymmetrySeed(C, 2, 5, seed.seq, d2)
-        # the identity commutes with the last generator where it should anticommute
-        with pytest.raises(InvalidInputError, match="fails to anticommute with generator 3"):
-            TotalSymmetrySeed(C, 2, 5, seed.seq, eye)
-
-    def test_c3_case_infeasible(self):
-        with pytest.raises(InfeasibleParametersError):
-            total_symmetry_seed(R, 8, 10)
-
-    def test_open_case_reports_unknown(self):
-        with pytest.raises(UnknownFeasibilityError):
-            total_symmetry_seed(R, 4, 6)
-
-    def test_n3_has_no_seed_data(self):
-        with pytest.raises(InfeasibleParametersError):
-            total_symmetry_seed(R, 3, 3)
-
-
 class TestProbe:
     def test_example_total(self, example_frame):
         label, certs = probe_symmetry(example_frame)
@@ -775,6 +661,14 @@ class TestProbe:
             frame = build_eitff(field, r, n, "totally_symmetric")
             assert probe_symmetry(frame)[0] == "total"
 
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("r", [1, 2, 4, 8])
+    def test_generic_codes_probe_total_where_the_table_says_yes(self, field, r):
+        for n in range(3, rho_number(field, r) + 3):
+            label = probe_symmetry(build_eitff(field, r, n))[0]
+            answer = totally_symmetric_exists(field, r, n)[0]
+            assert (label == "total") == (answer == "yes"), (field, r, n, label, answer)
+
     def test_large_d_rejected(self):
         frame = random_subspace_frame(R, 33, 2, 3, seed=1)
         with pytest.raises(DomainError, match="d <= 32"):
@@ -785,7 +679,7 @@ class TestProbe:
         # n = rho + 2 = 10 at r = 8: no totally symmetric code exists, but
         # every code has all even permutations as symmetries.
         frame = build_eitff(field, 8, 10)
-        assert totally_symmetric_exists(field, 8, 10) == "no"
+        assert totally_symmetric_exists(field, 8, 10)[0] == "no"
         label, certs = probe_symmetry(frame)
         assert label == "alternating"
         assert len(certs) == 8
