@@ -3,15 +3,15 @@
 
 Every half-dimension optimal code has at least alternating symmetry;
 whether a totally symmetric one exists for the same parameters is
-decided (or reported open) by `totally_symmetric_exists`.  This scan
-builds frames, probes them numerically, and prints both verdicts side
-by side.  The probe runs the generic construction by default; pass
+decided by `totally_symmetric_exists`.  This scan builds frames, probes
+them (in closed form on every verified code), and prints both verdicts
+side by side.  The probe runs the generic construction by default; pass
 --variant to scan the skew or totally_symmetric builds instead.
 """
 
 import argparse
 
-from eitff.errors import InfeasibleParametersError, UnknownFeasibilityError
+from eitff.errors import InfeasibleParametersError
 from eitff.frames import build_eitff
 from eitff.linalg import FieldTag
 from eitff.radon_hurwitz import VARIANTS, rho_number, totally_symmetric_exists
@@ -39,7 +39,7 @@ def main() -> None:
                 exists = totally_symmetric_exists(field, r, n)[0]
                 try:
                     frame = build_eitff(field, r, n, args.variant)
-                except (InfeasibleParametersError, UnknownFeasibilityError):
+                except InfeasibleParametersError:
                     print(f"{field.value:5} {r:>3} {n:>3} {args.variant:>17} "
                           f"{'-':>12} {exists:>12}")
                     continue

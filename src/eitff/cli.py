@@ -20,7 +20,6 @@ from .errors import (
     InfeasibleParametersError,
     InvalidInputError,
     ShapeError,
-    UnknownFeasibilityError,
 )
 from .frame_io import load_certificate, load_frame, save_certificate, save_frame
 from .frames import (
@@ -32,11 +31,12 @@ from .frames import (
     verify_eitff,
 )
 from .linalg import FieldTag
-from .radon_hurwitz import VARIANTS, decompose_r, rho_number, totally_symmetric_exists
+from .radon_hurwitz import VARIANTS, decompose_r, exists, rho_number
 from .symmetry import (
     Permutation,
     SymmetryCertificate,
     check_certificate,
+    clifford_rule,
     find_witness,
     probe_symmetry,
 )
@@ -208,7 +208,9 @@ def cmd_sym_witness(args) -> int:
         return 2
     cert = find_witness(frame, sigma, args.tol, args.seed)
     if cert is None:
-        print("witness=none")
+        rule = clifford_rule(frame, args.tol, args.seed)
+        proof = rule is not None and not rule[2] and len(sigma.transpositions()) % 2
+        print("witness=none" + (_closed_form_note(rule) if proof else ""))
         return 0
     print(f"witness=found residual={cert.residual:.6e}")
     if args.out:
@@ -229,24 +231,26 @@ def cmd_sym_check(args) -> int:
     return 0 if verdict == "pass" else 1
 
 
+def _closed_form_note(rule) -> str:
+    m, trace, _ = rule
+    return f" (closed form, m={m}, tr_omega={trace:.2f})"
+
+
 def cmd_sym_probe(args) -> int:
     frame, _ = load_frame(args.frame)
-    label, _ = probe_symmetry(frame, args.tol, args.seed)
-    print(f"symmetry={label} (numerically-decided)")
+    # On a code the rule is the label (`probe_symmetry` reads it the same
+    # way); only other frames need the probe's search.
+    rule = clifford_rule(frame, args.tol, args.seed)
+    if rule is not None:
+        print(f"symmetry={'total' if rule[2] else 'alternating'}" + _closed_form_note(rule))
+    else:
+        label, _ = probe_symmetry(frame, args.tol, args.seed)
+        print(f"symmetry={label} (numerically-decided)")
     return 0
 
 
 def cmd_exists(args) -> int:
-    field = FieldTag(args.field)
-    if args.n < 3:
-        print(f"usage error: need n >= 3, got {args.n}", file=sys.stderr)
-        return 2
-    if args.total:
-        answer, rule = totally_symmetric_exists(field, args.r, args.n)
-    else:
-        rho = rho_number(field, args.r)
-        answer = "yes" if args.n <= rho + 2 else "no"
-        rule = f"existence bound n <= rho+2, rho={rho}"
+    answer, rule = exists(FieldTag(args.field), args.r, args.n, args.total)
     print(f"{answer} ({rule})")
     return 0
 
@@ -286,7 +290,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (InfeasibleParametersError, UnknownFeasibilityError) as exc:
+    except InfeasibleParametersError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except FormatError as exc:

@@ -36,9 +36,5 @@ class InfeasibleParametersError(EitffError, ValueError):
         self.bound = bound
 
 
-class UnknownFeasibilityError(EitffError):
-    """Feasibility of the requested object is an open problem."""
-
-
 class FormatError(EitffError, ValueError):
     """A serialized payload violates the file schema."""

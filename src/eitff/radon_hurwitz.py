@@ -23,13 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleParametersError,
-    InvalidInputError,
-    ShapeError,
-    UnknownFeasibilityError,
-)
+from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
 from .linalg import FieldTag, Mat, max_abs, relation_residual, require_finite
 
 VARIANTS = ("generic", "skew", "totally_symmetric")
@@ -317,31 +311,65 @@ class TotalSymmetrySeed:
                 )
 
 
+def exists(field: FieldTag, r: int, n: int, total: bool = False) -> tuple[str, str]:
+    """Does an optimal code of n subspaces of dimension r in F^{2r} exist,
+    totally symmetric when `total`?  Returns "yes" or "no" and the text of
+    the rule that decides it.  Every code needs n <= rho_F(r) + 2;
+    `totally_symmetric_exists` decides the rest.  n < 3 raises
+    `DomainError`.
+    """
+    if total:
+        return totally_symmetric_exists(field, r, n)
+    if n < 3:
+        raise DomainError(f"need n >= 3, got {n}")
+    rho = rho_number(field, r)
+    answer = "yes" if n <= rho + 2 else "no"
+    return answer, f"existence bound n <= rho+2, rho={rho}"
+
+
 def totally_symmetric_exists(field: FieldTag, r: int, n: int) -> tuple[str, str]:
     """Does an optimal code of n half-dimension subspaces with full
-    permutation symmetry exist?  Returns the answer, "yes", "no" or
-    "unknown", and the text of the rule that decides it.
+    permutation symmetry exist?  Returns the answer, "yes" or "no", and
+    the text of the rule that decides it.
 
     Over C the answer is yes exactly when n <= rho_C(r) + 1.  Over R the
     skew construction settles n <= rho_R(r) + 1; at n = rho_R(r) + 2 the
-    answer depends on the dyadic type c of r: yes for c in {0, 1}, no for
-    c = 3, and open for c = 2.
+    answer depends on the dyadic type c of r = (2a+1) 2^(4b+c): yes for
+    c in {0, 1} (the boundary seeds of `total_symmetry_seed`), no for
+    c in {2, 3}.
+
+    Each "no" at n = rho + 2 is a module count.  A code carries m = n - 1
+    anticommuting Hermitian unitaries E_j on F^d, d = 2r
+    (`symmetry.clifford_rule`).  For m odd it is totally symmetric only if
+    omega = E_1 ... E_m has trace 0.  The E_j make F^d a module over the
+    Clifford algebra on m generators that square to +1; where that
+    algebra has two simple factors, their irreducible modules have one
+    dimension D and omega is +-1 (or +-i) on them, so
+    tr omega = (p - q) D with multiplicities p + q = d / D.  When d / D
+    is odd, tr omega != 0:
+
+    - R, c = 2: rho = 8b + 4, m = 8b + 5, the algebra is
+      M(2 16^b, H) + M(2 16^b, H), D = 8 16^b and d / D = 2a + 1;
+    - R, c = 3: rho = 8b + 8, m = 8b + 9, the algebra is
+      M(16^(b+1), R) + M(16^(b+1), R), D = 16^(b+1) and d / D = 2a + 1;
+    - C: rho = 8b + 2c + 2, m = 8b + 2c + 3, the algebra is
+      M(2^k, C) + M(2^k, C) with k = 4b + c + 1, D = 2^k and
+      d / D = 2a + 1.
     """
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    answer, rule = exists(field, r, n)
+    if answer == "no":
+        return answer, rule
     rho = rho_number(field, r)
     if field is FieldTag.COMPLEX:
         answer = "yes" if n <= rho + 1 else "no"
         return answer, f"complex total-symmetry bound n <= rho+1, rho={rho}"
     if n <= rho + 1:
         return "yes", f"skew-simplex construction at n <= rho+1, rho={rho}"
-    if n > rho + 2:
-        return "no", f"existence bound n <= rho+2, rho={rho}"
     c = decompose_r(r).c
     answer, rule = {
         0: ("yes", "boundary construction"),
         1: ("yes", "boundary construction"),
-        2: ("unknown", "open case"),
+        2: ("no", "quaternionic module count"),
         3: ("no", "complex obstruction"),
     }[c]
     return answer, f"{rule} at n = rho+2 (c={c})"
@@ -364,11 +392,6 @@ def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
         raise InfeasibleParametersError(
             f"no totally symmetric code for field={field.value}, r={r}, n={n}",
             bound="total symmetry",
-        )
-    if status == "unknown":
-        raise UnknownFeasibilityError(
-            f"existence is open for field={field.value}, r={r}, n={n} "
-            "(dyadic type c=2 at n = rho+2)"
         )
     if n == 3:
         raise InfeasibleParametersError(
@@ -415,7 +438,7 @@ def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonor
                        n = 3 the one-member family; rule: `totally_symmetric_exists`
 
     Unknown variants and n < 3 raise `DomainError`, codes that do not
-    exist `InfeasibleParametersError`, the open case `UnknownFeasibilityError`.
+    exist `InfeasibleParametersError`.
     """
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -423,7 +446,7 @@ def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonor
         raise DomainError(f"need n >= 3 subspaces, got n={n}")
     rho = rho_number(field, r)
     if variant == "generic":
-        if n > rho + 2:
+        if exists(field, r, n)[0] == "no":
             raise InfeasibleParametersError(
                 f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
                 bound="n <= rho+2",

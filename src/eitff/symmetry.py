@@ -4,28 +4,37 @@ A permutation sigma is a symmetry of (U_i) when some unitary Upsilon
 conjugates each projection onto U_i into the projection onto
 U_{sigma(i)}.  This module checks such certificates, manufactures them
 in closed form for the half-dimension codes, searches for them
-numerically through the intertwiner equations, and probes at desk
-scale whether a frame's symmetry group is all of S_n, the alternating
-group, or something smaller.  Whether a totally symmetric code exists
-at all, and the seed that builds one, are decided in `radon_hurwitz`.
+numerically through the intertwiner equations on every other frame,
+and probes whether a frame's symmetry group is all of S_n, the
+alternating group, or something smaller.  Whether a totally symmetric
+code exists at all, and the seed that builds one, are decided in
+`radon_hurwitz`.
 
 Every closed-form witness comes from one identity: for a code with
 d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with
-V_ab Pi_i V_ab = I - Pi_(a b)(i).  A transposition of a skew code is
-witnessed by S V_ab, with S the swap of the two r-blocks, and a product
-of two transpositions of any code by -V_ab V_cd.
+V_ab Pi_i V_ab = I - Pi_(a b)(i).  A product of two transpositions of
+any code is witnessed by -V_ab V_cd, and a transposition by J V_ab for
+any unitary J with J Pi_i J* = I - Pi_i (S, the swap of the two
+r-blocks, on skew codes).  The code's Clifford system (`clifford_rule`)
+decides whether such a J exists and builds it when it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import Mat, max_abs, nullspace, polar_unitary, require_finite
+from .errors import DomainError, InvalidInputError, ShapeError, SingularMatrixError
+from .linalg import Mat, max_abs, nullspace, polar_unitary, relation_residual, require_finite
 from .frames import FusionFrame, frame_from_simplex
-from .simplex import RhoSimplex
+from .simplex import RhoSimplex, simplex_matrix
+
+# |tr omega| is a whole multiple of the dimension (at least 1) of an
+# irreducible module of the code's Clifford system, so 1/2 sits far from
+# every value it can take.
+TRACE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,21 @@ class Permutation:
         if self.n != other.n:
             raise ShapeError("cannot compose permutations of different sizes")
         return Permutation(self.n, tuple(self.apply(j) for j in other.image))
+
+    def transpositions(self) -> list[tuple[int, int]]:
+        """Pairs (a, b), a < b, whose transpositions composed left to right
+        give self: each cycle (c_1 ... c_k), c_1 its least element, is
+        (c_1 c_k) ... (c_1 c_3)(c_1 c_2).  Its length has self's parity."""
+        seen, steps = set(), []
+        for start in range(1, self.n + 1):
+            if start in seen:
+                continue
+            cycle = [start]
+            while self.apply(cycle[-1]) != start:
+                cycle.append(self.apply(cycle[-1]))
+            seen.update(cycle)
+            steps += [(start, c) for c in reversed(cycle[1:])]
+        return steps
 
 
 @dataclass(frozen=True)
@@ -201,31 +225,121 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
     return SymmetryCertificate(sigma, ups, residual)
 
 
+def _clifford_system(frame: FusionFrame, projections: np.ndarray, tol: float):
+    """The code's Clifford system E_1 ... E_m, m = n - 1, as one (m, d, d)
+    stack, or None unless the frame is a code with d = 2r within `tol`.
+
+    With Gamma_i = 2 Pi_i - I and Psi_n = `simplex_matrix(n)`, set
+    E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i.  The frame is such a code
+    exactly when sum_i Gamma_i = 0 and the E_j are anticommuting Hermitian
+    unitaries (`relation_residual(E, 0)`): then Gamma_i = sum_j
+    Psi_n(j, i) E_j, so Gamma_i is an involution of trace 0 and
+    Gamma_i Gamma_k + Gamma_k Gamma_i = -2/(n-1) I for i != k.
+    """
+    n, d = frame.n, frame.d
+    if n < 3 or d != 2 * frame.r:
+        return None
+    gammas = 2.0 * projections - np.eye(d)
+    if not max_abs(gammas.sum(axis=0)) <= tol:
+        return None
+    e = ((n - 1) / n) * (simplex_matrix(n) @ gammas.reshape(n, -1)).reshape(n - 1, d, d)
+    if not relation_residual(e, 0.0)[0] <= tol:
+        return None
+    return e
+
+
+def _complement(e: np.ndarray, seed: int):
+    """(J, m, |tr omega|) for a Clifford system E_1 ... E_m: omega =
+    E_1 ... E_m, and J is a unitary anticommuting with every E_j, so
+    J Pi_i J* = I - Pi_i, or None when none exists.
+
+    For m even omega anticommutes with every E_j: J = omega.  For m odd
+    omega commutes with every E_j and J omega J* = -omega, so J exists
+    exactly when tr omega = 0; it is then the polar factor of a seeded
+    random X projected onto the operators anticommuting with every E_j
+    by X <- (X - E_j X E_j) / 2.  A singular projection raises
+    `SingularMatrixError`.
+    """
+    m, d = e.shape[:2]
+    omega = reduce(np.matmul, e)
+    trace = float(abs(np.trace(omega)))
+    if m % 2 == 0:
+        return omega, m, trace
+    if trace > TRACE_THRESHOLD:
+        return None, m, trace
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, d))
+    if np.iscomplexobj(e):
+        x = x + 1j * rng.standard_normal((d, d))
+    for ej in e:
+        x = (x - ej @ x @ ej) / 2.0
+    return polar_unitary(x), m, trace
+
+
+def _closed_form(frame: FusionFrame, projections: np.ndarray, tol: float, seed: int):
+    """`_complement` of the frame's Clifford system, or None (the search
+    path) for a non-code or a singular projected X."""
+    e = _clifford_system(frame, projections, tol)
+    if e is None:
+        return None
+    try:
+        return _complement(e, seed)
+    except SingularMatrixError:
+        return None
+
+
+def _closed_witness(projections: np.ndarray, sigma: Permutation, j):
+    """Witness of sigma on a code: of `sigma.transpositions()`, each
+    consecutive pair (a b), (c d) becomes -V_ab V_cd and a leftover last
+    one (a b) becomes J V_ab.  None when sigma is odd and J is None."""
+    steps = sigma.transpositions()
+    if len(steps) % 2 and j is None:
+        return None
+    ups = np.eye(projections.shape[1], dtype=projections.dtype)
+    for first, second in zip(steps[0::2], steps[1::2]):
+        ups = ups @ -_reflection(projections, *first) @ _reflection(projections, *second)
+    if len(steps) % 2:
+        ups = ups @ j @ _reflection(projections, *steps[-1])
+    return SymmetryCertificate(sigma, ups, _conjugation_residual(projections, sigma, ups))
+
+
+def clifford_rule(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
+    """(m, |tr omega|, total) of a code with d = 2r, or None for any other
+    frame (`_clifford_system`, `_complement`).  The code is totally
+    symmetric exactly when m is even or tr omega = 0.  The sign of
+    tr omega flips with the order of the subspaces, so it is dropped."""
+    closed = _closed_form(frame, _projections(frame), tol, seed)
+    if closed is None:
+        return None
+    j, m, trace = closed
+    return m, trace, j is not None
+
+
 def find_witness(
     frame: FusionFrame,
     sigma: Permutation,
     tol: float = 1e-10,
     seed: int = 0,
 ):
-    """Search for a unitary witness of sigma by solving the intertwiner
-    equations Upsilon Pi_i = Pi_{sigma(i)} Upsilon.
+    """A unitary witness of sigma, or None.
 
-    The solutions are the eigenvectors with lambda <= 1e-10 lambda_max of
-    a Hermitian PSD normal operator on the r^2 + (d-r)^2 unknowns that
-    subspace n leaves free (`_search`).  That operator has
-    (r^2 + (d-r)^2)^2 entries, d^4/4 when d = 2r; the d^2 x d^2 one is
-    never formed.  The solutions only propose candidates: a random real
-    combination of them, then each one.  The unitary polar factor of an
-    invertible candidate is itself an intertwiner; it is returned once its
-    conjugation residual clears `tol`, the only acceptance gate.  None
-    means no witness was found at this tolerance, a numeric verdict, not a
-    proof of asymmetry.  Frames with d > 32 are refused with
-    `DomainError`, a rank-deficient Phi_n or Phi_sigma(n) with
-    `InvalidInputError`.
+    A code with d = 2r (`_clifford_system`) gets the closed form
+    `_closed_witness`, with J from `_complement` seeded by `seed`; when
+    sigma is odd and the code has no J, None is a proof that sigma is no
+    symmetry.  Every other frame, and a code whose closed-form witness
+    misses `tol`, goes to the intertwiner search `_search`, where None
+    is a numeric verdict and d > 32 is refused.  On either path a
+    witness is returned only once its conjugation residual clears `tol`.
     """
     if sigma.n != frame.n:
         raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
-    return _search(frame, _projections(frame), sigma, tol, seed)
+    projections = _projections(frame)
+    closed = _closed_form(frame, projections, tol, seed)
+    if closed is not None:
+        cert = _closed_witness(projections, sigma, closed[0])
+        if cert is None or cert.residual <= tol:
+            return cert
+    return _search(frame, projections, sigma, tol, seed)
 
 
 def _normal_operator(p: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
@@ -268,7 +382,16 @@ def _normal_operator(p: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
 def _search(
     frame: FusionFrame, projections: np.ndarray, sigma: Permutation, tol: float, seed: int
 ):
-    """`find_witness` on projections the caller has already formed.
+    """Search for a witness of sigma through the intertwiner equations
+    Upsilon Pi_i = Pi_{sigma(i)} Upsilon, on projections the caller has
+    already formed.
+
+    The solutions are the eigenvectors with lambda <= 1e-10 lambda_max
+    of a Hermitian PSD normal operator; they only propose candidates: a
+    random real combination of them, then each one.  The unitary polar
+    factor of an invertible candidate is itself an intertwiner; it is
+    returned once its conjugation residual clears `tol`.  None means no
+    witness was found at this tolerance, a numeric verdict.
 
     Let U_k, U_m be the Q factors of complete QRs of Phi_k and Phi_m,
     k = n, m = sigma(n).  Equation k maps ran Pi_k into ran Pi_m and
@@ -279,7 +402,8 @@ def _search(
     has the nullity of L and, by Cauchy interlacing, no smaller gap.
     Costs O((r^2 + (d-r)^2)^3) time and (r^2 + (d-r)^2)^2 entries of
     memory (d^6/8 and d^4/4 when d = 2r), with no d^4 temporary; d > 32
-    is refused before the operator is formed.
+    is refused with `DomainError` before the operator is formed, a
+    rank-deficient Phi_n or Phi_sigma(n) with `InvalidInputError`.
     """
     d, n = frame.d, frame.n
     if d > 32:
@@ -315,19 +439,30 @@ def _search(
 
 
 def probe_symmetry(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
-    """Classify the symmetry group at desk scale.
+    """Classify the symmetry group: ("total" | "alternating" | "other",
+    certificates of the generators).  These are the n - 1 adjacent
+    transpositions for "total", the n - 2 consecutive 3-cycles for
+    "alternating", and for "other" the 3-cycles found before the first
+    one without a witness.
 
-    Runs the witness search over generating sets: all adjacent
-    transpositions for the full symmetric group, then consecutive
-    3-cycles for the alternating group.  Returns ("total" | "alternating"
-    | "other", found certificates).  The verdict is numeric: a missing
-    witness means none was found at this tolerance, not a nonexistence
-    proof.  Frames with d > 32 are refused, as in `find_witness`.
+    On a code with d = 2r the label is the Clifford rule's (`clifford_rule`),
+    a proof, and the certificates are closed-form (`_closed_witness`),
+    from one projection stack, E and J; each must clear `tol`.  Every
+    other frame, and a code whose certificates miss `tol`, runs the
+    search `_search` over the generators: a missing witness there is a
+    numeric verdict, and d > 32 is refused, as in `find_witness`.
     """
     n = frame.n
     projections = _projections(frame)
     transpositions = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
     three_cycles = [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]
+    closed = _closed_form(frame, projections, tol, seed)
+    if closed is not None:
+        j = closed[0]
+        label, generators = ("total", transpositions) if j is not None else ("alternating", three_cycles)
+        certs = [_closed_witness(projections, gen, j) for gen in generators]
+        if all(cert.residual <= tol for cert in certs):
+            return label, certs
     for label, generators in (("total", transpositions), ("alternating", three_cycles)):
         found = []
         for gen in generators:

@@ -156,11 +156,11 @@ def test_c06_symmetry_positive():
 def test_c07_symmetry_classification():
     assert probe_symmetry(build_eitff(R, 2, 4))[0] == "total"
     assert probe_symmetry(build_eitff(C, 1, 4))[0] == "alternating"
-    # full decision table, including the open case
-    assert totally_symmetric_exists(R, 4, 6)[0] == "unknown"
+    # full decision table; c = 2 at n = rho + 2 is a "no" by a module count
+    assert totally_symmetric_exists(R, 4, 6)[0] == "no"
     from eitff.radon_hurwitz import decompose_r
 
-    by_c = {0: "yes", 1: "yes", 2: "unknown", 3: "no"}
+    by_c = {0: "yes", 1: "yes", 2: "no", 3: "no"}
     for r in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32):
         for field in (R, C):
             rho = rho_number(field, r)

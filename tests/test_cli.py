@@ -93,13 +93,14 @@ class TestBuild:
         )
         assert code == 4
 
-    def test_totally_symmetric_unknown_case_exit_three(self, capsys):
+    def test_totally_symmetric_c2_case_exit_three(self, capsys):
         code, _, err = run(
             capsys,
             "build", "--field", "R", "--r", "4", "--n", "6",
             "--variant", "totally_symmetric",
         )
         assert code == 3
+        assert "no totally symmetric code" in err
 
 
 class TestVerify:
@@ -522,6 +523,15 @@ class TestSym:
         save_frame(build_eitff(FieldTag.COMPLEX, 1, 4), str(path))
         code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
         assert code == 0
+        assert out.strip() == "witness=none (closed form, m=3, tr_omega=2.00)"
+
+    def test_witness_none_on_a_non_code_is_bare(self, capsys, tmp_path):
+        from conftest import random_subspace_frame
+
+        path = tmp_path / "random.json"
+        save_frame(random_subspace_frame(FieldTag.REAL, 4, 2, 4, seed=13), str(path))
+        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
+        assert code == 0
         assert out.strip() == "witness=none"
 
     def test_perm_size_mismatch_usage_error(self, capsys, frame_path):
@@ -556,14 +566,23 @@ class TestSym:
     def test_probe_total(self, capsys, frame_path):
         code, out, _ = run(capsys, "sym", "probe", str(frame_path))
         assert code == 0
-        assert out.strip() == "symmetry=total (numerically-decided)"
+        assert out.strip() == "symmetry=total (closed form, m=3, tr_omega=0.00)"
 
     def test_probe_alternating(self, capsys, tmp_path):
         path = tmp_path / "etf.json"
         save_frame(build_eitff(FieldTag.COMPLEX, 1, 4), str(path))
         code, out, _ = run(capsys, "sym", "probe", str(path))
         assert code == 0
-        assert out.strip() == "symmetry=alternating (numerically-decided)"
+        assert out.strip() == "symmetry=alternating (closed form, m=3, tr_omega=2.00)"
+
+    def test_probe_non_code_is_numerically_decided(self, capsys, tmp_path):
+        from conftest import random_subspace_frame
+
+        path = tmp_path / "random.json"
+        save_frame(random_subspace_frame(FieldTag.REAL, 4, 2, 4, seed=13), str(path))
+        code, out, _ = run(capsys, "sym", "probe", str(path))
+        assert code == 0
+        assert out.strip() == "symmetry=other (numerically-decided)"
 
     def test_check_fail_exit_one(self, capsys, frame_path, tmp_path):
         cert_path = tmp_path / "bad.json"
@@ -582,12 +601,12 @@ class TestExists:
         code, out, _ = run(capsys, "exists", "--field", "R", "--r", "2", "--n", "5")
         assert code == 0 and out.startswith("no")
 
-    def test_total_symmetry_unknown(self, capsys):
+    def test_total_symmetry_c2_boundary_no(self, capsys):
         code, out, _ = run(
             capsys, "exists", "--field", "R", "--r", "4", "--n", "6", "--total"
         )
         assert code == 0
-        assert out.startswith("unknown")
+        assert out.startswith("no")
 
     def test_total_symmetry_yes_no(self, capsys):
         code, out, _ = run(
@@ -610,7 +629,7 @@ class TestExists:
             ("R 4 5 --total", "yes (skew-simplex construction at n <= rho+1, rho=4)"),
             ("R 2 4 --total", "yes (boundary construction at n = rho+2 (c=1))"),
             ("R 16 11 --total", "yes (boundary construction at n = rho+2 (c=0))"),
-            ("R 4 6 --total", "unknown (open case at n = rho+2 (c=2))"),
+            ("R 4 6 --total", "no (quaternionic module count at n = rho+2 (c=2))"),
             ("R 8 10 --total", "no (complex obstruction at n = rho+2 (c=3))"),
             ("R 8 11 --total", "no (existence bound n <= rho+2, rho=8)"),
         ],

@@ -8,7 +8,6 @@ from eitff.errors import (
     InfeasibleParametersError,
     InvalidInputError,
     ShapeError,
-    UnknownFeasibilityError,
 )
 from eitff.linalg import FieldTag, Mat, max_abs, relation_residual
 from eitff.radon_hurwitz import (
@@ -382,7 +381,7 @@ class TestTotallySymmetricExists:
     def test_spot_values(self):
         assert totally_symmetric_exists(C, 1, 4)[0] == "no"
         assert totally_symmetric_exists(R, 2, 4)[0] == "yes"
-        assert totally_symmetric_exists(R, 4, 6)[0] == "unknown"
+        assert totally_symmetric_exists(R, 4, 6)[0] == "no"
 
     def test_complex_threshold(self):
         for r in (1, 2, 3, 4, 6, 8, 16):
@@ -392,7 +391,7 @@ class TestTotallySymmetricExists:
                 assert totally_symmetric_exists(C, r, n)[0] == want
 
     def test_real_truth_table(self):
-        by_c = {0: "yes", 1: "yes", 2: "unknown", 3: "no"}
+        by_c = {0: "yes", 1: "yes", 2: "no", 3: "no"}
         for r in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48):
             rho = rho_number(R, r)
             c = decompose_r(r).c
@@ -466,8 +465,8 @@ class TestTotalSymmetrySeed:
         with pytest.raises(InfeasibleParametersError):
             total_symmetry_seed(R, 8, 10)
 
-    def test_open_case_reports_unknown(self):
-        with pytest.raises(UnknownFeasibilityError):
+    def test_c2_case_infeasible(self):
+        with pytest.raises(InfeasibleParametersError):
             total_symmetry_seed(R, 4, 6)
 
     def test_n3_has_no_seed_data(self):

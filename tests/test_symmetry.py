@@ -8,20 +8,29 @@ from eitff.frames import (
     build_eitff,
     canonicalize,
     eitff_params,
+    frame_from_simplex,
     naimark_complement,
     verify_eitff,
 )
 from eitff.linalg import FieldTag, max_abs, nullspace
-from eitff.radon_hurwitz import GEN, rho_number, totally_symmetric_exists
-from eitff.simplex import RhoSimplex
+from eitff.radon_hurwitz import (
+    GEN,
+    RhoOrthonormalSeq,
+    build_rho_orthonormal,
+    rho_number,
+    totally_symmetric_exists,
+)
+from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal
 from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
     _conjugation_residual,
     _normal_operator,
     _projections,
+    _search,
     alternating_witness,
     check_certificate,
+    clifford_rule,
     find_witness,
     probe_symmetry,
     transposition_witness,
@@ -409,8 +418,9 @@ def svd_nullity(gram, tol=1e-10):
 
 
 def searched_operators(monkeypatch, frame, sigma):
-    """Run `find_witness` and return it with every matrix the search handed
-    to `nullspace`, paired with the null-space dimension it got back."""
+    """Run the intertwiner search `_search` (which `find_witness` skips on
+    codes) and return its result with every matrix it handed to
+    `nullspace`, paired with the null-space dimension it got back."""
     seen = []
 
     def spy(a, tol):
@@ -419,7 +429,7 @@ def searched_operators(monkeypatch, frame, sigma):
         return basis
 
     monkeypatch.setattr(symmetry, "nullspace", spy)
-    return find_witness(frame, sigma), seen
+    return _search(frame, _projections(frame), sigma, 1e-10, 0), seen
 
 
 def orbit_frame(field, k, m, r, seed):
@@ -501,6 +511,8 @@ ORACLE_CASES = [
 
 
 def case_id(value):
+    if isinstance(value, FieldTag):
+        return value.value
     if isinstance(value, tuple):
         return "-".join(v.value if isinstance(v, FieldTag) else str(v) for v in value)
     return None
@@ -684,6 +696,146 @@ class TestProbe:
         assert label == "alternating"
         assert len(certs) == 8
         assert all(check_certificate(frame, cert) <= 1e-10 for cert in certs)
+
+
+def negated_code(field, r, n):
+    """The code of the built family with one non-identity generator negated."""
+    stack = build_rho_orthonormal(field, r, n - 2).stack()
+    stack[1 if field is R else 0] *= -1
+    seq = RhoOrthonormalSeq.from_stack(field, stack)
+    return frame_from_simplex(rho_simplex_from_orthonormal(seq))
+
+
+def block_sum(*frames):
+    """Subspaces U_i (+) U'_i (+) ... of codes with one n: a code with
+    d = 2r again, whose Clifford module is the sum of theirs."""
+    stacks = [f.arrays() for f in frames]
+    n, d, r = stacks[0].shape
+    out = np.zeros((n, len(stacks) * d, len(stacks) * r), dtype=np.result_type(*stacks))
+    for k, a in enumerate(stacks):
+        out[:, k * d : (k + 1) * d, k * r : (k + 1) * r] = a
+    return FusionFrame.from_arrays(frames[0].field, out)
+
+
+GENERIC_CODES = [
+    (field, r, n)
+    for field in (R, C)
+    for r in (1, 2, 4, 8)
+    for n in range(3, rho_number(field, r) + 3)
+]
+
+# (field, r, n, copies of the code, copies of its negated twin); all d <= 32.
+MIXED_SUMS = [
+    (R, 4, 6, 1, 1), (R, 4, 6, 2, 0), (R, 8, 10, 1, 1), (R, 8, 10, 2, 0),
+    (R, 2, 4, 1, 1), (R, 4, 4, 1, 1), (C, 1, 4, 1, 1), (C, 1, 4, 2, 0),
+    (C, 1, 4, 2, 1), (C, 2, 6, 1, 1), (C, 2, 6, 2, 1), (C, 4, 8, 1, 1),
+    (C, 4, 8, 2, 0), (C, 8, 10, 1, 1), (C, 2, 4, 1, 1),
+]
+
+
+class TestClosedFormOracle:
+    """On codes, `find_witness` and `probe_symmetry` answer in closed form
+    without searching; the intertwiner search `_search` is their oracle."""
+
+    def check_against_search(self, monkeypatch, frame):
+        n = frame.n
+        projections = _projections(frame)
+        generators = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
+        generators += [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]
+        oracle = [_search(frame, projections, g, 1e-10, 0) is not None for g in generators]
+
+        def no_search(*args):
+            raise AssertionError("a code took the search path")
+
+        monkeypatch.setattr(symmetry, "_search", no_search)
+        label, certs = probe_symmetry(frame)
+        found = [find_witness(frame, g) for g in generators]
+        assert [cert is not None for cert in found] == oracle
+        for cert in found + certs:
+            if cert is not None:
+                assert check_certificate(frame, cert) <= 1e-10
+        total = all(oracle[: n - 1])
+        assert all(oracle[n - 1 :])
+        assert label == ("total" if total else "alternating")
+        m, trace, rule_total = clifford_rule(frame)
+        assert (m, rule_total) == (n - 1, total)
+        assert total == (m % 2 == 0 or trace <= 1e-8)
+        want = generators[: n - 1] if total else generators[n - 1 :]
+        assert [cert.sigma for cert in certs] == want
+        return label
+
+    @pytest.mark.parametrize("field,r,n", GENERIC_CODES, ids=case_id)
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_generic_codes(self, monkeypatch, field, r, n, rotated):
+        frame = rotated_code(field, r, n, seed=n) if rotated else build_eitff(field, r, n)
+        label = self.check_against_search(monkeypatch, frame)
+        answer = totally_symmetric_exists(field, r, n)[0]
+        assert (label == "total") == (answer == "yes")
+
+    @pytest.mark.parametrize("field,r,n,plain,twin", MIXED_SUMS, ids=case_id)
+    def test_mixed_module_sums(self, monkeypatch, field, r, n, plain, twin):
+        parts = [build_eitff(field, r, n)] * plain + [negated_code(field, r, n)] * twin
+        frame = block_sum(*parts)
+        d = frame.d
+        q = random_orthogonal(d, d) if field is R else random_unitary(d, d)
+        rotated = FusionFrame.from_arrays(field, q @ frame.arrays())
+        assert d <= 32
+        self.check_against_search(monkeypatch, rotated)
+
+    def test_transpositions_decompose_sigma(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 8):
+            for _ in range(20):
+                sigma = Permutation(n, tuple(rng.permutation(n) + 1))
+                steps = sigma.transpositions()
+                product = Permutation.identity(n)
+                for a, b in steps:
+                    assert a < b
+                    product = product.compose(Permutation.transposition(n, a, b))
+                assert product == sigma
+                cycles = len({frozenset(c) for c in _cycles(sigma)})
+                assert len(steps) == n - cycles
+
+    def test_odd_witness_none_is_a_proof(self, monkeypatch):
+        # R4 n=6 has no transposition witness, at any size of the search.
+        frame = build_eitff(R, 4, 6)
+        monkeypatch.setattr(symmetry, "_search", None)
+        assert find_witness(frame, Permutation.transposition(6, 1, 2)) is None
+        assert find_witness(frame, Permutation.cycle(6, (1, 2, 3, 4))) is None
+        cert = find_witness(frame, Permutation.cycle(6, (1, 2, 3, 4, 5)))
+        assert check_certificate(frame, cert) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "field,r,n,total", [(C, 32, 13, True), (C, 32, 14, False), (R, 64, 14, False)], ids=case_id
+    )
+    def test_past_the_search_cap(self, field, r, n, total):
+        # d = 64 and 128: the search refuses these frames, the closed form
+        # does not; R64 n=14 is the c = 2 case of `totally_symmetric_exists`.
+        frame = build_eitff(field, r, n)
+        assert clifford_rule(frame)[2] is total
+        sigma = Permutation.transposition(n, 1, n)
+        cert = find_witness(frame, sigma)
+        assert (cert is not None) is total
+        label, certs = probe_symmetry(frame)
+        assert label == ("total" if total else "alternating")
+        for c in ([cert] if cert else []) + certs:
+            assert check_certificate(frame, c) <= 1e-10
+
+    def test_non_codes_have_no_rule(self):
+        assert clifford_rule(random_subspace_frame(R, 4, 2, 4, seed=13)) is None
+        assert clifford_rule(naimark_complement(build_eitff(R, 4, 5))) is None
+
+
+def _cycles(sigma):
+    """The orbits of sigma on [1, n], one per point."""
+    orbits = []
+    for start in range(1, sigma.n + 1):
+        orbit, i = {start}, sigma.apply(start)
+        while i != start:
+            orbit.add(i)
+            i = sigma.apply(i)
+        orbits.append(orbit)
+    return orbits
 
 
 class TestCompositionAndTransfer:
