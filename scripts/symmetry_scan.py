@@ -3,7 +3,7 @@
 
 Every half-dimension optimal code has at least alternating symmetry;
 whether a totally symmetric one exists for the same parameters is
-decided by `totally_symmetric_exists`.  This scan builds frames, probes
+decided by `exists(..., total=True)`.  This scan builds frames, probes
 them (in closed form on every verified code), and prints both verdicts
 side by side.  The probe runs the generic construction by default; pass
 --variant to scan the skew or totally_symmetric builds instead.
@@ -14,7 +14,7 @@ import argparse
 from eitff.errors import InfeasibleParametersError
 from eitff.frames import build_eitff
 from eitff.linalg import FieldTag
-from eitff.radon_hurwitz import VARIANTS, rho_number, totally_symmetric_exists
+from eitff.radon_hurwitz import VARIANTS, exists, rho_number
 from eitff.symmetry import probe_symmetry
 
 
@@ -36,16 +36,16 @@ def main() -> None:
         for r in rs:
             rho = rho_number(field, r)
             for n in range(3, min(rho + 2, args.max_n) + 1):
-                exists = totally_symmetric_exists(field, r, n)[0]
+                total_exists = exists(field, r, n, total=True)[0]
                 try:
                     frame = build_eitff(field, r, n, args.variant)
                 except InfeasibleParametersError:
                     print(f"{field.value:5} {r:>3} {n:>3} {args.variant:>17} "
-                          f"{'-':>12} {exists:>12}")
+                          f"{'-':>12} {total_exists:>12}")
                     continue
                 label, _ = probe_symmetry(frame, seed=args.seed)
                 print(f"{field.value:5} {r:>3} {n:>3} {args.variant:>17} "
-                      f"{label:>12} {exists:>12}")
+                      f"{label:>12} {total_exists:>12}")
 
 
 if __name__ == "__main__":

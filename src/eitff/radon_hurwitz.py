@@ -13,7 +13,8 @@ explicit families of every admissible length over both fields:
 
 Every half-dimension optimal code is built from such a family: this
 module also picks the family of each code variant (`variant_family`) and
-decides total symmetry, with the seed data that certifies it.
+holds the one rule (`exists`) for whether a code, or a totally symmetric
+one, exists.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, max_abs, relation_residual, require_finite
+from .linalg import FieldTag, Mat, relation_residual, require_finite
 
 VARIANTS = ("generic", "skew", "totally_symmetric")
 
@@ -275,78 +276,29 @@ def _skew_members(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
     return RhoOrthonormalSeq(field, r, mats[1:] if field is FieldTag.REAL else mats[:-1])
 
 
-@dataclass(frozen=True)
-class TotalSymmetrySeed:
-    """Generators certifying full permutation symmetry.
-
-    `seq` is an anticommuting unitary family of length n-2 whose first
-    member is the identity; `u` is an r x r unitary array commuting with
-    every member except the last, with which it anticommutes.  Such a
-    pair upgrades the always-present even symmetries to all of S_n.
-    """
-
-    field: FieldTag
-    r: int
-    n: int
-    seq: RhoOrthonormalSeq
-    u: np.ndarray
-
-    def __post_init__(self):
-        mats = self.seq.stack()
-        if len(mats) != self.n - 2:
-            raise ShapeError(
-                f"seed for n={self.n} needs {self.n - 2} generators, got {len(mats)}"
-            )
-        if max_abs(mats[0] - np.eye(self.r)) > 0.0:
-            raise InvalidInputError("first generator must be exactly the identity")
-        u = self.u
-        require_finite(u, "witness")
-        for i, c in enumerate(mats):
-            want_anti = i == len(mats) - 1
-            resid = max_abs(u @ c + c @ u) if want_anti else max_abs(u @ c - c @ u)
-            if resid > 1e-12:
-                kind = "anticommute with" if want_anti else "commute with"
-                raise InvalidInputError(
-                    f"witness fails to {kind} generator {i + 1} (residual {resid:.2e})"
-                )
-
-
 def exists(field: FieldTag, r: int, n: int, total: bool = False) -> tuple[str, str]:
     """Does an optimal code of n subspaces of dimension r in F^{2r} exist,
     totally symmetric when `total`?  Returns "yes" or "no" and the text of
-    the rule that decides it.  Every code needs n <= rho_F(r) + 2;
-    `totally_symmetric_exists` decides the rest.  n < 3 raises
-    `DomainError`.
-    """
-    if total:
-        return totally_symmetric_exists(field, r, n)
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
-    rho = rho_number(field, r)
-    answer = "yes" if n <= rho + 2 else "no"
-    return answer, f"existence bound n <= rho+2, rho={rho}"
+    the rule that decides it.  n < 3 raises `DomainError`.
 
+    Every code needs n <= rho_F(r) + 2, and the generic code exists
+    wherever that holds.  A totally symmetric one exists over C exactly
+    when n <= rho_C(r) + 1.  Over R the skew construction settles
+    n <= rho_R(r) + 1; at n = rho_R(r) + 2 the answer depends on the dyadic
+    type c of r = (2a+1) 2^(4b+c): yes for c in {0, 1}, no for c in {2, 3}.
 
-def totally_symmetric_exists(field: FieldTag, r: int, n: int) -> tuple[str, str]:
-    """Does an optimal code of n half-dimension subspaces with full
-    permutation symmetry exist?  Returns the answer, "yes" or "no", and
-    the text of the rule that decides it.
-
-    Over C the answer is yes exactly when n <= rho_C(r) + 1.  Over R the
-    skew construction settles n <= rho_R(r) + 1; at n = rho_R(r) + 2 the
-    answer depends on the dyadic type c of r = (2a+1) 2^(4b+c): yes for
-    c in {0, 1} (the boundary seeds of `total_symmetry_seed`), no for
-    c in {2, 3}.
-
-    Each "no" at n = rho + 2 is a module count.  A code carries m = n - 1
-    anticommuting Hermitian unitaries E_j on F^d, d = 2r
-    (`symmetry.clifford_rule`).  For m odd it is totally symmetric only if
-    omega = E_1 ... E_m has trace 0.  The E_j make F^d a module over the
-    Clifford algebra on m generators that square to +1; where that
-    algebra has two simple factors, their irreducible modules have one
-    dimension D and omega is +-1 (or +-i) on them, so
-    tr omega = (p - q) D with multiplicities p + q = d / D.  When d / D
-    is odd, tr omega != 0:
+    Each answer at n = rho + 2 reads the code's Clifford system.  A code
+    carries m = n - 1 anticommuting Hermitian unitaries E_j on F^d, d = 2r
+    (`symmetry.clifford_rule`), and it is totally symmetric exactly when
+    m is even or omega = E_1 ... E_m has trace 0.  Over R, c = 0 gives
+    m = 8b + 2, which is even, and c = 1 gives m = 8b + 3, where
+    omega^2 = -I on a real space forces tr omega = 0; so the generic code
+    is totally symmetric there.  Each "no" is a module count.  The E_j
+    make F^d a module over the Clifford algebra on m generators that
+    square to +1; where that algebra has two simple factors, their
+    irreducible modules have one dimension D and omega is +-1 (or +-i) on
+    them, so tr omega = (p - q) D with multiplicities p + q = d / D.  When
+    d / D is odd, tr omega != 0:
 
     - R, c = 2: rho = 8b + 4, m = 8b + 5, the algebra is
       M(2 16^b, H) + M(2 16^b, H), D = 8 16^b and d / D = 2a + 1;
@@ -356,10 +308,12 @@ def totally_symmetric_exists(field: FieldTag, r: int, n: int) -> tuple[str, str]
       M(2^k, C) + M(2^k, C) with k = 4b + c + 1, D = 2^k and
       d / D = 2a + 1.
     """
-    answer, rule = exists(field, r, n)
-    if answer == "no":
-        return answer, rule
+    if n < 3:
+        raise DomainError(f"need n >= 3, got {n}")
     rho = rho_number(field, r)
+    if not total or n > rho + 2:
+        answer = "yes" if n <= rho + 2 else "no"
+        return answer, f"existence bound n <= rho+2, rho={rho}"
     if field is FieldTag.COMPLEX:
         answer = "yes" if n <= rho + 1 else "no"
         return answer, f"complex total-symmetry bound n <= rho+1, rho={rho}"
@@ -367,75 +321,23 @@ def totally_symmetric_exists(field: FieldTag, r: int, n: int) -> tuple[str, str]
         return "yes", f"skew-simplex construction at n <= rho+1, rho={rho}"
     c = decompose_r(r).c
     answer, rule = {
-        0: ("yes", "boundary construction"),
-        1: ("yes", "boundary construction"),
+        0: ("yes", "generic code has tr omega = 0"),
+        1: ("yes", "generic code has tr omega = 0"),
         2: ("no", "quaternionic module count"),
         3: ("no", "complex obstruction"),
     }[c]
     return answer, f"{rule} at n = rho+2 (c={c})"
 
 
-def total_symmetry_seed(field: FieldTag, r: int, n: int) -> TotalSymmetrySeed:
-    """Generators plus witness unitary certifying total symmetry.
-
-    For n <= rho_F(r) + 1 the seed comes from a family of n - 2 skew
-    anticommuting unitaries D_i: the generators are (I, D_1, ...,
-    D_{n-3}) and the witness is the product D_{n-3} D_{n-2}, which
-    commutes with the earlier D's and anticommutes with D_{n-3}.  The
-    boundary real cases n = rho_R(r) + 2 use explicit tensor data: for r
-    an odd multiple of 2 the witness M (x) I with generator R (x) I, for
-    an odd multiple of 16 the witness I (x) M (x) M (x) M against the
-    eight size-16 generators; larger powers of 16 inflate both.
-    """
-    status = totally_symmetric_exists(field, r, n)[0]
-    if status == "no":
-        raise InfeasibleParametersError(
-            f"no totally symmetric code for field={field.value}, r={r}, n={n}",
-            bound="total symmetry",
-        )
-    if n == 3:
-        raise InfeasibleParametersError(
-            "seed data needs n >= 4 (nothing can anticommute with the identity); "
-            "3-subspace codes are trivially totally symmetric",
-            bound="n >= 4",
-        )
-    rho = rho_number(field, r)
-    eye = np.eye(r)[None]
-    if n <= rho + 1:
-        skews = _skew_members(field, r, n - 2).stack()
-        seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, skews[: n - 3]]))
-        return TotalSymmetrySeed(field, r, n, seq, skews[n - 4] @ skews[n - 3])
-
-    # Real boundary case n = rho + 2 with c in {0, 1}.
-    dec = decompose_r(r)
-    odd_eye = np.eye(2 * dec.a + 1)
-    if dec.c == 1:
-        u = np.kron(GEN.M, odd_eye)
-        ds = np.kron(GEN.R, odd_eye)[None]
-        inflations = dec.b
-    else:
-        u = np.kron(odd_eye, tensor(GEN.I, GEN.M, GEN.M, GEN.M))
-        ds = np.kron(odd_eye, real_base_family(16))
-        inflations = dec.b - 1
-    for _ in range(inflations):
-        ds = inflate_real(ds)
-        u = np.kron(np.eye(16), u)
-    # Stable sort: the one generator anticommuting with u goes last.
-    # TotalSymmetrySeed checks the commutation pattern.
-    anti = [max_abs(u @ c + c @ u) <= 1e-12 for c in ds]
-    ds = ds[np.argsort(anti, kind="stable")]
-    seq = RhoOrthonormalSeq.from_stack(field, np.concatenate([eye, ds]))
-    return TotalSymmetrySeed(field, r, n, seq, u)
-
-
 def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonormalSeq:
     """The length n - 2 family that `frames.build_eitff` builds a code of
     n subspaces of F^{2r} from, and the rule for whether that code exists.
 
-    generic            the built family; n <= rho_F(r) + 2
+    generic            the built family; rule: `exists`
     skew               its skew members; n <= rho_F(r) + 1
-    totally_symmetric  the seed generators (`total_symmetry_seed`), or at
-                       n = 3 the one-member family; rule: `totally_symmetric_exists`
+    totally_symmetric  the built family; rule: `exists(..., total=True)`,
+                       which says yes only where the generic code is
+                       totally symmetric
 
     Unknown variants and n < 3 raise `DomainError`, codes that do not
     exist `InfeasibleParametersError`.
@@ -445,13 +347,6 @@ def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonor
     if n < 3:
         raise DomainError(f"need n >= 3 subspaces, got n={n}")
     rho = rho_number(field, r)
-    if variant == "generic":
-        if exists(field, r, n)[0] == "no":
-            raise InfeasibleParametersError(
-                f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
-                bound="n <= rho+2",
-            )
-        return build_rho_orthonormal(field, r, n - 2)
     if variant == "skew":
         if n > rho + 1:
             raise InfeasibleParametersError(
@@ -459,6 +354,14 @@ def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonor
                 bound="n <= rho+1",
             )
         return _skew_members(field, r, n - 2)
-    if n == 3:
-        return build_rho_orthonormal(field, r, 1)
-    return total_symmetry_seed(field, r, n).seq
+    if variant == "totally_symmetric" and exists(field, r, n, total=True)[0] == "no":
+        raise InfeasibleParametersError(
+            f"no totally symmetric code for field={field.value}, r={r}, n={n}",
+            bound="total symmetry",
+        )
+    if exists(field, r, n)[0] == "no":
+        raise InfeasibleParametersError(
+            f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
+            bound="n <= rho+2",
+        )
+    return build_rho_orthonormal(field, r, n - 2)

@@ -7,8 +7,8 @@ in closed form for the half-dimension codes, searches for them
 numerically through the intertwiner equations on every other frame,
 and probes whether a frame's symmetry group is all of S_n, the
 alternating group, or something smaller.  Whether a totally symmetric
-code exists at all, and the seed that builds one, are decided in
-`radon_hurwitz`.
+code exists at all is decided by `radon_hurwitz.exists`; where it does,
+the generic code is one.
 
 Every closed-form witness comes from one identity: for a code with
 d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with

@@ -26,10 +26,10 @@ from eitff.linalg import FieldTag, max_abs, relation_residual
 from eitff.radon_hurwitz import (
     GEN,
     build_rho_orthonormal,
+    exists,
     inflate_real,
     real_base_family,
     rho_number,
-    totally_symmetric_exists,
     verify_rho_orthonormal,
 )
 from eitff.simplex import simplex_matrix
@@ -157,7 +157,7 @@ def test_c07_symmetry_classification():
     assert probe_symmetry(build_eitff(R, 2, 4))[0] == "total"
     assert probe_symmetry(build_eitff(C, 1, 4))[0] == "alternating"
     # full decision table; c = 2 at n = rho + 2 is a "no" by a module count
-    assert totally_symmetric_exists(R, 4, 6)[0] == "no"
+    assert exists(R, 4, 6, total=True)[0] == "no"
     from eitff.radon_hurwitz import decompose_r
 
     by_c = {0: "yes", 1: "yes", 2: "no", 3: "no"}
@@ -165,7 +165,7 @@ def test_c07_symmetry_classification():
         for field in (R, C):
             rho = rho_number(field, r)
             for n in range(3, rho + 4):
-                got = totally_symmetric_exists(field, r, n)[0]
+                got = exists(field, r, n, total=True)[0]
                 if field is C:
                     want = "yes" if n <= rho + 1 else "no"
                 elif n <= rho + 1:

@@ -627,8 +627,8 @@ class TestExists:
             ("C 1 4 --total", "no (complex total-symmetry bound n <= rho+1, rho=2)"),
             ("C 2 5 --total", "yes (complex total-symmetry bound n <= rho+1, rho=4)"),
             ("R 4 5 --total", "yes (skew-simplex construction at n <= rho+1, rho=4)"),
-            ("R 2 4 --total", "yes (boundary construction at n = rho+2 (c=1))"),
-            ("R 16 11 --total", "yes (boundary construction at n = rho+2 (c=0))"),
+            ("R 2 4 --total", "yes (generic code has tr omega = 0 at n = rho+2 (c=1))"),
+            ("R 16 11 --total", "yes (generic code has tr omega = 0 at n = rho+2 (c=0))"),
             ("R 4 6 --total", "no (quaternionic module count at n = rho+2 (c=2))"),
             ("R 8 10 --total", "no (complex obstruction at n = rho+2 (c=3))"),
             ("R 8 11 --total", "no (existence bound n <= rho+2, rho=8)"),

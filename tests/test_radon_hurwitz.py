@@ -13,16 +13,14 @@ from eitff.linalg import FieldTag, Mat, max_abs, relation_residual
 from eitff.radon_hurwitz import (
     GEN,
     RhoOrthonormalSeq,
-    TotalSymmetrySeed,
     build_rho_orthonormal,
     decompose_r,
+    exists,
     inflate_real,
     real_base_family,
     rho_number,
     skew_double,
     tensor,
-    total_symmetry_seed,
-    totally_symmetric_exists,
     verify_rho_orthonormal,
 )
 from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal, verify_rho_simplex
@@ -379,16 +377,16 @@ class TestSkewDouble:
 
 class TestTotallySymmetricExists:
     def test_spot_values(self):
-        assert totally_symmetric_exists(C, 1, 4)[0] == "no"
-        assert totally_symmetric_exists(R, 2, 4)[0] == "yes"
-        assert totally_symmetric_exists(R, 4, 6)[0] == "no"
+        assert exists(C, 1, 4, total=True)[0] == "no"
+        assert exists(R, 2, 4, total=True)[0] == "yes"
+        assert exists(R, 4, 6, total=True)[0] == "no"
 
     def test_complex_threshold(self):
         for r in (1, 2, 3, 4, 6, 8, 16):
             rho = rho_number(C, r)
             for n in range(3, rho + 4):
                 want = "yes" if n <= rho + 1 else "no"
-                assert totally_symmetric_exists(C, r, n)[0] == want
+                assert exists(C, r, n, total=True)[0] == want
 
     def test_real_truth_table(self):
         by_c = {0: "yes", 1: "yes", 2: "no", 3: "no"}
@@ -402,73 +400,8 @@ class TestTotallySymmetricExists:
                     want = by_c[c]
                 else:
                     want = "no"
-                assert totally_symmetric_exists(R, r, n)[0] == want
+                assert exists(R, r, n, total=True)[0] == want
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
-            totally_symmetric_exists(R, 2, 2)
-
-
-class TestTotalSymmetrySeed:
-    def test_r2_boundary_case(self):
-        seed = total_symmetry_seed(R, 2, 4)
-        assert max_abs(seed.seq.stack() - np.stack([np.eye(2), GEN.R])) == 0.0
-        assert max_abs(seed.u - GEN.M) == 0.0
-
-    def test_r16_boundary_case(self):
-        seed = total_symmetry_seed(R, 16, 11)
-        assert len(seed.seq.mats) == 9
-        want_u = tensor(GEN.I, GEN.M, GEN.M, GEN.M)
-        assert max_abs(seed.u - want_u) == 0.0
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-
-    def test_inflated_boundary_case(self):
-        seed = total_symmetry_seed(R, 32, 12)
-        assert len(seed.seq.mats) == 10
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-
-    def test_odd_multiple_boundary_case(self):
-        seed = total_symmetry_seed(R, 6, 4)
-        assert seed.seq.mats[0].shape == (6, 6)
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-
-    @pytest.mark.parametrize("field,r,n", [(C, 2, 5), (R, 4, 5), (C, 4, 7), (R, 16, 10)])
-    def test_skew_branch(self, field, r, n):
-        seed = total_symmetry_seed(field, r, n)
-        assert len(seed.seq.mats) == n - 2
-        assert verify_rho_orthonormal(seed.seq) <= 1e-12
-        u = seed.u
-        assert max_abs(u.conj().T @ u - np.eye(r)) <= 1e-12
-
-    def test_direct_construction_rejects_wrong_length(self):
-        seed = total_symmetry_seed(R, 2, 4)
-        with pytest.raises(ShapeError, match="needs 3 generators"):
-            TotalSymmetrySeed(R, 2, 5, seed.seq, seed.u)
-
-    def test_direct_construction_rejects_non_identity_first(self):
-        seq = RhoOrthonormalSeq.from_stack(R, np.stack([GEN.R, GEN.I]))
-        with pytest.raises(InvalidInputError, match="exactly the identity"):
-            TotalSymmetrySeed(R, 2, 4, seq, GEN.M)
-
-    def test_direct_construction_rejects_commutation_failures(self):
-        seed = total_symmetry_seed(C, 2, 5)
-        TotalSymmetrySeed(C, 2, 5, seed.seq, seed.u)
-        eye, _, d2 = seed.seq.stack()
-        # d2 anticommutes with generator 2 where it should commute
-        with pytest.raises(InvalidInputError, match="fails to commute with generator 2"):
-            TotalSymmetrySeed(C, 2, 5, seed.seq, d2)
-        # the identity commutes with the last generator where it should anticommute
-        with pytest.raises(InvalidInputError, match="fails to anticommute with generator 3"):
-            TotalSymmetrySeed(C, 2, 5, seed.seq, eye)
-
-    def test_c3_case_infeasible(self):
-        with pytest.raises(InfeasibleParametersError):
-            total_symmetry_seed(R, 8, 10)
-
-    def test_c2_case_infeasible(self):
-        with pytest.raises(InfeasibleParametersError):
-            total_symmetry_seed(R, 4, 6)
-
-    def test_n3_has_no_seed_data(self):
-        with pytest.raises(InfeasibleParametersError):
-            total_symmetry_seed(R, 3, 3)
+            exists(R, 2, 2, total=True)

@@ -17,8 +17,8 @@ from eitff.radon_hurwitz import (
     GEN,
     RhoOrthonormalSeq,
     build_rho_orthonormal,
+    exists,
     rho_number,
-    totally_symmetric_exists,
 )
 from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal
 from eitff.symmetry import (
@@ -674,12 +674,17 @@ class TestProbe:
             assert probe_symmetry(frame)[0] == "total"
 
     @pytest.mark.parametrize("field", [R, C])
-    @pytest.mark.parametrize("r", [1, 2, 4, 8])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32, 48, 64])
     def test_generic_codes_probe_total_where_the_table_says_yes(self, field, r):
+        # The existence rule names exactly the generic codes whose Clifford
+        # system has a complementing J; the probe agrees where it is cheap.
         for n in range(3, rho_number(field, r) + 3):
-            label = probe_symmetry(build_eitff(field, r, n))[0]
-            answer = totally_symmetric_exists(field, r, n)[0]
-            assert (label == "total") == (answer == "yes"), (field, r, n, label, answer)
+            frame = build_eitff(field, r, n)
+            answer = exists(field, r, n, total=True)[0]
+            assert clifford_rule(frame)[2] == (answer == "yes"), (field, r, n, answer)
+            if r <= 8:
+                label = probe_symmetry(frame)[0]
+                assert (label == "total") == (answer == "yes"), (field, r, n, label, answer)
 
     def test_large_d_rejected(self):
         frame = random_subspace_frame(R, 33, 2, 3, seed=1)
@@ -691,7 +696,7 @@ class TestProbe:
         # n = rho + 2 = 10 at r = 8: no totally symmetric code exists, but
         # every code has all even permutations as symmetries.
         frame = build_eitff(field, 8, 10)
-        assert totally_symmetric_exists(field, 8, 10)[0] == "no"
+        assert exists(field, 8, 10, total=True)[0] == "no"
         label, certs = probe_symmetry(frame)
         assert label == "alternating"
         assert len(certs) == 8
@@ -769,7 +774,7 @@ class TestClosedFormOracle:
     def test_generic_codes(self, monkeypatch, field, r, n, rotated):
         frame = rotated_code(field, r, n, seed=n) if rotated else build_eitff(field, r, n)
         label = self.check_against_search(monkeypatch, frame)
-        answer = totally_symmetric_exists(field, r, n)[0]
+        answer = exists(field, r, n, total=True)[0]
         assert (label == "total") == (answer == "yes")
 
     @pytest.mark.parametrize("field,r,n,plain,twin", MIXED_SUMS, ids=case_id)
@@ -810,7 +815,7 @@ class TestClosedFormOracle:
     )
     def test_past_the_search_cap(self, field, r, n, total):
         # d = 64 and 128: the search refuses these frames, the closed form
-        # does not; R64 n=14 is the c = 2 case of `totally_symmetric_exists`.
+        # does not; R64 n=14 is the c = 2 case of `exists(..., total=True)`.
         frame = build_eitff(field, r, n)
         assert clifford_rule(frame)[2] is total
         sigma = Permutation.transposition(n, 1, n)
