@@ -29,6 +29,20 @@ from .simplex import RhoSimplex, rho_simplex_from_orthonormal
 # as coming from identical subspaces.
 _IDENTICAL_SUBSPACE_TOL = 1e-8
 
+
+def _weyl_screen(r: int, sigma2: float) -> float:
+    """Screen, not a verdict: `verify_eitff` skips the eigensolve of a
+    pair whose ||G G* - sigma^2 I||_F is at most r eps sigma^2.
+
+    Each entry of G G* is a length-r inner product of rows of norm about
+    sigma, so forming it rounds by up to about r eps sigma^2, and an
+    eigensolver's own backward error is of the same order: below the
+    screen, eigvalsh has nothing left to decide.  A negative sigma^2
+    (nr < d) gives a negative screen, so every pair is eigensolved.
+    """
+    return r * np.finfo(np.float64).eps * sigma2
+
+
 # Block OMP scores within this fraction of ||y|| of a round's top score
 # tie, and the lowest index among them is picked.  In a code with d = 2r
 # every block left after the first scores the same in exact arithmetic,
@@ -73,7 +87,7 @@ class FusionFrame:
 
     @classmethod
     def from_arrays(cls, field: FieldTag, arrays) -> "FusionFrame":
-        """The frame of the d x r arrays Phi_1 ... Phi_n, n >= 1: a
+        """The frame of the d x r arrays Phi_1 ... Phi_n, n >= 2: a
         sequence of arrays or one (n, d, r) array."""
         d, r = arrays[0].shape
         return cls(field, d, r, len(arrays), tuple(Mat(field, a) for a in arrays))
@@ -107,6 +121,8 @@ class VerificationReport:
     block_coherence: float
     gerzon_ok: bool
     tolerance: float
+    # 1-indexed pair (i, j), i < j, of the largest equi-isoclinic residual.
+    equiisoclinic_pair: tuple[int, int]
 
     @property
     def passed(self) -> bool:
@@ -230,45 +246,77 @@ def _tightness_residual(stack: np.ndarray, d: int, r: int) -> float:
     return max_abs(sum(a @ a.conj().T for a in stack) - (len(stack) * r / d) * np.eye(d))
 
 
+def _less_diagonal(stack: np.ndarray, c: float) -> np.ndarray:
+    """Subtract c from the diagonal of each matrix of the stack, in place."""
+    np.einsum("kii->ki", stack)[...] -= c
+    return stack
+
+
+def _row_spectrum(row: np.ndarray, sigma2: float):
+    """For the cross-Grams G of one (m, r, r) block row: each pair's largest
+    entry of |G* G - sigma^2 I| and |G G* - sigma^2 I|, an upper bound on
+    each lambda_max(G G*), and whether some pair is identical.  See
+    `verify_eitff` for when `eigvalsh` runs.  One buffer holds G* G, then
+    G G*, so a row holds at most three (m, r, r) arrays."""
+    identical2 = (1.0 - _IDENTICAL_SUBSPACE_TOL) ** 2
+    row_h = row.conj().swapaxes(1, 2)
+    gram = _less_diagonal(row_h @ row, sigma2)
+    errs = np.abs(gram).max(axis=(1, 2))
+    _less_diagonal(np.matmul(row, row_h, out=gram), sigma2)
+    mag = np.abs(gram)
+    errs = np.maximum(errs, mag.max(axis=(1, 2)))
+    spread = np.sqrt(np.einsum("kij,kij->k", mag, mag))
+    del mag
+    low, high = sigma2 - spread, sigma2 + spread
+    solve = (spread > _weyl_screen(row.shape[-1], sigma2)) | (
+        (low < identical2) & (high >= identical2)
+    )
+    if solve.any():
+        lam = np.linalg.eigvalsh(gram[solve]) + sigma2
+        low[solve], high[solve] = lam[:, 0], lam[:, -1]
+    return errs, high, bool((low >= identical2).any())
+
+
 def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationReport:
     """Measure every optimality property at once.
 
     Residuals: column orthonormality, tightness of the summed projections
     (target (nr/d) I), equi-isoclinism against sigma^2 = (nr-d)/(d(n-1)),
-    and the gap between block coherence and the Welch bound.  In the
-    fusion Gram H = S* S, S = [Phi_1 ... Phi_n], these ask H_ii = I and
+    and the gap between block coherence and the Welch bound (0 when
+    nr < d, where no frame is tight).  In the fusion Gram H = S* S,
+    S = [Phi_1 ... Phi_n], these ask H_ii = I and
     H_ij H_ij* = H_ij* H_ij = sigma^2 I; H is read one block row at a
-    time.  Coherence is the largest sqrt(lambda_max(H_ij H_ij*)) from
-    batched `eigvalsh`, eigenvalues clamped at 0.  The dimension-count
-    check is vacuous when some pair of subspaces coincides, since it only
-    speaks about nonidentical subspaces.
+    time, and the report names the pair with the largest equi-isoclinic
+    residual.  By Weyl's inequality every eigenvalue of H_ij H_ij* lies
+    within s_ij = ||H_ij H_ij* - sigma^2 I||_F of sigma^2.  A pair with s_ij
+    at most `_weyl_screen` takes sqrt(sigma^2 + s_ij) as its coherence and
+    decides the identical-pair flag from sigma^2 +- s_ij; the others, and
+    those whose interval straddles the identical threshold, get
+    sqrt(lambda_max) from batched `eigvalsh`, eigenvalues clamped at 0.
+    The dimension-count check is vacuous when some pair of subspaces
+    coincides, since it only speaks about nonidentical subspaces.
     """
     stack = frame.arrays()
     d, r, n = frame.d, frame.r, frame.n
-    eye_r = np.eye(r)
 
-    iso = max_abs(stack.conj().swapaxes(1, 2) @ stack - eye_r)
+    iso = max_abs(_less_diagonal(stack.conj().swapaxes(1, 2) @ stack, 1.0))
 
     tight = _tightness_residual(stack, d, r)
 
     sigma2 = (n * r - d) / (d * (n - 1))
-    equi = 0.0
-    coherence = 0.0
+    equi, pair = 0.0, (1, 2)
+    lam_max = 0.0
     identical_pair = False
-    for row in _cross_gram_rows(stack):
-        row_h = row.conj().swapaxes(1, 2)
-        ggh = row @ row_h
-        equi = max(
-            equi,
-            max_abs(ggh - sigma2 * eye_r),
-            max_abs(row_h @ row - sigma2 * eye_r),
-        )
-        s = np.sqrt(np.maximum(np.linalg.eigvalsh(ggh), 0.0))
-        coherence = max(coherence, float(s[:, -1].max()))
-        if float(s[:, 0].max()) >= 1.0 - _IDENTICAL_SUBSPACE_TOL:
-            identical_pair = True
+    for i, row in enumerate(_cross_gram_rows(stack)):
+        errs, high, identical = _row_spectrum(row, sigma2)
+        k = int(np.argmax(errs))
+        if errs[k] > equi:
+            equi, pair = float(errs[k]), (i + 1, i + 2 + k)
+        lam_max = max(lam_max, float(high.max()))
+        identical_pair |= identical
 
-    gap = coherence - welch_bound(d, r, n)
+    coherence = math.sqrt(max(lam_max, 0.0))
+    gap = coherence - (welch_bound(d, r, n) if n * r >= d else 0.0)
     gerzon_ok = identical_pair or n <= gerzon_bound(frame.field, d, r)
     return VerificationReport(
         isometry_residual=float(iso),
@@ -278,6 +326,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
         block_coherence=float(coherence),
         gerzon_ok=bool(gerzon_ok),
         tolerance=tol,
+        equiisoclinic_pair=pair,
     )
 
 

@@ -132,6 +132,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 4
 
+    def test_fewer_dimensions_than_ambient_exit_one(self, capsys, tmp_path):
+        # Two lines in R^3 (nr < d): a well-formed file that fails verification.
+        path = tmp_path / "lines.json"
+        lines = [np.eye(3)[:, :1], np.ones((3, 1)) / math.sqrt(3)]
+        save_frame(FusionFrame.from_arrays(FieldTag.REAL, lines), str(path))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert out.startswith("tightness=")
+
 
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):

@@ -91,6 +91,31 @@ def with_duplicate(frame, k):
     return FusionFrame.from_arrays(frame.field, np.concatenate([arrs, arrs[k - 1 : k]]))
 
 
+def with_random_member(frame, k, seed):
+    """The frame with its k-th isometry (1-indexed) spanning a random subspace."""
+    arrs = frame.arrays()
+    arrs[k - 1] = random_subspace_frame(frame.field, frame.d, frame.r, 2, seed).arrays()[0]
+    return FusionFrame.from_arrays(frame.field, arrs)
+
+
+def graded_perturbation(frame, top, seed):
+    """The frame with isometry i perturbed at top * 10^(-4(i-1)/(n-1)), so
+    the pairs' spreads ||G G* - sigma^2 I||_F run across the eigensolve
+    screen."""
+    rng = np.random.default_rng(seed)
+    arrs = frame.arrays()
+    for a, scale in zip(arrs, top * np.logspace(0, -4, frame.n)):
+        a += scale * rng.standard_normal(a.shape)
+    return FusionFrame.from_arrays(frame.field, arrs)
+
+
+def rotated(frame, seed):
+    """The frame under a seeded random unitary change of basis."""
+    d = frame.d
+    q = random_orthogonal(d, seed) if frame.field is R else random_unitary(d, seed)
+    return FusionFrame.from_arrays(frame.field, q @ frame.arrays())
+
+
 def lines_frame(degrees):
     """Lines in R^2 at the given angles, as 2x1 isometries."""
     isos = [
@@ -113,7 +138,26 @@ ORACLE_FRAMES = {
     "C2n6-duplicate": lambda: with_duplicate(build_eitff(C, 2, 6), 6),
     "lines-duplicate": lambda: lines_frame([0, 60, 120, 0]),
     "lines-no-duplicate": lambda: lines_frame([0, 45, 90, 135]),
+    # Past verify_eitff's eigensolve screen on some pairs and under it on others.
+    "R16n11-one-random": lambda: with_random_member(build_eitff(R, 16, 11), 5, seed=6),
+    "R16n11-graded": lambda: graded_perturbation(build_eitff(R, 16, 11), 1e-14, 7),
+    "R16n11-rotated": lambda: rotated(build_eitff(R, 16, 11), 8),
 }
+MIXED_PATH_FRAMES = ["R16n11-one-random", "R16n11-graded", "R16n11-rotated"]
+
+
+@pytest.fixture
+def eigensolved(monkeypatch):
+    """The number of matrices of each `np.linalg.eigvalsh` call, in order."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(len(a))
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 def orthogonal_blocks_frame(field, r, n):
@@ -400,6 +444,31 @@ class TestVerify:
         assert report.gerzon_ok
         assert report.passed
 
+    def test_screened_pairs_skip_the_eigensolve(self, eigensolved):
+        assert verify_eitff(build_eitff(R, 16, 11)).passed
+        # sigma = 1: the copies of the whole space are identical by the screen.
+        assert verify_eitff(FusionFrame.from_arrays(R, [np.eye(2)] * 3)).gerzon_ok
+        assert eigensolved == []
+
+    def test_fewer_dimensions_than_ambient_fails(self, eigensolved):
+        # Two lines in R^3 (nr < d) cannot be tight; the gap is measured
+        # against a bound of 0, and sigma^2 < 0 sends every pair to eigvalsh.
+        frame = FusionFrame.from_arrays(R, [np.eye(3)[:, :1], np.ones((3, 1)) / math.sqrt(3)])
+        with pytest.raises(DomainError):
+            welch_bound(3, 1, 2)
+        report = verify_eitff(frame)
+        assert not report.passed
+        assert abs(report.block_coherence - 1 / math.sqrt(3)) <= 1e-12
+        assert report.welch_gap == report.block_coherence
+        assert eigensolved == [1]
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_worst_pair_contains_perturbed_member(self, k):
+        arrs = build_eitff(R, 8, 10).arrays()
+        arrs[k - 1] += 1e-6 * np.random.default_rng(k).standard_normal(arrs[k - 1].shape)
+        i, j = verify_eitff(FusionFrame.from_arrays(R, arrs)).equiisoclinic_pair
+        assert 1 <= i < j <= 10 and k in (i, j)
+
 
 class TestVerifyAgainstReference:
     @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
@@ -414,6 +483,12 @@ class TestVerifyAgainstReference:
         assert abs(block_coherence(frame) - want["block_coherence"]) <= 1e-12
         if name.endswith(("-noisy", "-random")):
             assert not report.passed
+
+    @pytest.mark.parametrize("name", MIXED_PATH_FRAMES)
+    def test_both_coherence_paths_taken(self, name, eigensolved):
+        frame = ORACLE_FRAMES[name]()
+        verify_eitff(frame)
+        assert 0 < sum(eigensolved) < frame.n * (frame.n - 1) // 2
 
     @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
     def test_angles_match_pairwise_reference(self, name):
