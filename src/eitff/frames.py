@@ -32,10 +32,10 @@ _IDENTICAL_SUBSPACE_TOL = 1e-8
 
 def _weyl_screen(r: int, sigma2: float) -> float:
     """Screen, not a verdict: `verify_eitff` skips the eigensolve of a
-    pair whose ||G G* - sigma^2 I||_F is at most r eps sigma^2.
+    pair whose ||G* G - sigma^2 I||_F is at most r eps sigma^2.
 
-    Each entry of G G* is a length-r inner product of rows of norm about
-    sigma, so forming it rounds by up to about r eps sigma^2, and an
+    Each entry of G* G is a length-r inner product of columns of norm
+    about sigma, so forming it rounds by up to about r eps sigma^2, and an
     eigensolver's own backward error is of the same order: below the
     screen, eigvalsh has nothing left to decide.  A negative sigma^2
     (nr < d) gives a negative screen, so every pair is eigensolved.
@@ -206,12 +206,6 @@ def _cross_gram_rows(stack: np.ndarray):
         yield stack[i].conj().T @ stack[i + 1 :]
 
 
-def block_coherence(frame: FusionFrame) -> float:
-    """Largest operator norm among the cross-Gram matrices Phi_i* Phi_j."""
-    rows = _cross_gram_rows(frame.arrays())
-    return max(float(np.linalg.svd(g, compute_uv=False)[:, 0].max()) for g in rows)
-
-
 def welch_bound(d: int, r: int, n: int) -> float:
     """Spectral lower bound sqrt((nr - d) / (d (n - 1))) on block coherence."""
     if n < 2:
@@ -253,20 +247,16 @@ def _less_diagonal(stack: np.ndarray, c: float) -> np.ndarray:
 
 
 def _row_spectrum(row: np.ndarray, sigma2: float):
-    """For the cross-Grams G of one (m, r, r) block row: each pair's largest
-    entry of |G* G - sigma^2 I| and |G G* - sigma^2 I|, an upper bound on
-    each lambda_max(G G*), and whether some pair is identical.  See
-    `verify_eitff` for when `eigvalsh` runs.  One buffer holds G* G, then
-    G G*, so a row holds at most three (m, r, r) arrays."""
+    """For the cross-Grams G of one (m, r, r) block row: each pair's
+    s = ||G* G - sigma^2 I||_F, an upper bound on each lambda_max(G* G),
+    and whether some pair is identical.  See `verify_eitff` for when
+    `eigvalsh` runs.  The norm is read from the float64 view of the one
+    G* G - sigma^2 I buffer, so a row holds at most two (m, r, r) arrays
+    once that buffer is formed."""
     identical2 = (1.0 - _IDENTICAL_SUBSPACE_TOL) ** 2
-    row_h = row.conj().swapaxes(1, 2)
-    gram = _less_diagonal(row_h @ row, sigma2)
-    errs = np.abs(gram).max(axis=(1, 2))
-    _less_diagonal(np.matmul(row, row_h, out=gram), sigma2)
-    mag = np.abs(gram)
-    errs = np.maximum(errs, mag.max(axis=(1, 2)))
-    spread = np.sqrt(np.einsum("kij,kij->k", mag, mag))
-    del mag
+    gram = _less_diagonal(row.conj().swapaxes(1, 2) @ row, sigma2)
+    flat = gram.view(np.float64)
+    spread = np.sqrt(np.einsum("kij,kij->k", flat, flat))
     low, high = sigma2 - spread, sigma2 + spread
     solve = (spread > _weyl_screen(row.shape[-1], sigma2)) | (
         (low < identical2) & (high >= identical2)
@@ -274,7 +264,7 @@ def _row_spectrum(row: np.ndarray, sigma2: float):
     if solve.any():
         lam = np.linalg.eigvalsh(gram[solve]) + sigma2
         low[solve], high[solve] = lam[:, 0], lam[:, -1]
-    return errs, high, bool((low >= identical2).any())
+    return spread, high, bool((low >= identical2).any())
 
 
 def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -284,15 +274,18 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     (target (nr/d) I), equi-isoclinism against sigma^2 = (nr-d)/(d(n-1)),
     and the gap between block coherence and the Welch bound (0 when
     nr < d, where no frame is tight).  In the fusion Gram H = S* S,
-    S = [Phi_1 ... Phi_n], these ask H_ii = I and
-    H_ij H_ij* = H_ij* H_ij = sigma^2 I; H is read one block row at a
-    time, and the report names the pair with the largest equi-isoclinic
-    residual.  By Weyl's inequality every eigenvalue of H_ij H_ij* lies
-    within s_ij = ||H_ij H_ij* - sigma^2 I||_F of sigma^2.  A pair with s_ij
-    at most `_weyl_screen` takes sqrt(sigma^2 + s_ij) as its coherence and
-    decides the identical-pair flag from sigma^2 +- s_ij; the others, and
-    those whose interval straddles the identical threshold, get
-    sqrt(lambda_max) from batched `eigvalsh`, eigenvalues clamped at 0.
+    S = [Phi_1 ... Phi_n], these ask H_ii = I and H_ij* H_ij = sigma^2 I
+    (H_ij H_ij* has the same spectrum); H is read one block row at a
+    time.  The equi-isoclinic residual is max_ij s_ij with
+    s_ij = ||H_ij* H_ij - sigma^2 I||_F, a bound on every
+    |cos^2 theta - sigma^2| over the principal angles theta of the pair,
+    and the report names the pair where it is largest.  By Weyl's
+    inequality every eigenvalue of H_ij* H_ij lies within s_ij of
+    sigma^2.  A pair with s_ij at most `_weyl_screen` takes
+    sqrt(sigma^2 + s_ij) as its coherence and decides the identical-pair
+    flag from sigma^2 +- s_ij; the others, and those whose interval
+    straddles the identical threshold, get sqrt(lambda_max) from batched
+    `eigvalsh`, eigenvalues clamped at 0.
     The dimension-count check is vacuous when some pair of subspaces
     coincides, since it only speaks about nonidentical subspaces.
     """
@@ -308,10 +301,10 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     lam_max = 0.0
     identical_pair = False
     for i, row in enumerate(_cross_gram_rows(stack)):
-        errs, high, identical = _row_spectrum(row, sigma2)
-        k = int(np.argmax(errs))
-        if errs[k] > equi:
-            equi, pair = float(errs[k]), (i + 1, i + 2 + k)
+        spread, high, identical = _row_spectrum(row, sigma2)
+        k = int(np.argmax(spread))
+        if spread[k] > equi:
+            equi, pair = float(spread[k]), (i + 1, i + 2 + k)
         lam_max = max(lam_max, float(high.max()))
         identical_pair |= identical
 

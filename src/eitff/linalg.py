@@ -6,7 +6,9 @@ complex128 over C; a stack of m matrices of size r x r is one (m, r, r)
 array, a frame's n isometries one (n, d, r) array, and the field tag
 lives on the container that holds it.  Polar factors come from the SVD,
 null spaces of Hermitian matrices from `eigh`.  `relation_residual`
-measures the block-Gram identity of anticommuting families and simplices.
+measures the block-Gram identity of anticommuting families and simplices:
+by index arithmetic when every member is a generalized permutation
+matrix, as every built family is, and by dense block rows otherwise.
 
 `Mat`, a field-tagged complex128 carrier, is kept only where the
 benchmark in `perfbench/` reads it: as the element type of
@@ -133,13 +135,73 @@ def relation_residual(
 
     With H_ij = C_i* C_j the identity reads H_ii = I and
     H_ij + H_ji = offdiag * I for i != j: offdiag = 0 for an
-    anticommuting unitary family, -2/(n-2) for a unitary simplex.  Each
-    block row C_i* [C_i ... C_m] is one batched product in the stack's
-    own dtype, so the full (m r)^2 Gram is never formed.  Returns the
-    largest entrywise residual and the 1-indexed pair (i, j), i <= j,
-    where it first occurs; (1, 1) when every relation holds exactly, and
-    NaN with the first pair that holds a NaN entry.
+    anticommuting unitary family, -2/(n-2) for a unitary simplex.
+    Returns the largest entrywise residual and the 1-indexed pair (i, j),
+    i <= j, where it first occurs; (1, 1) when every relation holds
+    exactly, and NaN with the first pair that holds a NaN entry.
+
+    A stack of generalized permutation matrices (exactly one entry that
+    is not 0 in every row and every column of every member; NaN is not
+    0) is checked by index arithmetic in O(m^2 r): H_ij is then one too
+    (`_monomial_residual`).  Any other stack takes one batched product
+    per block row C_i* [C_i ... C_m] in its own dtype, so the full
+    (m r)^2 Gram is never formed.  Both give the same result up to the
+    rounding of each entry's single product.
     """
+    cols = _monomial_columns(stack)
+    if cols is None:
+        return _dense_residual(stack, offdiag)
+    return _monomial_residual(stack, cols, offdiag)
+
+
+def _monomial_columns(stack: np.ndarray) -> np.ndarray | None:
+    """For a nonempty stack of generalized permutation matrices, the
+    column of the one entry that is not 0 in each row of each member, as
+    an (m, r) int array; None for any other stack."""
+    m, r = stack.shape[:2]
+    if not m or np.count_nonzero(stack) != m * r:
+        return None
+    nonzero = stack != 0
+    if not (nonzero.any(axis=2).all() and nonzero.any(axis=1).all()):
+        return None
+    return nonzero.argmax(axis=2)
+
+
+def _monomial_residual(
+    stack: np.ndarray, cols: np.ndarray, offdiag: float
+) -> tuple[float, tuple[int, int]]:
+    """`relation_residual` of a stack of generalized permutation matrices
+    whose member C_i has its one entry of row a in column cols[i, a].
+
+    Row x of H_ij = C_i* C_j holds conj(C_i[a, x]) C_j[a, q(x)] at column
+    q(x) = cols[j, a], a the row of C_i whose entry sits in column x.  So
+    H_ij + H_ij* - offdiag I has at (x, q(x)) that entry plus
+    conj(H_ij[q(x), x]) when q(q(x)) = x, and the entry alone otherwise
+    (the lone entries of H_ij* mirror these), less offdiag where
+    q(x) = x; every diagonal position that H_ij misses holds -offdiag.
+    The sums are taken in the dense loop's order.
+    """
+    m, r = cols.shape
+    x = np.arange(r)
+    vals = np.take_along_axis(stack, cols[..., None], 2)[..., 0]
+    rows = np.argsort(cols, axis=1)
+    other, a = np.arange(m)[None, :, None], rows[:, None, :]
+    q = cols[other, a]
+    h = np.take_along_axis(vals, rows, 1).conj()[:, None, :] * vals[other, a]
+    on_diag = q == x
+    mirrored = np.take_along_axis(h, q, 2).conj() - offdiag * on_diag
+    err = np.where(np.take_along_axis(q, q, 2) == x, np.abs(h + mirrored), np.abs(h))
+    err = np.maximum(err, np.where(on_diag, 0.0, abs(offdiag))).max(axis=2)
+    diag = np.arange(m)
+    err[diag, diag] = np.abs(h[diag, diag] - 1.0).max(axis=1)
+    err[np.tril_indices(m, -1)] = -1.0
+    k = int(np.argmax(err))  # the first NaN, if there is one
+    i, j = divmod(k, m)
+    return float(err[i, j]), (i + 1, j + 1)
+
+
+def _dense_residual(stack: np.ndarray, offdiag: float) -> tuple[float, tuple[int, int]]:
+    """`relation_residual` of any stack, one batched product per block row."""
     eye = np.eye(stack.shape[-1])
     worst, where = 0.0, (1, 1)
     for i in range(len(stack)):

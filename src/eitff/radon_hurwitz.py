@@ -260,10 +260,11 @@ def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
 
 
 def verify_rho_orthonormal(seq: RhoOrthonormalSeq) -> float:
-    """Worst residual of the Radon–Hurwitz relations; exact families
-    measure ~1e-16.  With H = S* S for the stacked members S = [C_1 ... C_m]
-    the relations are the block identity H_ij + H_ji = 2 delta_ij I,
-    checked one block row at a time by `relation_residual`.
+    """Worst residual of the Radon–Hurwitz relations; built families,
+    whose members are generalized permutation matrices, measure exactly
+    0.  With H = S* S for the stacked members S = [C_1 ... C_m] the
+    relations are the block identity H_ij + H_ji = 2 delta_ij I, checked
+    by `relation_residual`.
     """
     return relation_residual(seq.stack(), 0.0)[0]
 

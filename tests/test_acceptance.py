@@ -14,7 +14,6 @@ import pytest
 from eitff.cli import main
 from eitff.errors import InfeasibleParametersError
 from eitff.frames import (
-    block_coherence,
     block_omp_recover,
     build_eitff,
     canonicalize,
@@ -34,6 +33,8 @@ from eitff.radon_hurwitz import (
 )
 from eitff.simplex import simplex_matrix
 from eitff.symmetry import alternating_witness, probe_symmetry, transposition_witness
+
+from test_frames import block_coherence
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 FRONTIER_RS = (1, 2, 3, 4, 6, 8, 12, 16)

@@ -9,7 +9,6 @@ from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputErr
 from eitff.frames import (
     _OMP_TIE_RTOL,
     FusionFrame,
-    block_coherence,
     block_omp_recover,
     build_eitff,
     canonicalize,
@@ -21,7 +20,7 @@ from eitff.frames import (
     verify_eitff,
     welch_bound,
 )
-from eitff.linalg import FieldTag, max_abs
+from eitff.linalg import DEFAULT_TOL, FieldTag, max_abs
 from eitff.radon_hurwitz import GEN, exists, rho_number
 from eitff.simplex import verify_rho_simplex
 
@@ -30,32 +29,64 @@ from conftest import random_subspace_frame, random_orthogonal, random_unitary
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
 
+def block_coherence(frame):
+    """Reference coherence: the largest singular value of any cross-Gram
+    Phi_i* Phi_j, from one batched SVD per block row."""
+    arrs = frame.arrays()
+    return max(
+        float(np.linalg.svd(arrs[i].conj().T @ arrs[i + 1 :], compute_uv=False).max())
+        for i in range(frame.n - 1)
+    )
+
+
+def sigma_squared(frame):
+    d, r, n = frame.d, frame.r, frame.n
+    return (n * r - d) / (d * (n - 1))
+
+
+def cross_grams(frame):
+    """(i, j, Phi_i* Phi_j) for every pair i < j, 1-indexed."""
+    arrs = frame.arrays()
+    for i in range(frame.n):
+        for j in range(i + 1, frame.n):
+            yield i + 1, j + 1, arrs[i].conj().T @ arrs[j]
+
+
+def equiisoclinic_reference(frame, entrywise=False):
+    """The equi-isoclinic residual, the largest ||g* g - sigma^2 I||_F over
+    the cross-Grams g, and the first pair where it occurs.  With
+    `entrywise`, the residual verify_eitff used to report instead: the
+    largest entry of |g g* - sigma^2 I| and |g* g - sigma^2 I|."""
+    eye_r, sigma2 = np.eye(frame.r), sigma_squared(frame)
+    worst, where = 0.0, (1, 2)
+    for i, j, g in cross_grams(frame):
+        if entrywise:
+            res = max(max_abs(g @ g.conj().T - sigma2 * eye_r), max_abs(g.conj().T @ g - sigma2 * eye_r))
+        else:
+            res = float(np.linalg.norm(g.conj().T @ g - sigma2 * eye_r))
+        if res > worst:
+            worst, where = res, (i, j)
+    return worst, where
+
+
 def reference_report(frame):
     """Per-pair reference for verify_eitff: one cross-Gram and one SVD
     per pair of subspaces."""
     arrs = frame.arrays()
     d, r, n = frame.d, frame.r, frame.n
     eye_r = np.eye(r)
-    sigma2 = (n * r - d) / (d * (n - 1))
-    equi = coherence = 0.0
+    coherence = 0.0
     identical = False
-    for i in range(n):
-        for j in range(i + 1, n):
-            g = arrs[i].conj().T @ arrs[j]
-            equi = max(
-                equi,
-                max_abs(g @ g.conj().T - sigma2 * eye_r),
-                max_abs(g.conj().T @ g - sigma2 * eye_r),
-            )
-            s = np.linalg.svd(g, compute_uv=False)
-            coherence = max(coherence, float(s[0]))
-            identical = identical or float(s[-1]) >= 1.0 - 1e-8
+    for _, _, g in cross_grams(frame):
+        s = np.linalg.svd(g, compute_uv=False)
+        coherence = max(coherence, float(s[0]))
+        identical = identical or float(s[-1]) >= 1.0 - 1e-8
     return {
         "isometry_residual": max(max_abs(a.conj().T @ a - eye_r) for a in arrs),
         "tightness_residual": max_abs(
             sum(a @ a.conj().T for a in arrs) - (n * r / d) * np.eye(d)
         ),
-        "equiisoclinic_residual": equi,
+        "equiisoclinic_residual": equiisoclinic_reference(frame)[0],
         "welch_gap": coherence - welch_bound(d, r, n),
         "block_coherence": coherence,
         "gerzon_ok": identical or n <= gerzon_bound(frame.field, d, r),
@@ -483,6 +514,25 @@ class TestVerifyAgainstReference:
         assert abs(block_coherence(frame) - want["block_coherence"]) <= 1e-12
         if name.endswith(("-noisy", "-random")):
             assert not report.passed
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_frobenius_residual_is_no_looser(self, name):
+        # g g* - sigma^2 I has the Frobenius norm of g* g - sigma^2 I, which
+        # bounds each of its r^2 entries: the residual can only grow, by at
+        # most a factor r, so no frame that failed before passes now.  The
+        # worst pair is the worst under the new norm, which on noisy frames
+        # need not be the pair with the worst entry.
+        frame = ORACLE_FRAMES[name]()
+        r, eps = frame.r, np.finfo(np.float64).eps
+        new, new_pair = equiisoclinic_reference(frame)
+        old, _ = equiisoclinic_reference(frame, entrywise=True)
+        assert new >= old - r * eps * abs(sigma_squared(frame))
+        assert new <= r * old
+        report, want = verify_eitff(frame), reference_report(frame)
+        residuals = (want["isometry_residual"], want["tightness_residual"], old, want["welch_gap"])
+        assert report.passed == (max(residuals) <= DEFAULT_TOL and want["gerzon_ok"])
+        assert report.gerzon_ok == want["gerzon_ok"]
+        assert report.equiisoclinic_pair == new_pair
 
     @pytest.mark.parametrize("name", MIXED_PATH_FRAMES)
     def test_both_coherence_paths_taken(self, name, eigensolved):

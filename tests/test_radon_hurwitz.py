@@ -9,6 +9,8 @@ from eitff.errors import (
     InvalidInputError,
     ShapeError,
 )
+from eitff import linalg
+from eitff.frames import build_eitff
 from eitff.linalg import FieldTag, Mat, max_abs, relation_residual
 from eitff.radon_hurwitz import (
     GEN,
@@ -44,6 +46,42 @@ def reference_relation_residual(arrs, offdiag):
             if res > worst:
                 worst, where = res, (i + 1, j + 1)
     return worst, where
+
+
+def dense_relation_residual(stack, offdiag):
+    """Copy of the dense branch of relation_residual: one batched product
+    per block row, NaN returned with the first pair that holds it."""
+    eye = np.eye(stack.shape[-1])
+    worst, where = 0.0, (1, 1)
+    for i in range(len(stack)):
+        row = stack[i].conj().T @ stack[i:]
+        row[1:] += row[1:].conj().swapaxes(1, 2) - offdiag * eye
+        row[0] -= eye
+        errs = np.abs(row).max(axis=(1, 2))
+        k = int(np.argmax(errs))
+        if np.isnan(errs[k]):
+            return float(errs[k]), (i + 1, i + 1 + k)
+        if errs[k] > worst:
+            worst, where = float(errs[k]), (i + 1, i + 1 + k)
+    return worst, where
+
+
+def generalized_permutation_stack(field, r, m, base, rng):
+    """m generalized permutation matrices of size r: the built family of
+    length min(m, rho), or random permutations with random phases
+    (+-1, and +-i over C) or random normal values."""
+    if base == "family":
+        return build_rho_orthonormal(field, r, min(m, rho_number(field, r))).stack()
+    stack = np.zeros((m, r, r), dtype=np.complex128 if field is FieldTag.COMPLEX else np.float64)
+    for member in stack:
+        if base == "phases":
+            values = rng.choice([1, -1, 1j, -1j] if field is FieldTag.COMPLEX else [1, -1], r)
+        else:
+            values = rng.standard_normal(r)
+            if field is FieldTag.COMPLEX:
+                values = values + 1j * rng.standard_normal(r)
+        member[np.arange(r), rng.permutation(r)] = values
+    return stack
 
 
 def with_identity(stack):
@@ -288,6 +326,57 @@ class TestVerify:
 
 
 class TestRelationKernel:
+    @given(
+        field=st.sampled_from([R, C]),
+        r=st.sampled_from([1, 2, 3, 4, 8, 16]),
+        m=st.integers(min_value=2, max_value=8),
+        base=st.sampled_from(["family", "phases", "values"]),
+        corruption=st.sampled_from(["sign", "swap", "scale", "nan"]),
+        simplex=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generalized_permutation_stacks_match_dense_loop(
+        self, field, r, m, base, corruption, simplex, seed
+    ):
+        rng = np.random.default_rng(seed)
+        stack = generalized_permutation_stack(field, r, m, base, rng)
+        k, a = rng.integers(len(stack)), rng.integers(r)
+        col = np.flatnonzero(stack[k, a])[0]
+        if corruption == "sign":
+            stack[k, a, col] *= -1
+        elif corruption == "swap":
+            stack[k, [a, (a + 1) % r]] = stack[k, [(a + 1) % r, a]]
+        elif corruption == "scale":
+            stack[k, a, col] *= 1.0 + rng.random()
+        else:
+            stack[k, a, col] = np.nan
+        offdiag = -2.0 / (len(stack) - 1) if simplex and len(stack) > 1 else 0.0
+        got, pair = relation_residual(stack, offdiag)
+        want, want_pair = dense_relation_residual(stack, offdiag)
+        assert pair == want_pair
+        if corruption == "nan":
+            assert np.isnan(got) and np.isnan(want)
+        else:
+            assert abs(got - want) <= 4 * np.finfo(np.float64).eps * np.abs(stack).max() ** 2
+
+    @pytest.mark.parametrize("field", [R, C])
+    def test_built_families_hold_exactly(self, field):
+        for r in range(1, 65):
+            seq = build_rho_orthonormal(field, r, rho_number(field, r))
+            assert relation_residual(seq.stack(), 0.0) == (0.0, (1, 1)), r
+
+    def test_built_code_never_takes_the_dense_branch(self, monkeypatch):
+        def refuse(stack, offdiag):
+            raise AssertionError("dense relation check")
+
+        monkeypatch.setattr(linalg, "_dense_residual", refuse)
+        assert build_eitff(R, 256, 19).n == 19
+        # A unitary simplex is not a generalized permutation stack.
+        simplex = rho_simplex_from_orthonormal(build_rho_orthonormal(R, 16, 9))
+        with pytest.raises(AssertionError, match="dense relation check"):
+            verify_rho_simplex(simplex)
+
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("r", [1, 2, 4, 8, 12, 16, 32])
     def test_exact_families_match_reference(self, field, r):
