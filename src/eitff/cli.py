@@ -30,7 +30,7 @@ from .frames import (
     principal_angles,
     verify_eitff,
 )
-from .linalg import FieldTag
+from .linalg import DEFAULT_TOL, FieldTag
 from .radon_hurwitz import VARIANTS, decompose_r, exists, rho_number
 from .symmetry import (
     Permutation,
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="measure every optimality property of a frame file")
     p_verify.add_argument("frame")
-    p_verify.add_argument("--tol", type=_tolerance, default=1e-10)
+    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_verify.set_defaults(func=cmd_verify)
 
     p_naimark = sub.add_parser("naimark", help="write the Naimark complement of a tight frame")
@@ -95,10 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym = sub.add_parser("sym", help="symmetry certificates")
     sym_sub = p_sym.add_subparsers(dest="sym_command", required=True)
 
-    p_witness = sym_sub.add_parser("witness", help="search for a witness of a permutation")
+    how = "in closed form on codes at any d, by search on other frames with d <= 32"
+    p_witness = sym_sub.add_parser("witness", help=f"witness a permutation: {how}")
     p_witness.add_argument("frame")
     p_witness.add_argument("--perm", required=True, help='one-line notation, e.g. "2 1 3 4"')
-    p_witness.add_argument("--tol", type=_tolerance, default=1e-10)
+    p_witness.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_witness.add_argument("--seed", type=int, default=0)
     p_witness.add_argument("--out", default=None, help="write the certificate as JSON")
     p_witness.set_defaults(func=cmd_sym_witness)
@@ -106,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sym_sub.add_parser("check", help="re-measure a stored certificate")
     p_check.add_argument("frame")
     p_check.add_argument("--cert", required=True)
-    p_check.add_argument("--tol", type=_tolerance, default=1e-10)
+    p_check.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_check.set_defaults(func=cmd_sym_check)
 
-    p_probe = sym_sub.add_parser("probe", help="classify the symmetry group at desk scale")
+    p_probe = sym_sub.add_parser("probe", help=f"classify the symmetry group: {how}")
     p_probe.add_argument("frame")
-    p_probe.add_argument("--tol", type=_tolerance, default=1e-10)
+    p_probe.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.set_defaults(func=cmd_sym_probe)
 
@@ -258,7 +259,7 @@ def cmd_exists(args) -> int:
 def cmd_omp_demo(args) -> int:
     frame, _ = load_frame(args.frame)
     rng = np.random.default_rng(args.seed)
-    arrs = frame.arrays()
+    arrs = frame.array
     recovered = 0
     for _ in range(args.trials):
         block = int(rng.integers(1, frame.n + 1))

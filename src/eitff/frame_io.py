@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError
 from .frames import FusionFrame
-from .linalg import FieldTag, Mat, require_finite
+from .linalg import FieldTag, require_finite
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -158,7 +158,7 @@ def save_frame(frame: FusionFrame, path: str, metadata: dict | None = None) -> N
         "d": frame.d,
         "r": frame.r,
         "n": frame.n,
-        "isometries": frame.arrays(),
+        "isometries": frame.array,
         "metadata": dict(metadata or {}),
     })
 
@@ -175,9 +175,8 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
         raise FormatError(f"expected {n} isometries")
     if not isinstance(metadata, dict):
         raise FormatError("metadata must be an object")
-    # `_read` has decoded every isometry; all n arrays are alive while
-    # they are wrapped, but no payload's pair lists are.
-    isometries = []
+    # `_read` has decoded every isometry, and no payload's pair lists are
+    # alive while the frame stacks the n arrays.
     for pos, payload in enumerate(payloads, 1):
         if not isinstance(payload, tuple):
             raise FormatError(f"isometry {pos} is not a matrix payload")
@@ -186,11 +185,10 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
             raise FormatError(
                 f"isometry {pos} is {code.value} {a.shape[0]}x{a.shape[1]}, want {field.value} {d}x{r}"
             )
-        isometries.append(Mat(field, a))
     if decoded != n:
         raise FormatError("a matrix payload lies outside the isometries")
     try:
-        return FusionFrame(field, d, r, n, tuple(isometries)), metadata
+        return FusionFrame(field, d, r, n, [a for _, a in payloads]), metadata
     except DomainError as exc:
         raise FormatError(f"bad frame header: {exc}") from exc
 

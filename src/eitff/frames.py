@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
+from .errors import DomainError, InvalidInputError
+from .linalg import DEFAULT_TOL, FieldTag, Mat, field_array, max_abs
 from .radon_hurwitz import variant_family
 from .simplex import RhoSimplex, rho_simplex_from_orthonormal
 
@@ -53,49 +53,44 @@ def _weyl_screen(r: int, sigma2: float) -> float:
 _OMP_TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionFrame:
     """n isometries Phi_i in F^{d x r}; columns of each span one subspace.
 
-    Members are `Mat`s because the benchmark reads them; `from_arrays`
-    and `arrays` convert from and to one (n, d, r) array in the field's dtype.
+    `array` holds them as one read-only (n, d, r) array in the field's
+    dtype, from any sequence of n d x r arrays or one (n, d, r) array
+    (`field_array`); `arrays` returns a writable copy.
     """
 
     field: FieldTag
     d: int
     r: int
     n: int
-    isometries: tuple[Mat, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "isometries", tuple(self.isometries))
         if self.r < 1 or self.d < self.r:
             raise DomainError(f"need d >= r >= 1, got d={self.d}, r={self.r}")
         if self.n < 2:
             raise DomainError(f"need n >= 2 subspaces, got n={self.n}")
-        if len(self.isometries) != self.n:
-            raise ShapeError(
-                f"expected {self.n} isometries, got {len(self.isometries)}"
-            )
-        for phi in self.isometries:
-            if phi.shape != (self.d, self.r):
-                raise ShapeError(
-                    f"expected {self.d}x{self.r} isometries, got {phi.shape}"
-                )
-            if self.field is FieldTag.REAL and phi.field is not FieldTag.REAL:
-                raise InvalidInputError("complex isometry in a real-tagged frame")
+        shape = (self.n, self.d, self.r)
+        object.__setattr__(self, "array", field_array(self.field, self.array, shape, "isometries"))
 
     @classmethod
     def from_arrays(cls, field: FieldTag, arrays) -> "FusionFrame":
         """The frame of the d x r arrays Phi_1 ... Phi_n, n >= 2: a
         sequence of arrays or one (n, d, r) array."""
         d, r = arrays[0].shape
-        return cls(field, d, r, len(arrays), tuple(Mat(field, a) for a in arrays))
+        return cls(field, d, r, len(arrays), arrays)
 
     def arrays(self) -> np.ndarray:
-        """The isometries as one fresh C-contiguous (n, d, r) array."""
-        real = self.field is FieldTag.REAL
-        return np.stack([phi.array.real if real else phi.array for phi in self.isometries])
+        """The isometries as one fresh writable (n, d, r) array."""
+        return self.array.copy()
+
+    @property
+    def isometries(self) -> tuple[Mat, ...]:
+        """The isometries as `Mat`s, the benchmark's view."""
+        return tuple(Mat(self.field, a) for a in self.array)
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ def canonicalize(frame: FusionFrame, tol: float = 1e-8):
             f"equi-isoclinic {report.equiisoclinic_residual:.2e})"
         )
     r, p = frame.r, eitff_params(frame.n)
-    stack = frame.arrays()
+    stack = frame.array
     omegas = _complete_unitary(stack[-1]).conj().T @ stack[:-1]
     z = omegas[:, :r] / p.alpha
     blocks = (omegas[:, r:] @ z.conj().swapaxes(1, 2)) / p.beta
@@ -220,7 +215,7 @@ def principal_angles(frame: FusionFrame) -> np.ndarray:
     principal angles between subspaces i+1 and j+1, the arccos of the
     (clamped) cross-Gram singular values.  The diagonal is zero."""
     angles = np.zeros((frame.n, frame.n, frame.r))
-    for i, row in enumerate(_cross_gram_rows(frame.arrays())):
+    for i, row in enumerate(_cross_gram_rows(frame.array)):
         theta = np.arccos(np.clip(np.linalg.svd(row, compute_uv=False), 0.0, 1.0))
         angles[i, i + 1 :] = angles[i + 1 :, i] = theta
     return angles
@@ -289,7 +284,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     The dimension-count check is vacuous when some pair of subspaces
     coincides, since it only speaks about nonidentical subspaces.
     """
-    stack = frame.arrays()
+    stack = frame.array
     d, r, n = frame.d, frame.r, frame.n
 
     iso = max_abs(_less_diagonal(stack.conj().swapaxes(1, 2) @ stack, 1.0))
@@ -305,10 +300,10 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
         k = int(np.argmax(spread))
         if spread[k] > equi:
             equi, pair = float(spread[k]), (i + 1, i + 2 + k)
-        lam_max = max(lam_max, float(high.max()))
+        lam_max = np.maximum(lam_max, high.max())  # unlike max, keeps a NaN
         identical_pair |= identical
 
-    coherence = math.sqrt(max(lam_max, 0.0))
+    coherence = float(np.sqrt(np.maximum(lam_max, 0.0)))
     gap = coherence - (welch_bound(d, r, n) if n * r >= d else 0.0)
     gerzon_ok = identical_pair or n <= gerzon_bound(frame.field, d, r)
     return VerificationReport(
@@ -337,7 +332,7 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
-    stack = frame.arrays()
+    stack = frame.array
     tight = _tightness_residual(stack, d, r)
     if not tight <= 1e-8:
         raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
@@ -383,7 +378,7 @@ def block_omp_recover(frame: FusionFrame, y, k: int):
     """
     if k < 1:
         raise DomainError(f"sparsity level must be >= 1, got {k}")
-    arrs = frame.arrays()
+    arrs = frame.array
     y = np.asarray(y, dtype=arrs.dtype).reshape(frame.d)
     tie = _OMP_TIE_RTOL * np.linalg.norm(y)
     selected: list[int] = []

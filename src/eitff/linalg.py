@@ -10,10 +10,13 @@ measures the block-Gram identity of anticommuting families and simplices:
 by index arithmetic when every member is a generalized permutation
 matrix, as every built family is, and by dense block rows otherwise.
 
-`Mat`, a field-tagged complex128 carrier, is kept only where the
-benchmark in `perfbench/` reads it: as the element type of
-`FusionFrame.isometries` and `RhoOrthonormalSeq.mats`, and as the
-argument of `nullspace`.  It goes once the benchmark reads plain arrays.
+`field_array` is the one check of shape, field and finiteness behind
+every container of such arrays.  `Mat`, a field-tagged complex128
+matrix, is the benchmark's view and nothing else: `perfbench/` reads
+frames and families through `FusionFrame.isometries` and
+`RhoOrthonormalSeq.mats`, builds them from tuples of `Mat`s, and traces
+the `Mat` argument of `nullspace`.  It goes once the benchmark reads
+plain arrays.
 """
 
 from __future__ import annotations
@@ -42,30 +45,20 @@ class FieldTag(Enum):
 @dataclass(frozen=True, eq=False)
 class Mat:
     """Immutable dense matrix over R or C, kept only as the benchmark's
-    carrier (see the module docstring).
-
-    Entries are stored as C-ordered complex128 regardless of the field
-    tag, so the storage always has a float64 view; a real-tagged matrix
-    must have every imaginary part exactly zero and the constructor
-    rejects anything else.  All entries must be finite.
-    """
+    view (see the module docstring): a read-only C-ordered complex128
+    array, checked by `field_array`, so it always has a float64 view."""
 
     field: FieldTag
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.complex128, order="C")
-        if arr.ndim != 2:
-            raise ShapeError(f"matrix must be 2-d, got ndim={arr.ndim}")
-        require_finite(arr, "matrix")
-        if self.field is FieldTag.REAL:
-            if np.any(arr.imag != 0.0):
-                raise InvalidInputError(
-                    "real-tagged matrix has a nonzero imaginary part"
-                )
-            arr = arr.real.astype(np.complex128)
+        arr = field_array(self.field, self.array, (None, None), "matrix")
+        arr = arr.astype(np.complex128, copy=False)
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array, dtype=dtype, copy=copy)
 
     @property
     def rows(self) -> int:
@@ -78,6 +71,31 @@ class Mat:
     @property
     def shape(self) -> tuple[int, int]:
         return self.array.shape
+
+
+def field_array(field: FieldTag, values, shape: tuple, what: str) -> np.ndarray:
+    """`values` as a fresh read-only C-ordered array in the field's dtype,
+    float64 over R and complex128 over C.
+
+    `shape` gives every extent, None for any; ragged input or another
+    shape raises `ShapeError`.  A non-finite entry, or under R a nonzero
+    imaginary part, raises `InvalidInputError`; a zero imaginary part is
+    dropped.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ShapeError(f"{what} members differ in shape") from exc
+    if arr.ndim != len(shape) or any(k not in (None, got) for k, got in zip(shape, arr.shape)):
+        raise ShapeError(f"expected {what} of shape {shape}, got {arr.shape}")
+    require_finite(arr, what)
+    if field is FieldTag.REAL:
+        if np.iscomplexobj(arr) and arr.imag.any():
+            raise InvalidInputError(f"real-tagged {what} has a nonzero imaginary part")
+        arr = arr.real
+    arr = np.array(arr, dtype=np.float64 if field is FieldTag.REAL else np.complex128, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 def max_abs(values) -> float:

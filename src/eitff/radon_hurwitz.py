@@ -25,7 +25,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, relation_residual, require_finite
+from .linalg import FieldTag, Mat, field_array, relation_residual, require_finite
 
 VARIANTS = ("generic", "skew", "totally_symmetric")
 
@@ -72,46 +72,41 @@ def tensor(*mats: np.ndarray) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RhoOrthonormalSeq:
     """Unitaries C_i with C_i* C_j + C_j* C_i = 0 for i != j.
 
     Structural facts (sizes, field, length <= rho_F(r)) are checked at
     construction; the numeric relations are the builder's business and
-    can be re-measured with `verify_rho_orthonormal`.  Members are `Mat`s
-    because the benchmark reads them; `from_stack` and `stack` convert
-    from and to one (m, r, r) array in the field's dtype.
+    can be re-measured with `verify_rho_orthonormal`.  `array` holds the
+    members as one read-only (m, r, r) array in the field's dtype, from a
+    sequence of r x r arrays or one stack (`field_array`); `stack`
+    returns a writable copy.
     """
 
     field: FieldTag
     r: int
-    mats: tuple[Mat, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mats", tuple(self.mats))
-        if len(self.mats) < 1:
+        if len(self.array) < 1:
             raise InvalidInputError("sequence needs at least one member")
-        for m in self.mats:
-            if m.shape != (self.r, self.r):
-                raise ShapeError(f"expected {self.r}x{self.r} members, got {m.shape}")
-            if self.field is FieldTag.REAL and m.field is not FieldTag.REAL:
-                raise InvalidInputError("complex member in a real-tagged sequence")
+        arr = field_array(self.field, self.array, (None, self.r, self.r), "family members")
+        object.__setattr__(self, "array", arr)
         cap = rho_number(self.field, self.r)
-        if len(self.mats) > cap:
-            raise InvalidInputError(
-                f"{len(self.mats)} members exceed rho({self.r}) = {cap}"
-            )
-
-    @classmethod
-    def from_stack(cls, field: FieldTag, stack: np.ndarray) -> "RhoOrthonormalSeq":
-        return cls(field, stack.shape[-1], tuple(Mat(field, c) for c in stack))
+        if len(arr) > cap:
+            raise InvalidInputError(f"{len(arr)} members exceed rho({self.r}) = {cap}")
 
     def stack(self) -> np.ndarray:
-        real = self.field is FieldTag.REAL
-        return np.stack([m.array.real if real else m.array for m in self.mats])
+        return self.array.copy()
+
+    @property
+    def mats(self) -> tuple[Mat, ...]:
+        """The members as `Mat`s, the benchmark's view."""
+        return tuple(Mat(self.field, c) for c in self.array)
 
     def __len__(self) -> int:
-        return len(self.mats)
+        return len(self.array)
 
 
 def decompose_r(r: int) -> RHDecomposition:
@@ -256,7 +251,7 @@ def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
         stack = np.kron(eye_odd, stack)[-m:]
     else:
         stack = np.concatenate([np.eye(r)[None], np.kron(eye_odd, _real_skew_tower(k))])[:m]
-    return RhoOrthonormalSeq.from_stack(field, stack)
+    return RhoOrthonormalSeq(field, r, stack)
 
 
 def verify_rho_orthonormal(seq: RhoOrthonormalSeq) -> float:
@@ -266,15 +261,15 @@ def verify_rho_orthonormal(seq: RhoOrthonormalSeq) -> float:
     relations are the block identity H_ij + H_ji = 2 delta_ij I, checked
     by `relation_residual`.
     """
-    return relation_residual(seq.stack(), 0.0)[0]
+    return relation_residual(seq.array, 0.0)[0]
 
 
 def _skew_members(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
     """The m skew-Hermitian members of the built family of length m + 1,
     whose identity member is first over R and last over C
     (`build_rho_orthonormal`)."""
-    mats = build_rho_orthonormal(field, r, m + 1).mats
-    return RhoOrthonormalSeq(field, r, mats[1:] if field is FieldTag.REAL else mats[:-1])
+    stack = build_rho_orthonormal(field, r, m + 1).array
+    return RhoOrthonormalSeq(field, r, stack[1:] if field is FieldTag.REAL else stack[:-1])
 
 
 def exists(field: FieldTag, r: int, n: int, total: bool = False) -> tuple[str, str]:

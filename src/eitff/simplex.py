@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import FieldTag, relation_residual, require_finite
+from .errors import DomainError, InvalidInputError
+from .linalg import FieldTag, field_array, relation_residual
 from .radon_hurwitz import RhoOrthonormalSeq, verify_rho_orthonormal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RhoSimplex:
     """n-1 unitaries B_i with B_i* B_j + B_j* B_i = -2/(n-2) I for i != j,
-    held as one (n-1, r, r) array in the field's dtype."""
+    held as one read-only (n-1, r, r) array in the field's dtype
+    (`field_array`)."""
 
     field: FieldTag
     r: int
@@ -31,17 +32,8 @@ class RhoSimplex:
     def __post_init__(self):
         if self.n < 3:
             raise InvalidInputError(f"a unitary simplex needs n >= 3, got n={self.n}")
-        blocks = np.asarray(self.blocks)
-        if blocks.shape != (self.n - 1, self.r, self.r):
-            raise ShapeError(
-                f"expected {self.n - 1} members of size {self.r}x{self.r} for "
-                f"n={self.n}, got shape {blocks.shape}"
-            )
-        if self.field is FieldTag.REAL and np.iscomplexobj(blocks):
-            raise InvalidInputError("complex members in a real-tagged simplex")
-        require_finite(blocks, "simplex")
-        dtype = np.float64 if self.field is FieldTag.REAL else np.complex128
-        object.__setattr__(self, "blocks", blocks.astype(dtype, copy=False))
+        shape = (self.n - 1, self.r, self.r)
+        object.__setattr__(self, "blocks", field_array(self.field, self.blocks, shape, "simplex"))
 
 
 def simplex_matrix(m: int) -> np.ndarray:
@@ -76,7 +68,7 @@ def rho_simplex_from_orthonormal(seq: RhoOrthonormalSeq) -> RhoSimplex:
         )
     m, r = len(seq), seq.r
     psi = simplex_matrix(m + 1)
-    blocks = (psi.T @ seq.stack().reshape(m, -1)).reshape(-1, r, r)
+    blocks = (psi.T @ seq.array.reshape(m, -1)).reshape(-1, r, r)
     return RhoSimplex(seq.field, r, m + 2, blocks)
 
 

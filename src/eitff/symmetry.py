@@ -27,7 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError, SingularMatrixError
-from .linalg import Mat, max_abs, nullspace, polar_unitary, relation_residual, require_finite
+from .linalg import DEFAULT_TOL, Mat, max_abs, nullspace, polar_unitary, relation_residual, require_finite
 from .frames import FusionFrame, frame_from_simplex
 from .simplex import RhoSimplex, simplex_matrix
 
@@ -127,7 +127,7 @@ class SymmetryCertificate:
 
 def _projections(frame: FusionFrame) -> np.ndarray:
     """The (n, d, d) stack of projections Pi_i = Phi_i Phi_i*."""
-    stack = frame.arrays()
+    stack = frame.array
     return stack @ stack.conj().swapaxes(1, 2)
 
 
@@ -303,7 +303,7 @@ def _closed_witness(projections: np.ndarray, sigma: Permutation, j):
     return SymmetryCertificate(sigma, ups, _conjugation_residual(projections, sigma, ups))
 
 
-def clifford_rule(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
+def clifford_rule(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     """(m, |tr omega|, total) of a code with d = 2r, or None for any other
     frame (`_clifford_system`, `_complement`).  The code is totally
     symmetric exactly when m is even or tr omega = 0.  The sign of
@@ -318,7 +318,7 @@ def clifford_rule(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
 def find_witness(
     frame: FusionFrame,
     sigma: Permutation,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     seed: int = 0,
 ):
     """A unitary witness of sigma, or None.
@@ -409,7 +409,7 @@ def _search(
     if d > 32:
         raise DomainError(f"witness search is limited to d <= 32, got d={d}")
     ends = (n, sigma.apply(n))
-    ends_stack = frame.arrays()[[i - 1 for i in ends]]
+    ends_stack = frame.array[[i - 1 for i in ends]]
     (uk, um), rmat = np.linalg.qr(ends_stack, mode="complete")
     for i, diag in zip(ends, np.abs(np.diagonal(rmat, axis1=1, axis2=2))):
         if diag.min() <= 1e-8 * diag.max():
@@ -438,7 +438,7 @@ def _search(
     return None
 
 
-def probe_symmetry(frame: FusionFrame, tol: float = 1e-10, seed: int = 0):
+def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     """Classify the symmetry group: ("total" | "alternating" | "other",
     certificates of the generators).  These are the n - 1 adjacent
     transpositions for "total", the n - 2 consecutive 3-cycles for

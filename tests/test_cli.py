@@ -128,6 +128,16 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(frame_path))
         assert code == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_member_prints_nan_gap(self, capsys, frame_path):
+        payload = json.loads(frame_path.read_text())
+        for pair in payload["isometries"][1]["data"]:
+            pair[0] *= 1e200
+        frame_path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", str(frame_path))
+        assert code == 1
+        assert "welch_gap=nan coherence=nan" in out
+
     def test_missing_file_exit_four(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 4

@@ -500,6 +500,18 @@ class TestVerify:
         i, j = verify_eitff(FusionFrame.from_arrays(R, arrs)).equiisoclinic_pair
         assert 1 <= i < j <= 10 and k in (i, j)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_gram_reads_nan_not_the_bound(self):
+        # Member 2 scaled by 1e200 overflows every Gram it enters, and
+        # eigvalsh of an infinite Gram returns NaN: coherence and gap must
+        # keep it, not read exactly sigma and 0.
+        arrs = build_eitff(R, 2, 4).arrays()
+        arrs[1] *= 1e200
+        report = verify_eitff(FusionFrame.from_arrays(R, arrs))
+        assert math.isnan(report.block_coherence)
+        assert math.isnan(report.welch_gap)
+        assert not report.passed
+
 
 class TestVerifyAgainstReference:
     @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))

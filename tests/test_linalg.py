@@ -1,4 +1,5 @@
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from eitff.linalg import (
     nullspace,
     polar_unitary,
 )
-from eitff.radon_hurwitz import GEN, tensor
+from eitff.frames import FusionFrame
+from eitff.radon_hurwitz import GEN, RhoOrthonormalSeq, tensor
+from eitff.simplex import RhoSimplex
 
 from conftest import random_orthogonal, random_unitary
 
@@ -60,6 +63,105 @@ class TestMat:
         with pytest.raises(ValueError):
             m.array[0, 0] = 3.0
 
+
+class Container(NamedTuple):
+    member: tuple  # shape of one member
+    make: Callable  # (field, members) -> container
+    stored: Callable  # container -> its read-only array
+    copy: Callable | None  # container -> a writable copy
+    view: Callable | None  # container -> its members as Mats
+    real_dtype: type
+
+
+CONTAINERS = {
+    "frame": Container(
+        (4, 2), lambda f, ms: FusionFrame(f, 4, 2, len(ms), ms), lambda c: c.array,
+        FusionFrame.arrays, lambda c: c.isometries, np.float64,
+    ),
+    "family": Container(
+        (2, 2), lambda f, ms: RhoOrthonormalSeq(f, 2, ms), lambda c: c.array,
+        RhoOrthonormalSeq.stack, lambda c: c.mats, np.float64,
+    ),
+    "simplex": Container(
+        (2, 2), lambda f, ms: RhoSimplex(f, 2, len(ms) + 1, ms), lambda c: c.blocks,
+        None, None, np.float64,
+    ),
+    # A Mat's members are its rows, and it stores complex128 under either
+    # tag, so that the benchmark can read its float64 view.
+    "matrix": Container((2,), Mat, lambda c: c.array, None, None, np.complex128),
+}
+
+
+def members(shape, dtype=np.float64):
+    rng = np.random.default_rng(7)
+    return [rng.standard_normal(shape).astype(dtype) for _ in range(2)]
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+class TestContainers:
+    """One validator (`linalg.field_array`) checks every container."""
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_ragged_members(self, kind, field):
+        spec = CONTAINERS[kind]
+        first, _ = members(spec.member)
+        longer = np.zeros(spec.member[:-1] + (spec.member[-1] + 1,))
+        with pytest.raises(ShapeError):
+            spec.make(field, [first, longer])
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_nan_refused(self, kind, field):
+        spec = CONTAINERS[kind]
+        ms = members(spec.member)
+        ms[1].flat[0] = np.nan
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            spec.make(field, ms)
+
+    def test_imaginary_part_under_real_refused(self, kind):
+        spec = CONTAINERS[kind]
+        ms = members(spec.member, np.complex128)
+        ms[1].flat[-1] += 1e-30j
+        with pytest.raises(InvalidInputError, match="real-tagged"):
+            spec.make(FieldTag.REAL, ms)
+
+    def test_zero_imaginary_part_under_real_dropped(self, kind):
+        spec = CONTAINERS[kind]
+        ms = members(spec.member)
+        stored = spec.stored(spec.make(FieldTag.REAL, [m + 0j for m in ms]))
+        assert stored.dtype == spec.real_dtype
+        assert np.array_equal(stored, np.stack(ms))
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_stored_array_is_read_only(self, kind, field):
+        spec = CONTAINERS[kind]
+        ms = members(spec.member)
+        want = np.stack(ms)
+        container = spec.make(field, ms)
+        ms[0][...] = 0.0
+        stored = spec.stored(container)
+        assert np.array_equal(stored, want)  # the container holds its own copy
+        assert not stored.flags.writeable and stored.flags.c_contiguous
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+        if spec.copy is not None:
+            copy = spec.copy(container)
+            before = stored.tobytes()
+            copy[...] = 0.0
+            assert stored.tobytes() == before
+
+    @pytest.mark.parametrize("field", list(FieldTag))
+    def test_mats_round_trip(self, kind, field):
+        # The benchmark builds frames and families from tuples of Mats and
+        # reads them back through `isometries` and `mats`.
+        spec = CONTAINERS[kind]
+        ms = members(spec.member)
+        wrapped = Mat(field, ms) if kind == "matrix" else tuple(Mat(field, m) for m in ms)
+        container = spec.make(field, wrapped)
+        assert np.array_equal(spec.stored(container), np.stack(ms))
+        if spec.view is not None:
+            view = spec.view(container)
+            assert all(isinstance(m, Mat) and m.field is field for m in view)
+            assert all(np.array_equal(m.array, w.array) for m, w in zip(view, wrapped, strict=True))
 
 class TestKron:
     """`tensor` puts the left factor outermost, as the transcribed words

@@ -294,7 +294,7 @@ class TestBuildRhoOrthonormal:
 
 
 def seq_of(field, *arrays):
-    return RhoOrthonormalSeq.from_stack(field, np.stack(arrays))
+    return RhoOrthonormalSeq(field, arrays[0].shape[-1], np.stack(arrays))
 
 
 class TestVerify:
@@ -395,7 +395,7 @@ class TestRelationKernel:
         assert got[0] > 1e-4
         assert abs(got[0] - want[0]) <= 1e-12
         assert got[1] == want[1]
-        assert verify_rho_orthonormal(RhoOrthonormalSeq.from_stack(field, stack)) == got[0]
+        assert verify_rho_orthonormal(RhoOrthonormalSeq(field, r, stack)) == got[0]
 
     @pytest.mark.parametrize("field,r", [(R, 2), (C, 2), (R, 8), (C, 16)])
     @pytest.mark.parametrize("noise", [0.0, 1e-3])

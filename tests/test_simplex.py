@@ -21,7 +21,8 @@ def gram_target(m):
 
 
 def seq_of(field, *arrays):
-    return RhoOrthonormalSeq.from_stack(field, np.array(arrays))
+    stack = np.array(arrays)
+    return RhoOrthonormalSeq(field, stack.shape[-1], stack)
 
 
 class TestSimplexMatrix:

@@ -707,7 +707,7 @@ def negated_code(field, r, n):
     """The code of the built family with one non-identity generator negated."""
     stack = build_rho_orthonormal(field, r, n - 2).stack()
     stack[1 if field is R else 0] *= -1
-    seq = RhoOrthonormalSeq.from_stack(field, stack)
+    seq = RhoOrthonormalSeq(field, r, stack)
     return frame_from_simplex(rho_simplex_from_orthonormal(seq))
 
 
