@@ -1,7 +1,10 @@
 """Fusion frames of half-dimension subspaces: construction, verification,
 canonical forms, Naimark complements, and the block sparse-recovery demo.
 
-The central object is an n-tuple of d x r isometries.  For d = 2r the
+The central object is an n-tuple of d x r isometries, held as the
+synthesis operator S = [Phi_1 ... Phi_n]: tightness is S S* = (nr/d) I,
+and equi-isoclinism asks every off-diagonal block of the fusion Gram
+S* S to satisfy G* G = sigma^2 I.  For d = 2r the
 optimal configurations (equi-isoclinic tight fusion frames achieving the
 spectral Welch bound) are exactly those equivalent to
 
@@ -15,6 +18,7 @@ is from optimality.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -53,13 +57,21 @@ def _weyl_screen(r: int, sigma2: float) -> float:
 _OMP_TIE_RTOL = 1e-12
 
 
+def _blocks(synthesis: np.ndarray, n: int) -> np.ndarray:
+    """The (n, d, r) view of a C-ordered (d, nr) array: entry [i] is its
+    (i+1)-th block of r columns."""
+    return synthesis.reshape(len(synthesis), n, -1).swapaxes(0, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class FusionFrame:
     """n isometries Phi_i in F^{d x r}; columns of each span one subspace.
 
-    `array` holds them as one read-only (n, d, r) array in the field's
-    dtype, from any sequence of n d x r arrays or one (n, d, r) array
-    (`field_array`); `arrays` returns a writable copy.
+    `synthesis` holds S = [Phi_1 ... Phi_n] as one read-only C-ordered
+    (d, nr) array in the field's dtype, and `array` is its zero-copy
+    (n, d, r) view, `array[i]` = Phi_{i+1}.  The isometries come as any
+    sequence of n d x r arrays or one (n, d, r) array, copied once into S
+    (`field_array`); `arrays` returns a writable (n, d, r) copy.
     """
 
     field: FieldTag
@@ -67,14 +79,34 @@ class FusionFrame:
     r: int
     n: int
     array: np.ndarray
+    synthesis: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.r < 1 or self.d < self.r:
             raise DomainError(f"need d >= r >= 1, got d={self.d}, r={self.r}")
         if self.n < 2:
             raise DomainError(f"need n >= 2 subspaces, got n={self.n}")
+        synthesis = np.empty((self.d, self.n * self.r), self.field.dtype)
         shape = (self.n, self.d, self.r)
-        object.__setattr__(self, "array", field_array(self.field, self.array, shape, "isometries"))
+        field_array(self.field, self.array, shape, "isometries", _blocks(synthesis, self.n))
+        self._hold(synthesis)
+
+    def _hold(self, synthesis: np.ndarray) -> None:
+        synthesis.setflags(write=False)
+        object.__setattr__(self, "synthesis", synthesis)
+        object.__setattr__(self, "array", _blocks(synthesis, self.n))
+
+    @classmethod
+    def _adopt(cls, field: FieldTag, r: int, synthesis: np.ndarray) -> "FusionFrame":
+        """The frame whose synthesis operator is `synthesis`, a finite
+        C-ordered (d, nr) array in the field's dtype that the caller hands
+        over: kept without a copy or a check, and made read-only."""
+        frame = object.__new__(cls)
+        d, nr = synthesis.shape
+        for name, value in (("field", field), ("d", d), ("r", r), ("n", nr // r)):
+            object.__setattr__(frame, name, value)
+        frame._hold(synthesis)
+        return frame
 
     @classmethod
     def from_arrays(cls, field: FieldTag, arrays) -> "FusionFrame":
@@ -84,7 +116,7 @@ class FusionFrame:
         return cls(field, d, r, len(arrays), arrays)
 
     def arrays(self) -> np.ndarray:
-        """The isometries as one fresh writable (n, d, r) array."""
+        """The isometries as one fresh writable C-ordered (n, d, r) array."""
         return self.array.copy()
 
     @property
@@ -139,14 +171,17 @@ def eitff_params(n: int) -> EitffParams:
 
 
 def frame_from_simplex(s: RhoSimplex) -> FusionFrame:
-    """Assemble the canonical isometries [alpha I; beta B_i] and [I; 0]."""
+    """Assemble the canonical synthesis operator
+    [alpha I ... alpha I  I; beta B_1 ... beta B_{n-1}  0], written in
+    place into the array the frame keeps."""
     p = eitff_params(s.n)
-    r = s.r
-    phis = np.zeros((s.n, 2 * r, r), dtype=s.blocks.dtype)
-    phis[:-1, :r] = p.alpha * np.eye(r)
-    phis[:-1, r:] = p.beta * s.blocks
-    phis[-1, :r] = np.eye(r)
-    return FusionFrame.from_arrays(s.field, phis)
+    r, n = s.r, s.n
+    synthesis = np.zeros((2 * r, n * r), dtype=s.blocks.dtype)
+    top, bottom = _blocks(synthesis[:r], n), _blocks(synthesis[r:], n)
+    top[:-1] = p.alpha * np.eye(r)
+    top[-1] = np.eye(r)
+    np.multiply(s.blocks, p.beta, out=bottom[:-1])
+    return FusionFrame._adopt(s.field, r, synthesis)
 
 
 def build_eitff(field: FieldTag, r: int, n: int, variant: str = "generic") -> FusionFrame:
@@ -194,11 +229,13 @@ def canonicalize(frame: FusionFrame, tol: float = 1e-8):
     return frame_from_simplex(simplex), simplex
 
 
-def _cross_gram_rows(stack: np.ndarray):
-    """Block rows G_i = Phi_i* [Phi_{i+1} ... Phi_n] of the fusion Gram,
-    one (n-i-1, r, r) array per i < n, from the (n, d, r) isometry stack."""
-    for i in range(len(stack) - 1):
-        yield stack[i].conj().T @ stack[i + 1 :]
+def _gram_rows(frame: FusionFrame):
+    """Block rows Phi_i* [Phi_i ... Phi_n] of the fusion Gram S* S, each
+    one product Phi_i* S[:, (i-1)r:], yielded as an (n-i+1, r, r) view
+    whose first block is Phi_i* Phi_i."""
+    synthesis, r = frame.synthesis, frame.r
+    for i, phi in enumerate(frame.array):
+        yield _blocks(phi.conj().T @ synthesis[:, i * r :], frame.n - i)
 
 
 def welch_bound(d: int, r: int, n: int) -> float:
@@ -215,8 +252,8 @@ def principal_angles(frame: FusionFrame) -> np.ndarray:
     principal angles between subspaces i+1 and j+1, the arccos of the
     (clamped) cross-Gram singular values.  The diagonal is zero."""
     angles = np.zeros((frame.n, frame.n, frame.r))
-    for i, row in enumerate(_cross_gram_rows(frame.array)):
-        theta = np.arccos(np.clip(np.linalg.svd(row, compute_uv=False), 0.0, 1.0))
+    for i, row in enumerate(_gram_rows(frame)):
+        theta = np.arccos(np.clip(np.linalg.svd(row[1:], compute_uv=False), 0.0, 1.0))
         angles[i, i + 1 :] = angles[i + 1 :, i] = theta
     return angles
 
@@ -229,10 +266,10 @@ def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
     return d * d - r * r + 1
 
 
-def _tightness_residual(stack: np.ndarray, d: int, r: int) -> float:
-    """Largest entry of sum_i Phi_i Phi_i* - (nr/d) I, summed one subspace
-    at a time: one d x nr product would round differently."""
-    return max_abs(sum(a @ a.conj().T for a in stack) - (len(stack) * r / d) * np.eye(d))
+def _tightness_residual(frame: FusionFrame) -> float:
+    """Largest entry of S S* - (nr/d) I, S the synthesis operator."""
+    s, d = frame.synthesis, frame.d
+    return max_abs(s @ s.conj().T - (frame.n * frame.r / d) * np.eye(d))
 
 
 def _less_diagonal(stack: np.ndarray, c: float) -> np.ndarray:
@@ -268,10 +305,11 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     Residuals: column orthonormality, tightness of the summed projections
     (target (nr/d) I), equi-isoclinism against sigma^2 = (nr-d)/(d(n-1)),
     and the gap between block coherence and the Welch bound (0 when
-    nr < d, where no frame is tight).  In the fusion Gram H = S* S,
-    S = [Phi_1 ... Phi_n], these ask H_ii = I and H_ij* H_ij = sigma^2 I
-    (H_ij H_ij* has the same spectrum); H is read one block row at a
-    time.  The equi-isoclinic residual is max_ij s_ij with
+    nr < d, where no frame is tight).  Tightness is one product S S*.  In
+    the fusion Gram H = S* S, S = [Phi_1 ... Phi_n], the others ask
+    H_ii = I and H_ij* H_ij = sigma^2 I (H_ij H_ij* has the same
+    spectrum); H is read one block row Phi_i* [Phi_i ... Phi_n] at a
+    time, each one product.  The equi-isoclinic residual is max_ij s_ij with
     s_ij = ||H_ij* H_ij - sigma^2 I||_F, a bound on every
     |cos^2 theta - sigma^2| over the principal angles theta of the pair,
     and the report names the pair where it is largest.  By Weyl's
@@ -284,19 +322,19 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     The dimension-count check is vacuous when some pair of subspaces
     coincides, since it only speaks about nonidentical subspaces.
     """
-    stack = frame.array
     d, r, n = frame.d, frame.r, frame.n
-
-    iso = max_abs(_less_diagonal(stack.conj().swapaxes(1, 2) @ stack, 1.0))
-
-    tight = _tightness_residual(stack, d, r)
+    tight = _tightness_residual(frame)
 
     sigma2 = (n * r - d) / (d * (n - 1))
+    eye, iso = np.eye(r), np.empty(n)
     equi, pair = 0.0, (1, 2)
     lam_max = 0.0
     identical_pair = False
-    for i, row in enumerate(_cross_gram_rows(stack)):
-        spread, high, identical = _row_spectrum(row, sigma2)
+    for i, row in enumerate(_gram_rows(frame)):
+        iso[i] = max_abs(row[0] - eye)
+        if i + 1 == n:
+            break
+        spread, high, identical = _row_spectrum(row[1:], sigma2)
         k = int(np.argmax(spread))
         if spread[k] > equi:
             equi, pair = float(spread[k]), (i + 1, i + 2 + k)
@@ -307,7 +345,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     gap = coherence - (welch_bound(d, r, n) if n * r >= d else 0.0)
     gerzon_ok = identical_pair or n <= gerzon_bound(frame.field, d, r)
     return VerificationReport(
-        isometry_residual=float(iso),
+        isometry_residual=float(iso.max()),
         tightness_residual=float(tight),
         equiisoclinic_residual=float(equi),
         welch_gap=float(gap),
@@ -332,11 +370,11 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
-    stack = frame.array
-    tight = _tightness_residual(stack, d, r)
+    tight = _tightness_residual(frame)
     if not tight <= 1e-8:
         raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
-    cols = (math.sqrt(d / (n * r)) * stack).conj().swapaxes(1, 2).reshape(n * r, d)
+    cols = math.sqrt(d / (n * r)) * frame.synthesis.T
+    np.conjugate(cols, out=cols)
     # T* = conj(Q[:, d:]); over C the full Q is freed before the blocks are copied.
     tilde_h = _complete_unitary(cols)[:, d:].conj()
     tilde_h *= math.sqrt(n * r / (n * r - d))
@@ -378,22 +416,21 @@ def block_omp_recover(frame: FusionFrame, y, k: int):
     """
     if k < 1:
         raise DomainError(f"sparsity level must be >= 1, got {k}")
-    arrs = frame.array
+    arrs, n, r = frame.array, frame.n, frame.r
     y = np.asarray(y, dtype=arrs.dtype).reshape(frame.d)
     tie = _OMP_TIE_RTOL * np.linalg.norm(y)
     selected: list[int] = []
     residual = y.copy()
     coef = np.zeros(0, dtype=arrs.dtype)
-    for _ in range(min(k, frame.n)):
-        # Row i of the product is conj(Phi_i* residual), for every block at once.
-        scores = np.linalg.norm(residual.conj() @ arrs, axis=1)
+    for _ in range(min(k, n)):
+        # Row i is conj(Phi_i* residual): one product with S for every block.
+        scores = np.linalg.norm((residual.conj() @ frame.synthesis).reshape(n, r), axis=1)
         scores[selected] = -1.0
         pick = int(np.argmax(scores >= scores.max() - tie))
         selected.append(pick)
         stacked = np.hstack([arrs[i] for i in selected])
         coef = _refit(stacked, y)
         residual = y - stacked @ coef
-    r = frame.r
     return [
         (idx + 1, coef[pos * r : (pos + 1) * r].copy())
         for pos, idx in enumerate(selected)

@@ -1,14 +1,16 @@
 """Field tags, the decompositions the package needs, and the
 block-relation kernel.
 
-Matrices are plain numpy arrays in the field's dtype: float64 over R,
-complex128 over C; a stack of m matrices of size r x r is one (m, r, r)
-array, a frame's n isometries one (n, d, r) array, and the field tag
-lives on the container that holds it.  Polar factors come from the SVD,
-null spaces of Hermitian matrices from `eigh`.  `relation_residual`
-measures the block-Gram identity of anticommuting families and simplices:
-by index arithmetic when every member is a generalized permutation
-matrix, as every built family is, and by dense block rows otherwise.
+Matrices are plain numpy arrays in the field's dtype (`FieldTag.dtype`):
+float64 over R, complex128 over C; a stack of m matrices of size r x r
+is one (m, r, r) array, and the field tag lives on the container that
+holds it.  A frame is its synthesis operator S = [Phi_1 ... Phi_n], one
+(d, nr) array, read as n isometries through a zero-copy (n, d, r) view.
+Polar factors come from the SVD, null spaces of Hermitian matrices from
+`eigh`.  `relation_residual` measures the block-Gram identity of
+anticommuting families and simplices: by index arithmetic when every
+member is a generalized permutation matrix, as every built family is,
+and by dense block rows otherwise.
 
 `field_array` is the one check of shape, field and finiteness behind
 every container of such arrays.  `Mat`, a field-tagged complex128
@@ -40,6 +42,11 @@ DEFAULT_TOL = 1e-10
 class FieldTag(Enum):
     REAL = "R"
     COMPLEX = "C"
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 over R, complex128 over C."""
+        return np.dtype(np.float64 if self is FieldTag.REAL else np.complex128)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,29 +80,42 @@ class Mat:
         return self.array.shape
 
 
-def field_array(field: FieldTag, values, shape: tuple, what: str) -> np.ndarray:
-    """`values` as a fresh read-only C-ordered array in the field's dtype,
-    float64 over R and complex128 over C.
+def field_array(field: FieldTag, values, shape: tuple, what: str, out=None) -> np.ndarray:
+    """`values` copied into `out`, or else into a fresh C-ordered array,
+    in the field's dtype, and returned read-only.
 
-    `shape` gives every extent, None for any; ragged input or another
-    shape raises `ShapeError`.  A non-finite entry, or under R a nonzero
-    imaginary part, raises `InvalidInputError`; a zero imaginary part is
-    dropped.
+    A list or tuple of members is checked and copied one member at a
+    time, so it is never stacked on the way; any other input is taken as
+    one array.  `shape` gives every extent, None for any; ragged input or
+    another shape raises `ShapeError`.  A non-finite entry, or under R a
+    nonzero imaginary part, raises `InvalidInputError`; a zero imaginary
+    part is dropped.
     """
-    try:
-        arr = np.asarray(values)
-    except ValueError as exc:
-        raise ShapeError(f"{what} members differ in shape") from exc
-    if arr.ndim != len(shape) or any(k not in (None, got) for k, got in zip(shape, arr.shape)):
-        raise ShapeError(f"expected {what} of shape {shape}, got {arr.shape}")
-    require_finite(arr, what)
-    if field is FieldTag.REAL:
-        if np.iscomplexobj(arr) and arr.imag.any():
-            raise InvalidInputError(f"real-tagged {what} has a nonzero imaginary part")
-        arr = arr.real
-    arr = np.array(arr, dtype=np.float64 if field is FieldTag.REAL else np.complex128, order="C")
-    arr.setflags(write=False)
-    return arr
+    if isinstance(values, (list, tuple)):
+        try:
+            members = [np.asarray(m) for m in values]
+        except ValueError as exc:
+            raise ShapeError(f"{what} members differ in shape") from exc
+        if any(m.shape != members[0].shape for m in members):
+            raise ShapeError(f"{what} members differ in shape")
+        got = (len(members), *members[0].shape) if members else (0,)
+        parts = list(enumerate(members))
+    else:
+        values = np.asarray(values)
+        got, parts = values.shape, [(Ellipsis, values)]
+    if len(got) != len(shape) or any(k not in (None, g) for k, g in zip(shape, got)):
+        raise ShapeError(f"expected {what} of shape {shape}, got {got}")
+    if out is None:
+        out = np.empty(got, field.dtype)
+    for where, part in parts:
+        require_finite(part, what)
+        if field is FieldTag.REAL and np.iscomplexobj(part):
+            if part.imag.any():
+                raise InvalidInputError(f"real-tagged {what} has a nonzero imaginary part")
+            part = part.real
+        out[where] = part
+    out.setflags(write=False)
+    return out
 
 
 def max_abs(values) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from eitff.frames import (
     verify_eitff,
     welch_bound,
 )
-from eitff.linalg import DEFAULT_TOL, FieldTag, max_abs
+from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
 from eitff.radon_hurwitz import GEN, exists, rho_number
 from eitff.simplex import verify_rho_simplex
 
@@ -50,6 +51,13 @@ def cross_grams(frame):
     for i in range(frame.n):
         for j in range(i + 1, frame.n):
             yield i + 1, j + 1, arrs[i].conj().T @ arrs[j]
+
+
+def pair_residual(frame, i, j):
+    """Reference s_ij = ||g* g - sigma^2 I||_F of the 1-indexed pair (i, j)."""
+    arrs = frame.arrays()
+    g = arrs[i - 1].conj().T @ arrs[j - 1]
+    return float(np.linalg.norm(g.conj().T @ g - sigma_squared(frame) * np.eye(frame.r)))
 
 
 def equiisoclinic_reference(frame, entrywise=False):
@@ -175,6 +183,10 @@ ORACLE_FRAMES = {
     "R16n11-rotated": lambda: rotated(build_eitff(R, 16, 11), 8),
 }
 MIXED_PATH_FRAMES = ["R16n11-one-random", "R16n11-graded", "R16n11-rotated"]
+# Built codes whose largest equi-isoclinic residuals tie at rounding level
+# (C2n6: 2.369e-16 at (4, 5) and 2.355e-16 at (1, 3), r eps sigma^2 =
+# 1.78e-16), so the named worst pair depends on how the Grams are rounded.
+ROUNDING_TIE_FRAMES = {"C2n6"}
 
 
 @pytest.fixture
@@ -195,6 +207,52 @@ def orthogonal_blocks_frame(field, r, n):
     """n mutually orthogonal subspaces: slices of the identity."""
     eye = np.eye(n * r)
     return FusionFrame.from_arrays(field, [eye[:, i * r : (i + 1) * r] for i in range(n)])
+
+
+class TestSynthesisOperator:
+    """A frame holds S = [Phi_1 ... Phi_n] as one (d, nr) array, and its
+    (n, d, r) array is a view of S."""
+
+    @pytest.mark.parametrize("field,r,n", [(R, 4, 6), (C, 4, 8)])
+    def test_array_is_a_read_only_view_of_synthesis(self, field, r, n):
+        frame = build_eitff(field, r, n)
+        s = frame.synthesis
+        assert s.shape == (2 * r, n * r) and s.flags.c_contiguous
+        assert np.shares_memory(frame.array, s)
+        assert not s.flags.writeable and not frame.array.flags.writeable
+        assert np.array_equal(s, np.hstack(frame.arrays()))
+        assert not np.shares_memory(frame.arrays(), s)
+
+    @pytest.mark.parametrize("name", ["R16n11-rotated", "C4n8-noisy", "C2n5-random"])
+    def test_report_does_not_depend_on_input_layout(self, name):
+        frame = ORACLE_FRAMES[name]()
+        stack = frame.arrays()
+        inputs = {
+            "list": list(stack),
+            "array": stack,
+            "fortran": np.asfortranarray(stack),
+            "mats": tuple(Mat(frame.field, a) for a in stack),
+        }
+        want = verify_eitff(frame)
+        for kind, values in inputs.items():
+            built = FusionFrame(frame.field, frame.d, frame.r, frame.n, values)
+            assert built.synthesis.tobytes() == frame.synthesis.tobytes(), kind
+            assert verify_eitff(built) == want, kind
+
+    def test_members_are_copied_once(self):
+        # Each member of a list is written straight into S, so the traced
+        # peak stays within 1.1 times S (the R64 n=14 complement, 5.5 MB);
+        # stacking the list first and copying the stack reads about 2.
+        comp = naimark_complement(build_eitff(R, 64, 14))
+        members = list(comp.arrays())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            FusionFrame.from_arrays(R, members)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * comp.synthesis.nbytes
 
 
 class TestParams:
@@ -544,7 +602,12 @@ class TestVerifyAgainstReference:
         residuals = (want["isometry_residual"], want["tightness_residual"], old, want["welch_gap"])
         assert report.passed == (max(residuals) <= DEFAULT_TOL and want["gerzon_ok"])
         assert report.gerzon_ok == want["gerzon_ok"]
-        assert report.equiisoclinic_pair == new_pair
+        if name in ROUNDING_TIE_FRAMES:
+            # Any pair within r eps sigma^2 of the largest reference residual ties.
+            got = pair_residual(frame, *report.equiisoclinic_pair)
+            assert got >= new - r * eps * sigma_squared(frame)
+        else:
+            assert report.equiisoclinic_pair == new_pair
 
     @pytest.mark.parametrize("name", MIXED_PATH_FRAMES)
     def test_both_coherence_paths_taken(self, name, eigensolved):
