@@ -7,16 +7,23 @@ compact JSON whose floats go through Python's shortest round-trip repr,
 so writing and re-reading a file reproduces every binary64 entry
 bit-exactly.  Any malformed file raises `FormatError`.
 
-Reading decodes each matrix payload as soon as `json` has parsed it, so
-a load holds the file text, the decoded arrays and the [re, im] lists of
-one matrix at a time.  An object with the keys field, rows, cols and data
-is read as a matrix wherever it sits, so a matrix payload anywhere but
-where the format puts one (frame metadata, say) is a `FormatError`.
+Reading streams the file `_CHUNK` bytes at a time.  It parses the
+top-level object one member at a time, and a top-level array (the
+isometries) one element at a time, and decodes each matrix payload as
+soon as its text has been read, dropping that text before it reads on.
+So a load holds the decoded members, then the frame's copy S of them,
+and the text and [re, im] lists of one matrix, never the file text.  A
+duplicate top-level key is a `FormatError`.  An object with the keys
+field, rows, cols and data is read as a matrix wherever it sits, so a
+matrix payload anywhere but where the format puts one (frame metadata,
+say) is a `FormatError`.
 """
 
 from __future__ import annotations
 
+import codecs
 import json
+import re
 import sys
 from contextlib import nullcontext
 from itertools import chain
@@ -76,29 +83,146 @@ def _write(path: str, payload: dict) -> None:
 
 _MATRIX_KEYS = frozenset(("field", "rows", "cols", "data"))
 
+# Bytes per read of a frame or certificate file.
+_CHUNK = 1 << 16
 
-def _read(path: str) -> tuple[object, int]:
-    """The parsed file and the number of matrix payloads in it.
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER_TAIL = re.compile(r"[0-9.eE+-]*")  # what can continue a number
+_CLOSER = {"{": "}", "[": "]"}
 
-    Each matrix payload is replaced by its `_matrix` decoding as json
-    parses it, so its pair lists are freed before the next one is built.
+
+class _Stream:
+    """The JSON text of one file, read `_CHUNK` bytes at a time.
+
+    `text[pos:]` is the unread text.  Reading more drops the text before
+    `pos`; `offset` counts the characters dropped, so an error names its
+    place in the file.  `decoded` counts the matrix payloads decoded.
     """
-    decoded = 0
 
-    def hook(obj: dict):
-        nonlocal decoded
+    def __init__(self, fp):
+        self.fp = fp
+        self.utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.raw_decode = json.JSONDecoder(object_hook=self.hook).raw_decode
+        self.text, self.pos, self.offset, self.nbytes, self.eof = "", 0, 0, 0, False
+        self.decoded = 0
+
+    def hook(self, obj: dict):
         if obj.keys() >= _MATRIX_KEYS:
-            decoded += 1
+            self.decoded += 1
             return _matrix(obj)
         return obj
 
-    with open(path, "r", encoding="utf-8") as fp:
+    def fail(self, msg: str, pos: int):
+        raise FormatError(f"not valid UTF-8 JSON: {msg} at char {self.offset + pos}")
+
+    def extend(self, want: int, closer: str | None = None) -> None:
+        """Read until the unread text holds `want` characters and, if
+        given, a `closer`, or the file ends."""
+        size = len(self.text) - self.pos
+        found = closer is None or self.text.find(closer, self.pos) >= 0
+        if self.eof or (size >= want and found):
+            return
+        self.offset += self.pos
+        parts, self.text, self.pos = [self.text[self.pos :]], "", 0  # drops the read text
+        while not self.eof and (size < want or not found):
+            data = self.fp.read(_CHUNK)
+            self.eof = not data
+            held = len(self.utf8.getstate()[0])  # bytes of a character split by the last read
+            try:
+                parts.append(self.utf8.decode(data, final=self.eof))
+            except UnicodeDecodeError as exc:
+                at = self.nbytes - held + exc.start
+                raise FormatError(f"not valid UTF-8 JSON: {exc.reason} at byte {at}") from None
+            self.nbytes += len(data)
+            size += len(parts[-1])
+            found = found or closer in parts[-1]
+        self.text = "".join(parts)
+
+    def peek(self) -> str:
+        """The next character after whitespace; "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos : self.pos + 1]
+            self.extend(1)
+
+    def expect(self, chars: str, msg: str) -> str:
+        """Consume the next character, one of `chars`."""
+        char = self.peek()
+        if not char or char not in chars:
+            self.fail(msg, self.pos)
+        self.pos += 1
+        return char
+
+    def value(self):
+        """Decode the next value.  A value that ends with an object or array
+        is first tried once its closing character has been read, and a
+        failed try is retried only once the unread text has doubled, so
+        the text is decoded O(1) times over."""
+        want, closer = 1, _CLOSER.get(self.peek())
+        while True:
+            self.extend(want, closer)
+            try:
+                value, end = self.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    self.fail(exc.msg, exc.pos)
+                want = 2 * (len(self.text) - self.pos)
+                continue
+            # A number that reaches the end of the text may go on in the next read.
+            if self.eof or type(value) not in (int, float) or (
+                _NUMBER_TAIL.match(self.text, end).end() < len(self.text)
+            ):
+                self.pos = end
+                return value
+            want = len(self.text) - self.pos + 1
+
+    def items(self, close: str):
+        """Step through the object or array that opens at the read
+        position; the caller reads one item per step."""
+        self.pos += 1
+        if self.peek() == close:
+            self.pos += 1
+            return
+        while True:
+            yield
+            if self.expect("," + close, "Expecting ',' delimiter") == close:
+                return
+
+    def document(self):
+        """The file's one value.  A top-level object is read one member at
+        a time, and an array in it one element at a time."""
+        if self.peek() != "{":
+            doc = self.value()
+        else:
+            doc = {}
+            for _ in self.items("}"):
+                if self.peek() != '"':
+                    self.fail("Expecting property name enclosed in double quotes", self.pos)
+                key = self.value()
+                if key in doc:
+                    raise FormatError(f"duplicate key {key!r}")
+                self.expect(":", "Expecting ':' delimiter")
+                if self.peek() == "[":
+                    doc[key] = [self.value() for _ in self.items("]")]
+                else:
+                    doc[key] = self.value()
+            doc = self.hook(doc)
+        if self.peek():
+            self.fail("Extra data", self.pos)
+        return doc
+
+
+def _read(path: str) -> tuple[object, int]:
+    """The parsed file and the number of matrix payloads in it."""
+    with open(path, "rb") as fp:
+        stream = _Stream(fp)
         try:
-            return json.load(fp, object_hook=hook), decoded
+            return stream.document(), stream.decoded
         except FormatError:
             raise
         except (ValueError, RecursionError) as exc:
-            # ValueError covers bad UTF-8, bad JSON and over-long integers.
+            # ValueError covers over-long integers.
             raise FormatError(f"not valid UTF-8 JSON: {exc}") from exc
 
 

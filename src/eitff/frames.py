@@ -267,9 +267,11 @@ def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
 
 
 def _tightness_residual(frame: FusionFrame) -> float:
-    """Largest entry of S S* - (nr/d) I, S the synthesis operator."""
-    s, d = frame.synthesis, frame.d
-    return max_abs(s @ s.conj().T - (frame.n * frame.r / d) * np.eye(d))
+    """Largest entry of S S* - (nr/d) I, S the synthesis operator, formed
+    in the one d x d product buffer; a real one also takes its magnitudes."""
+    s = frame.synthesis
+    gram = _less_diagonal((s @ s.conj().T)[None], frame.n * frame.r / frame.d)
+    return float(np.abs(gram, out=gram if gram.dtype == np.float64 else None).max())
 
 
 def _less_diagonal(stack: np.ndarray, c: float) -> np.ndarray:

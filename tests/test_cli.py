@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eitff import cli
+from eitff import cli, frame_io
 from eitff.cli import main
 from eitff.errors import InvalidInputError
 from eitff.frame_io import (
+    _CHUNK,
+    _MATRIX_KEYS,
     _matrix_text,
     load_certificate,
     load_frame,
@@ -214,6 +219,47 @@ class TestRoundTrip:
         for want, got in zip(frame.isometries, loaded.isometries):
             assert want.array.tobytes() == got.array.tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_reformatted_files_load_as_json_reads_them(self, tmp_path_factory, data):
+        # Any layout json can write reads as json.load reads it, whatever
+        # read size splits the text; a proper prefix of it exits 4.
+        field = data.draw(st.sampled_from(FieldTag))
+        d = data.draw(st.integers(1, 4))
+        r, n = data.draw(st.integers(1, d)), data.draw(st.integers(2, 4))
+        parts = data.draw(hnp.arrays(np.float64, (2, n, d, r), elements=entries))
+        frame = FusionFrame.from_arrays(field, parts[0] + 1j * parts[1] if field is FieldTag.COMPLEX else parts[0])
+        metadata = data.draw(st.dictionaries(st.text(max_size=3), json_values, max_size=4))
+        path = tmp_path_factory.mktemp("reformat") / "frame.json"
+        save_frame(frame, str(path), metadata)
+        payload = json.loads(path.read_text())
+        order = data.draw(st.permutations(sorted(_MATRIX_KEYS)))
+        payload["isometries"] = [{key: m[key] for key in order} for m in payload["isometries"]]
+        payload = {key: payload[key] for key in data.draw(st.permutations(list(payload)))}
+        ws = st.text(" \t\n\r", max_size=2)
+        raw = (data.draw(ws) + json.dumps(
+            payload,
+            indent=data.draw(st.one_of(st.none(), st.integers(0, 2), st.just("\t"))),
+            separators=(data.draw(ws) + "," + data.draw(ws), data.draw(ws) + ":" + data.draw(ws)),
+            ensure_ascii=data.draw(st.booleans()),
+        ) + data.draw(ws)).encode()
+        path.write_bytes(raw)
+        with mock.patch.object(frame_io, "_CHUNK", data.draw(st.integers(1, 64))):
+            loaded, meta = load_frame(str(path))
+            reference = json.loads(raw)
+            pairs = np.array([m["data"] for m in reference["isometries"]], np.float64)
+            want = pairs.view(np.complex128)[..., 0] if field is FieldTag.COMPLEX else pairs[..., 0]
+            assert (loaded.field.value, loaded.d, loaded.r, loaded.n) == (
+                reference["field"], reference["d"], reference["r"], reference["n"]
+            )
+            assert loaded.array.tobytes() == want.reshape(n, d, r).tobytes() == frame.array.tobytes()
+            assert meta == reference["metadata"] == metadata
+            path.write_bytes(raw[: data.draw(st.integers(0, raw.rindex(b"}")))])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["verify", str(path)]) == 4
+            assert err.getvalue().startswith("format error: ") and err.getvalue().count("\n") == 1
+
 
 def list_payload(a):
     """A matrix payload as the json encoder writes the [[re, im], ...] list."""
@@ -228,6 +274,12 @@ def list_payload(a):
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, 1.7976931348623157e308, 0.1]
 entries = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# Metadata values; keys of at most 3 characters never spell a matrix payload.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | entries | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 @st.composite
@@ -360,6 +412,7 @@ FILE_DEFECTS = {
     "not-utf8": lambda text: b"\xff" + text.encode(),
     "truncated": lambda text: text[: len(text) // 2].encode(),
     "deep-document": lambda text: DEEP.encode(),
+    "extra-data": lambda text: (text + "{}").encode(),
 }
 
 
@@ -465,6 +518,101 @@ class TestLoaderFuzz:
         paths[1].write_text(json.dumps(payload).replace(f'"{RAW}"', RESIDUAL_DEFECTS[defect]))
         self.assert_format_error(capsys, "certificate", paths)
 
+    @pytest.fixture
+    def big(self, tmp_path):
+        """A frame file each of whose two payloads spans several reads."""
+        from conftest import random_subspace_frame
+
+        frame = random_subspace_frame(FieldTag.REAL, 96, 48, 2, seed=5)
+        path = tmp_path / "big.json"
+        save_frame(frame, str(path), {"note": "é"})
+        return path, frame
+
+    @staticmethod
+    def assert_loads_alike(path, frame):
+        loaded, metadata = load_frame(str(path))
+        assert loaded.array.tobytes() == frame.array.tobytes()
+        assert metadata == {"note": "é"}
+
+    def test_payload_longer_than_a_chunk_loads_alike(self, big):
+        path, frame = big
+        assert all(len(json.dumps(m)) > 2 * _CHUNK for m in json.loads(path.read_text())["isometries"])
+        self.assert_loads_alike(path, frame)
+
+    @pytest.mark.parametrize("defect", MATRIX_DEFECTS)
+    def test_matrix_defect_past_the_first_chunk(self, capsys, big, defect):
+        path, _ = big
+        payload = json.loads(path.read_text())
+        edit, raw = MATRIX_DEFECTS[defect]
+        edit(payload["isometries"][1])
+        text = json.dumps(payload)
+        if raw is not None:
+            text = text.replace(f'"{RAW}"', raw)
+        path.write_text(text)
+        err = self.assert_format_error(capsys, "frame", (path, None))
+        if defect in OWN_MESSAGES:
+            assert OWN_MESSAGES[defect] in err and "not valid UTF-8 JSON" not in err
+
+    @pytest.mark.parametrize("where", ["entry", "dimension", "utf8-character"])
+    def test_text_split_at_a_chunk_boundary(self, capsys, big, where):
+        # Leading spaces put byte `at` at the start of a read: the file loads
+        # alike, and cut there it exits 4.
+        path, frame = big
+        payload = json.loads(path.read_text())
+        payload["d"] = payload.pop("d")  # last, so the file ends with d=96
+        raw = json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode()
+        if where == "entry":
+            at = next(i for i in range(_CHUNK // 2, len(raw)) if raw[i - 1 : i + 1].isdigit())
+        elif where == "dimension":
+            at = raw.rindex(b"96") + 1
+        else:
+            at = raw.index("é".encode()) + 1
+        raw = b" " * (-at % _CHUNK) + raw
+        path.write_bytes(raw)
+        self.assert_loads_alike(path, frame)
+        path.write_bytes(raw[: at + (-at % _CHUNK)])
+        self.assert_format_error(capsys, "frame", (path, None))
+
+    @pytest.mark.parametrize("at", range(1, len("1.2345e-17")))
+    def test_residual_split_at_a_chunk_boundary(self, paths, at):
+        # A number whose text stops at the end of a read may go on in the
+        # next one, even after a "." or an exponent's "e" or sign.
+        save_certificate(str(paths[1]), "1 3 2 4", np.eye(4), 1.2345e-17)
+        raw = paths[1].read_bytes()
+        at += raw.index(b"1.2345e-17")
+        paths[1].write_bytes(b" " * (-at % _CHUNK) + raw)
+        assert load_certificate(str(paths[1]))[2] == 1.2345e-17
+
+    @pytest.mark.parametrize("where", ["in-a-payload", "after-a-split-character"])
+    def test_non_utf8_byte_after_the_first_chunk(self, capsys, big, where):
+        # The message names the byte's place in the file, also when a read
+        # began inside the character before it.
+        path, _ = big
+        raw = bytearray(json.dumps(json.loads(path.read_text()), ensure_ascii=False).encode())
+        if where == "in-a-payload":
+            at = _CHUNK + 1000
+        else:
+            split = raw.index("é".encode()) + 1
+            raw[:0] = b" " * (-split % _CHUNK)
+            at = split + (-split % _CHUNK) + 1
+        raw[at] = 0xFF
+        path.write_bytes(raw)
+        err = self.assert_format_error(capsys, "frame", (path, None))
+        assert f"invalid start byte at byte {at}" in err
+
+    def test_isometries_before_the_header_load_alike(self, big):
+        path, frame = big
+        payload = json.loads(path.read_text())
+        order = ["isometries", "metadata", "n", "r", "d", "field"]
+        path.write_text(json.dumps({key: payload[key] for key in order}))
+        self.assert_loads_alike(path, frame)
+
+    def test_duplicate_top_level_key_is_refused(self, capsys, paths):
+        text = paths[0].read_text().rstrip()
+        paths[0].write_text(text[:-1] + ',"d":4}')
+        err = self.assert_format_error(capsys, "frame", paths)
+        assert "duplicate key 'd'" in err
+
 
 class TestNaimark:
     def test_complement_verifies(self, capsys, tmp_path):
@@ -480,18 +628,20 @@ class TestNaimark:
 
     @pytest.mark.parametrize("field, r, n", [(FieldTag.REAL, 16, 11), (FieldTag.COMPLEX, 8, 8)])
     def test_load_peak_memory_is_near_file_size(self, tmp_path, field, r, n):
-        # Matrices are decoded while json parses, so a load holds the file
-        # text, the arrays and one matrix's [re, im] lists, not the lists
-        # of every matrix at once (about 6x the file size).
+        # A load reads the file a chunk at a time and decodes each matrix as
+        # soon as its text is read, so it holds the decoded members, their
+        # copy S, and one matrix's text and [re, im] lists, never the file
+        # text: at R16 n=11 it peaks at 3.2 S, and holding the text read 6.9 S.
         path = tmp_path / "comp.json"
-        save_frame(naimark_complement(build_eitff(field, r, n)), str(path))
+        comp = naimark_complement(build_eitff(field, r, n))
+        save_frame(comp, str(path))
         tracemalloc.start()
         try:
             load_frame(str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * path.stat().st_size
+        assert peak <= 5 * comp.synthesis.nbytes + _CHUNK
 
     def test_untight_input_exit_one(self, capsys, tmp_path):
         from conftest import random_subspace_frame
