@@ -13,7 +13,10 @@ spectral Welch bound) are exactly those equivalent to
 where (B_i) is a unitary simplex: B_i* B_j + B_j* B_i = -2/(n-2) I.
 Everything here either builds that form from explicit anticommuting
 families, reduces an arbitrary frame to it, or measures how far a frame
-is from optimality.
+is from optimality.  A check (`verify_eitff`, `principal_angles`) reads
+S* S one panel of a block row at a time, each at most
+`linalg._PANEL_BYTES` (4 MiB), so it holds S plus a few buffers of that
+size at every n and r.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .linalg import DEFAULT_TOL, FieldTag, Mat, field_array, max_abs
+from .linalg import DEFAULT_TOL, FieldTag, Mat, field_array, panel_blocks
 from .radon_hurwitz import variant_family
 from .simplex import RhoSimplex, rho_simplex_from_orthonormal
 
@@ -229,13 +232,19 @@ def canonicalize(frame: FusionFrame, tol: float = 1e-8):
     return frame_from_simplex(simplex), simplex
 
 
-def _gram_rows(frame: FusionFrame):
-    """Block rows Phi_i* [Phi_i ... Phi_n] of the fusion Gram S* S, each
-    one product Phi_i* S[:, (i-1)r:], yielded as an (n-i+1, r, r) view
-    whose first block is Phi_i* Phi_i."""
-    synthesis, r = frame.synthesis, frame.r
+def _gram_panels(frame: FusionFrame):
+    """The upper block triangle of the fusion Gram S* S in panels
+    Phi_i* [Phi_j ... Phi_j+k-1], j >= i, each one product with k r
+    columns of S of at most `linalg._PANEL_BYTES` (`panel_blocks`).
+    Yields (i, j, the (k, r, r) view), 0-indexed; block row i starts with
+    the panel whose first block is Phi_i* Phi_i (j = i)."""
+    synthesis, r, n = frame.synthesis, frame.r, frame.n
+    step = panel_blocks(r * r * synthesis.itemsize)
     for i, phi in enumerate(frame.array):
-        yield _blocks(phi.conj().T @ synthesis[:, i * r :], frame.n - i)
+        adjoint = phi.conj().T
+        for j in range(i, n, step):
+            k = min(step, n - j)
+            yield i, j, _blocks(adjoint @ synthesis[:, j * r : (j + k) * r], k)
 
 
 def welch_bound(d: int, r: int, n: int) -> float:
@@ -250,11 +259,16 @@ def welch_bound(d: int, r: int, n: int) -> float:
 def principal_angles(frame: FusionFrame) -> np.ndarray:
     """Symmetric (n, n, r) array: entry [i, j] holds the nondecreasing
     principal angles between subspaces i+1 and j+1, the arccos of the
-    (clamped) cross-Gram singular values.  The diagonal is zero."""
+    (clamped) cross-Gram singular values.  The diagonal is zero.  The
+    fusion Gram is read one panel of a block row at a time
+    (`_gram_panels`), so the call holds S, the angles and a few buffers
+    of at most `linalg._PANEL_BYTES`."""
     angles = np.zeros((frame.n, frame.n, frame.r))
-    for i, row in enumerate(_gram_rows(frame)):
-        theta = np.arccos(np.clip(np.linalg.svd(row[1:], compute_uv=False), 0.0, 1.0))
-        angles[i, i + 1 :] = angles[i + 1 :, i] = theta
+    for i, j, panel in _gram_panels(frame):
+        if j == i:
+            panel, j = panel[1:], j + 1
+        theta = np.arccos(np.clip(np.linalg.svd(panel, compute_uv=False), 0.0, 1.0))
+        angles[i, j : j + len(panel)] = angles[j : j + len(panel), i] = theta
     return angles
 
 
@@ -268,37 +282,47 @@ def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
 
 def _tightness_residual(frame: FusionFrame) -> float:
     """Largest entry of S S* - (nr/d) I, S the synthesis operator, formed
-    in the one d x d product buffer; a real one also takes its magnitudes."""
-    s = frame.synthesis
-    gram = _less_diagonal((s @ s.conj().T)[None], frame.n * frame.r / frame.d)
+    in one d x d buffer; a real one also takes its magnitudes there.  A
+    real S is its own conjugate and takes one product.  A complex S is
+    conjugated one column panel of at most `linalg._PANEL_BYTES` at a
+    time, each panel's product added into the buffer, so S is never
+    conjugated whole."""
+    s, d, r = frame.synthesis, frame.d, frame.r
+    width = s.shape[1] if s.dtype == np.float64 else r * panel_blocks(d * r * s.itemsize)
+    gram = s[:, :width] @ s[:, :width].conj().T
+    for c in range(width, s.shape[1], width):
+        panel = s[:, c : c + width]
+        gram += panel @ panel.conj().T
+    gram = _less_diagonal(gram[None], frame.n * r / d)
     return float(np.abs(gram, out=gram if gram.dtype == np.float64 else None).max())
 
 
 def _less_diagonal(stack: np.ndarray, c: float) -> np.ndarray:
     """Subtract c from the diagonal of each matrix of the stack, in place."""
-    np.einsum("kii->ki", stack)[...] -= c
+    diagonal = np.einsum("kii->ki", stack)
+    diagonal -= c
     return stack
 
 
-def _row_spectrum(row: np.ndarray, sigma2: float):
-    """For the cross-Grams G of one (m, r, r) block row: each pair's
-    s = ||G* G - sigma^2 I||_F, an upper bound on each lambda_max(G* G),
-    and whether some pair is identical.  See `verify_eitff` for when
-    `eigvalsh` runs.  The norm is read from the float64 view of the one
-    G* G - sigma^2 I buffer, so a row holds at most two (m, r, r) arrays
-    once that buffer is formed."""
+def _row_spectrum(row: np.ndarray, sigma2: float, screen: float):
+    """For the cross-Grams G of one (m, r, r) panel of a block row: each
+    pair's s = ||G* G - sigma^2 I||_F, an upper bound on each
+    lambda_max(G* G), and whether some pair is identical.  `screen` is
+    `_weyl_screen`; see `verify_eitff` for when `eigvalsh` runs.  The norm
+    is read from the float64 view of the one G* G - sigma^2 I buffer, so a
+    panel holds at most two (m, r, r) arrays once that buffer is formed."""
     identical2 = (1.0 - _IDENTICAL_SUBSPACE_TOL) ** 2
     gram = _less_diagonal(row.conj().swapaxes(1, 2) @ row, sigma2)
     flat = gram.view(np.float64)
     spread = np.sqrt(np.einsum("kij,kij->k", flat, flat))
     low, high = sigma2 - spread, sigma2 + spread
-    solve = (spread > _weyl_screen(row.shape[-1], sigma2)) | (
+    solve = (spread > screen) | (
         (low < identical2) & (high >= identical2)
     )
     if solve.any():
         lam = np.linalg.eigvalsh(gram[solve]) + sigma2
         low[solve], high[solve] = lam[:, 0], lam[:, -1]
-    return spread, high, bool((low >= identical2).any())
+    return spread, high, bool(low.max() >= identical2)
 
 
 def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -307,11 +331,16 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     Residuals: column orthonormality, tightness of the summed projections
     (target (nr/d) I), equi-isoclinism against sigma^2 = (nr-d)/(d(n-1)),
     and the gap between block coherence and the Welch bound (0 when
-    nr < d, where no frame is tight).  Tightness is one product S S*.  In
+    nr < d, where no frame is tight).  Tightness is S S*, one product
+    over R and a sum over column panels of S over C.  In
     the fusion Gram H = S* S, S = [Phi_1 ... Phi_n], the others ask
     H_ii = I and H_ij* H_ij = sigma^2 I (H_ij H_ij* has the same
-    spectrum); H is read one block row Phi_i* [Phi_i ... Phi_n] at a
-    time, each one product.  The equi-isoclinic residual is max_ij s_ij with
+    spectrum); H is read one panel Phi_i* [Phi_j ... Phi_j+k-1] of a
+    block row at a time, each one product of at most
+    `linalg._PANEL_BYTES` (`_gram_panels`), so the call holds S plus a
+    few buffers of that size at every n and r.  The isometry residual is
+    taken on the diagonal block of each row's first panel, in place.
+    The equi-isoclinic residual is max_ij s_ij with
     s_ij = ||H_ij* H_ij - sigma^2 I||_F, a bound on every
     |cos^2 theta - sigma^2| over the principal angles theta of the pair,
     and the report names the pair where it is largest.  By Weyl's
@@ -328,18 +357,20 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     tight = _tightness_residual(frame)
 
     sigma2 = (n * r - d) / (d * (n - 1))
-    eye, iso = np.eye(r), np.empty(n)
+    screen, iso = _weyl_screen(r, sigma2), np.empty(n)
     equi, pair = 0.0, (1, 2)
     lam_max = 0.0
     identical_pair = False
-    for i, row in enumerate(_gram_rows(frame)):
-        iso[i] = max_abs(row[0] - eye)
-        if i + 1 == n:
-            break
-        spread, high, identical = _row_spectrum(row[1:], sigma2)
+    for i, j, panel in _gram_panels(frame):
+        if j == i:
+            iso[i] = np.abs(_less_diagonal(panel[:1], 1.0)).max()
+            panel, j = panel[1:], j + 1
+            if not len(panel):
+                continue
+        spread, high, identical = _row_spectrum(panel, sigma2, screen)
         k = int(np.argmax(spread))
         if spread[k] > equi:
-            equi, pair = float(spread[k]), (i + 1, i + 2 + k)
+            equi, pair = float(spread[k]), (i + 1, j + 1 + k)
         lam_max = np.maximum(lam_max, high.max())  # unlike max, keeps a NaN
         identical_pair |= identical
 

@@ -10,7 +10,10 @@ Polar factors come from the SVD, null spaces of Hermitian matrices from
 `eigh`.  `relation_residual` measures the block-Gram identity of
 anticommuting families and simplices: by index arithmetic when every
 member is a generalized permutation matrix, as every built family is,
-and by dense block rows otherwise.
+and by dense block rows otherwise.  Every Gram block row, of a stack
+here or of a frame in `frames`, is formed in panels of at most
+`_PANEL_BYTES` (4 MiB, `panel_blocks`), so checking an input holds it
+plus a few such buffers at every size.
 
 `field_array` is the one check of shape, field and finiteness behind
 every container of such arrays.  `Mat`, a field-tagged complex128
@@ -37,6 +40,13 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
+
+# Bytes of one panel product.  A block row of a Gram, C_i* [C_j ... C_j+k-1],
+# is formed one panel of at most this many bytes at a time (one block at
+# least), so a check holds its input plus a few panel-sized buffers at
+# every size.  At 4 MiB, verifying R256 n=19 holds 8 MiB beyond S, less
+# than building it does; budgets of 2 to 8 MiB time alike there.
+_PANEL_BYTES = 4 << 20
 
 
 class FieldTag(Enum):
@@ -126,6 +136,12 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(arr)))
 
 
+def panel_blocks(block_bytes: int) -> int:
+    """How many blocks of `block_bytes` each one panel holds: as many as
+    fit in `_PANEL_BYTES`, and one at least."""
+    return max(1, _PANEL_BYTES // block_bytes)
+
+
 def require_finite(a: np.ndarray, what: str) -> None:
     """Refuse NaN and infinite entries, which every residual test here
     would otherwise read as a pass."""
@@ -182,9 +198,10 @@ def relation_residual(
     is not 0 in every row and every column of every member; NaN is not
     0) is checked by index arithmetic in O(m^2 r): H_ij is then one too
     (`_monomial_residual`).  Any other stack takes one batched product
-    per block row C_i* [C_i ... C_m] in its own dtype, so the full
-    (m r)^2 Gram is never formed.  Both give the same result up to the
-    rounding of each entry's single product.
+    per panel C_i* [C_j ... C_j+k-1] of a block row in its own dtype
+    (`panel_blocks`), so it holds the stack plus a few panel-sized
+    buffers.  Both give the same result up to the rounding of each
+    entry's single product.
     """
     cols = _monomial_columns(stack)
     if cols is None:
@@ -239,17 +256,25 @@ def _monomial_residual(
 
 
 def _dense_residual(stack: np.ndarray, offdiag: float) -> tuple[float, tuple[int, int]]:
-    """`relation_residual` of any stack, one batched product per block row."""
-    eye = np.eye(stack.shape[-1])
+    """`relation_residual` of any stack, one batched product per panel
+    C_i* [C_j ... C_j+k-1] of a block row (`panel_blocks`)."""
+    m, r = stack.shape[:2]
+    step = panel_blocks(r * r * stack.itemsize)
+    eye = np.eye(r)
+    shift = offdiag * eye
     worst, where = 0.0, (1, 1)
-    for i in range(len(stack)):
-        row = stack[i].conj().T @ stack[i:]
-        row[1:] += row[1:].conj().swapaxes(1, 2) - offdiag * eye
-        row[0] -= eye
-        errs = np.abs(row).max(axis=(1, 2))
-        k = int(np.argmax(errs))  # the first NaN, if there is one
-        if np.isnan(errs[k]):
-            return float(errs[k]), (i + 1, i + 1 + k)
-        if errs[k] > worst:
-            worst, where = float(errs[k]), (i + 1, i + 1 + k)
+    for i in range(m):
+        adjoint = stack[i].conj().T
+        for j in range(i, m, step):
+            panel = adjoint @ stack[j : j + step]
+            off = panel[1:] if j == i else panel  # the first panel of a row starts with H_ii
+            off += off.conj().swapaxes(1, 2) - shift
+            if j == i:
+                panel[0] -= eye
+            errs = np.abs(panel).max(axis=(1, 2))
+            k = int(np.argmax(errs))  # the first NaN, if there is one
+            if np.isnan(errs[k]):
+                return float(errs[k]), (i + 1, j + 1 + k)
+            if errs[k] > worst:
+                worst, where = float(errs[k]), (i + 1, j + 1 + k)
     return worst, where

@@ -250,7 +250,10 @@ def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
             stack = _double_complex(stack)
         stack = np.kron(eye_odd, stack)[-m:]
     else:
-        stack = np.concatenate([np.eye(r)[None], np.kron(eye_odd, _real_skew_tower(k))])[:m]
+        tower = _real_skew_tower(k)
+        if dec.a:  # for r a power of 2, I_1 (x) T would only copy T
+            tower = np.kron(eye_odd, tower)
+        stack = np.concatenate([np.eye(r)[None], tower])[:m]
     return RhoOrthonormalSeq(field, r, stack)
 
 

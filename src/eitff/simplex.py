@@ -35,6 +35,17 @@ class RhoSimplex:
         shape = (self.n - 1, self.r, self.r)
         object.__setattr__(self, "blocks", field_array(self.field, self.blocks, shape, "simplex"))
 
+    @classmethod
+    def _adopt(cls, field: FieldTag, r: int, blocks: np.ndarray) -> "RhoSimplex":
+        """The simplex whose members are `blocks`, a finite C-ordered
+        (n-1, r, r) array in the field's dtype that the caller hands over:
+        kept without a copy or a check, and made read-only."""
+        blocks.setflags(write=False)
+        simplex = object.__new__(cls)
+        for name, value in (("field", field), ("r", r), ("n", len(blocks) + 1), ("blocks", blocks)):
+            object.__setattr__(simplex, name, value)
+        return simplex
+
 
 def simplex_matrix(m: int) -> np.ndarray:
     """Coefficient matrix Psi_m, built by the standard recursion.
@@ -69,7 +80,7 @@ def rho_simplex_from_orthonormal(seq: RhoOrthonormalSeq) -> RhoSimplex:
     m, r = len(seq), seq.r
     psi = simplex_matrix(m + 1)
     blocks = (psi.T @ seq.array.reshape(m, -1)).reshape(-1, r, r)
-    return RhoSimplex(seq.field, r, m + 2, blocks)
+    return RhoSimplex._adopt(seq.field, r, blocks)
 
 
 def verify_rho_simplex(s: RhoSimplex) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,15 @@ def random_unitary(d, seed=0):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     return q
+
+
+def traced_peak(call, *args) -> int:
+    """Bytes `call(*args)` allocates at its peak under tracemalloc, above
+    what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

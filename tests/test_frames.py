@@ -1,15 +1,16 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitff import linalg
 from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputError
 from eitff.frames import (
     _OMP_TIE_RTOL,
     FusionFrame,
+    _tightness_residual,
     block_omp_recover,
     build_eitff,
     canonicalize,
@@ -25,7 +26,7 @@ from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
 from eitff.radon_hurwitz import GEN, exists, rho_number
 from eitff.simplex import verify_rho_simplex
 
-from conftest import random_subspace_frame, random_orthogonal, random_unitary
+from conftest import random_orthogonal, random_subspace_frame, random_unitary, traced_peak
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
@@ -245,14 +246,55 @@ class TestSynthesisOperator:
         # stacking the list first and copying the stack reads about 2.
         comp = naimark_complement(build_eitff(R, 64, 14))
         members = list(comp.arrays())
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            FusionFrame.from_arrays(R, members)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * comp.synthesis.nbytes
+        assert traced_peak(FusionFrame.from_arrays, R, members) <= 1.1 * comp.synthesis.nbytes
+
+
+class TestPanels:
+    """The fusion Gram is read in panels of at most `linalg._PANEL_BYTES`,
+    so a check holds S plus a few panel-sized buffers at every size."""
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_small_panels_give_the_same_result(self, name, blocks, monkeypatch):
+        # A budget of one or three r x r blocks sends every row of these
+        # frames through several panels.
+        frame = ORACLE_FRAMES[name]()
+        want, want_angles = verify_eitff(frame), principal_angles(frame)
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", blocks * frame.r**2 * frame.synthesis.itemsize)
+        got, angles = verify_eitff(frame), principal_angles(frame)
+        if frame.field is R:
+            assert repr(got) == repr(want)
+            assert np.array_equal(angles, want_angles)
+            return
+        # Over C, tightness sums one product per column panel, and zgemm
+        # rounds a block of Phi_i* S by its column position in the product
+        # (seen at r = 2): equal to rounding, with every verdict unchanged.
+        eps = np.finfo(np.float64).eps
+        for field in ("isometry_residual", "tightness_residual", "equiisoclinic_residual",
+                      "welch_gap", "block_coherence"):
+            assert abs(getattr(got, field) - getattr(want, field)) <= 8 * eps, field
+        assert (got.passed, got.gerzon_ok) == (want.passed, want.gerzon_ok)
+        if name not in ROUNDING_TIE_FRAMES:
+            assert got.equiisoclinic_pair == want.equiisoclinic_pair
+        assert np.abs(np.cos(angles) - np.cos(want_angles)).max() <= 8 * eps
+
+    # Traced peaks beyond S, in MiB.  At the parent, which formed each whole
+    # block row and a G* G buffer of its size, and conjugated all of a
+    # complex S for tightness, they read: R256 n=19 verify 19.1, angles
+    # 19.2; C128 n=18 verify 13.1, angles 9.6, tightness 10.0.  With 4 MiB
+    # panels they read 8.0, 8.7; 12.0, 8.6, 6.0.
+    @pytest.mark.parametrize(
+        "field,r,n,check,limit",
+        [
+            (R, 256, 19, verify_eitff, 9.0),
+            (R, 256, 19, principal_angles, 9.5),
+            (C, 128, 18, verify_eitff, 12.5),
+            (C, 128, 18, principal_angles, 9.0),
+            (C, 128, 18, _tightness_residual, 7.0),
+        ],
+    )
+    def test_peak_beyond_synthesis_is_bounded(self, field, r, n, check, limit):
+        assert traced_peak(check, build_eitff(field, r, n)) <= limit * 2**20
 
 
 class TestParams:

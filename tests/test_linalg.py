@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitff import linalg, symmetry
 from eitff.errors import (
     DomainError,
     InvalidInputError,
@@ -18,12 +19,13 @@ from eitff.linalg import (
     max_abs,
     nullspace,
     polar_unitary,
+    relation_residual,
 )
-from eitff.frames import FusionFrame
-from eitff.radon_hurwitz import GEN, RhoOrthonormalSeq, tensor
-from eitff.simplex import RhoSimplex
+from eitff.frames import FusionFrame, build_eitff
+from eitff.radon_hurwitz import GEN, RhoOrthonormalSeq, build_rho_orthonormal, rho_number, tensor
+from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal
 
-from conftest import random_orthogonal, random_unitary
+from conftest import random_orthogonal, random_unitary, traced_peak
 
 
 def assert_close(a, b, tol=1e-12):
@@ -275,3 +277,46 @@ class TestNullspace:
     def test_tolerance_must_be_positive(self):
         with pytest.raises(DomainError):
             nullspace(Mat(FieldTag.REAL, np.eye(2)), 0.0)
+
+
+def dense_stack(field, r, kind):
+    """A stack that takes the dense branch of relation_residual, with the
+    offdiag its relations use: a built family or unitary simplex with
+    noise 1e-3, the family with two equal members, or with one NaN."""
+    family = build_rho_orthonormal(field, r, rho_number(field, r))
+    stack, offdiag = family.stack(), 0.0
+    if kind == "simplex":
+        simplex = rho_simplex_from_orthonormal(family)
+        stack, offdiag = simplex.blocks.copy(), -2.0 / (simplex.n - 2)
+    rng = np.random.default_rng(r)
+    stack = stack + 1e-3 * rng.standard_normal(stack.shape)
+    if kind == "equal":
+        stack[-1] = stack[1]
+    elif kind == "nan":
+        stack[-2, 0, 1] = np.nan
+    return stack, offdiag
+
+
+class TestDenseResidualPanels:
+    """The dense branch of relation_residual forms each block row in
+    panels of at most `linalg._PANEL_BYTES`."""
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("kind", ["family", "simplex", "equal", "nan"])
+    @pytest.mark.parametrize("field,r", [(FieldTag.REAL, 8), (FieldTag.COMPLEX, 4), (FieldTag.REAL, 16)])
+    def test_small_panels_give_the_same_result(self, field, r, kind, blocks, monkeypatch):
+        stack, offdiag = dense_stack(field, r, kind)
+        want = relation_residual(stack, offdiag)
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", blocks * r * r * stack.itemsize)
+        got = relation_residual(stack, offdiag)
+        assert repr(got) == repr(want)
+        assert (kind == "nan") == math.isnan(got[0])
+
+    def test_clifford_gate_peak_is_bounded(self):
+        # The Clifford system E of R128 n=18 is 17 dense 256 x 256 members
+        # (8.5 MiB).  Forming its first block row whole, with the sum
+        # H_ij + H_ij*, peaked at 17.6 MiB beyond E; 4 MiB panels read 9.1.
+        frame = build_eitff(FieldTag.REAL, 128, 18)
+        e = symmetry._clifford_system(frame, symmetry._projections(frame), 1e-10)
+        assert e.shape == (17, 256, 256)
+        assert traced_peak(relation_residual, e, 0.0) <= 10 * 2**20
