@@ -35,9 +35,9 @@ from .radon_hurwitz import VARIANTS, decompose_r, exists, rho_number
 from .symmetry import (
     Permutation,
     SymmetryCertificate,
+    _find_witness,
     check_certificate,
     clifford_rule,
-    find_witness,
     probe_symmetry,
 )
 
@@ -207,11 +207,10 @@ def cmd_sym_witness(args) -> int:
     sigma = _parse_perm_for(frame, args.perm)
     if sigma is None:
         return 2
-    cert = find_witness(frame, sigma, args.tol, args.seed)
+    cert, closed = _find_witness(frame, sigma, args.tol, args.seed)
     if cert is None:
-        rule = clifford_rule(frame, args.tol, args.seed)
-        proof = rule is not None and not rule[2] and len(sigma.transpositions()) % 2
-        print("witness=none" + (_closed_form_note(rule) if proof else ""))
+        proof = closed is not None and closed[0] is None and len(sigma.transpositions()) % 2
+        print("witness=none" + (_closed_form_note(*closed[1:]) if proof else ""))
         return 0
     print(f"witness=found residual={cert.residual:.6e}")
     if args.out:
@@ -232,8 +231,7 @@ def cmd_sym_check(args) -> int:
     return 0 if verdict == "pass" else 1
 
 
-def _closed_form_note(rule) -> str:
-    m, trace, _ = rule
+def _closed_form_note(m: int, trace: float) -> str:
     return f" (closed form, m={m}, tr_omega={trace:.2f})"
 
 
@@ -243,7 +241,7 @@ def cmd_sym_probe(args) -> int:
     # way); only other frames need the probe's search.
     rule = clifford_rule(frame, args.tol, args.seed)
     if rule is not None:
-        print(f"symmetry={'total' if rule[2] else 'alternating'}" + _closed_form_note(rule))
+        print(f"symmetry={'total' if rule[2] else 'alternating'}" + _closed_form_note(*rule[:2]))
     else:
         label, _ = probe_symmetry(frame, args.tol, args.seed)
         print(f"symmetry={label} (numerically-decided)")

@@ -15,8 +15,9 @@ d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with
 V_ab Pi_i V_ab = I - Pi_(a b)(i).  A product of two transpositions of
 any code is witnessed by -V_ab V_cd, and a transposition by J V_ab for
 any unitary J with J Pi_i J* = I - Pi_i (S, the swap of the two
-r-blocks, on skew codes).  The code's Clifford system (`clifford_rule`)
-decides whether such a J exists and builds it when it does.
+r-blocks, on skew codes); `_closed_witness` is the one builder of both.
+The code's Clifford system (`clifford_rule`) decides whether such a J
+exists and builds it when it does.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def _reflection(projections: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertificate:
     """Closed-form witness S V_jk for the transposition (j k) of the frame
-    built from a skew-Hermitian unitary simplex, where V_jk is
-    `_reflection` and S = [[0, I], [I, 0]] swaps the two r-blocks.
+    built from a skew-Hermitian unitary simplex: `_closed_witness` with
+    J = S = [[0, I], [I, 0]], the swap of the two r-blocks.
 
     On a skew canonical frame S Pi_i S = I - Pi_i for every i, so S undoes
     the complement that V_jk introduces.  Non-skew simplices are refused
@@ -185,18 +186,14 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
         )
+    swap = np.eye(2 * simplex.r, k=simplex.r) + np.eye(2 * simplex.r, k=-simplex.r)
     projections = _projections(frame_from_simplex(simplex))
-    v = _reflection(projections, j, k)
-    r = simplex.r
-    ups = np.concatenate([v[r:], v[:r]])
-    sigma = Permutation.transposition(n, j, k)
-    residual = _conjugation_residual(projections, sigma, ups)
-    return SymmetryCertificate(sigma, ups, residual)
+    return _closed_witness(projections, Permutation.transposition(n, j, k), [(j, k)], swap)
 
 
 def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertificate:
     """Witness -V_ab V_cd for the product (a b)(c d) of two transpositions,
-    given as pairs, of a code with d = 2r, in any basis; V is `_reflection`.
+    given as pairs, of a code with d = 2r, in any basis (`_closed_witness`).
 
     Two conjugations by reflections send Pi_i to Pi_(a b)(c d)(i).  Each
     pair is put in (min, max) order, and the sign -1 is a convention: on
@@ -214,15 +211,13 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
         raise DomainError("frame must have d = 2r")
     (a, b), (c, d) = sorted(sigma1), sorted(sigma2)
     sigma = Permutation.transposition(n, a, b).compose(Permutation.transposition(n, c, d))
-    projections = _projections(frame)
-    ups = -_reflection(projections, a, b) @ _reflection(projections, c, d)
-    defect = max_abs(ups @ ups.conj().T - np.eye(frame.d))
+    cert = _closed_witness(_projections(frame), sigma, [(a, b), (c, d)], None)
+    defect = max_abs(cert.upsilon @ cert.upsilon.conj().T - np.eye(frame.d))
     if not defect <= 1e-8:
         raise InvalidInputError(
             f"frame is not an EITFF with d = 2r (witness unitarity defect {defect:.2e})"
         )
-    residual = _conjugation_residual(projections, sigma, ups)
-    return SymmetryCertificate(sigma, ups, residual)
+    return cert
 
 
 def _clifford_system(frame: FusionFrame, projections: np.ndarray, tol: float):
@@ -288,18 +283,19 @@ def _closed_form(frame: FusionFrame, projections: np.ndarray, tol: float, seed: 
         return None
 
 
-def _closed_witness(projections: np.ndarray, sigma: Permutation, j):
-    """Witness of sigma on a code: of `sigma.transpositions()`, each
-    consecutive pair (a b), (c d) becomes -V_ab V_cd and a leftover last
-    one (a b) becomes J V_ab.  None when sigma is odd and J is None."""
-    steps = sigma.transpositions()
+def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
+    """The one builder of closed-form witnesses: of transpositions `steps`
+    giving sigma left to right, each consecutive pair (a b), (c d) becomes
+    -V_ab V_cd and a leftover last one (a b) becomes J V_ab, all multiplied
+    left to right (no steps: I).  None when the steps are odd and J is None."""
     if len(steps) % 2 and j is None:
         return None
-    ups = np.eye(projections.shape[1], dtype=projections.dtype)
+    factors = []
     for first, second in zip(steps[0::2], steps[1::2]):
-        ups = ups @ -_reflection(projections, *first) @ _reflection(projections, *second)
+        factors += [-_reflection(projections, *first), _reflection(projections, *second)]
     if len(steps) % 2:
-        ups = ups @ j @ _reflection(projections, *steps[-1])
+        factors += [j, _reflection(projections, *steps[-1])]
+    ups = reduce(np.matmul, factors or [np.eye(projections.shape[1], dtype=projections.dtype)])
     return SymmetryCertificate(sigma, ups, _conjugation_residual(projections, sigma, ups))
 
 
@@ -331,15 +327,20 @@ def find_witness(
     is a numeric verdict and d > 32 is refused.  On either path a
     witness is returned only once its conjugation residual clears `tol`.
     """
+    return _find_witness(frame, sigma, tol, seed)[0]
+
+
+def _find_witness(frame: FusionFrame, sigma: Permutation, tol: float, seed: int):
+    """(`find_witness`'s answer, the `_closed_form` it decided on)."""
     if sigma.n != frame.n:
         raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
     projections = _projections(frame)
     closed = _closed_form(frame, projections, tol, seed)
     if closed is not None:
-        cert = _closed_witness(projections, sigma, closed[0])
+        cert = _closed_witness(projections, sigma, sigma.transpositions(), closed[0])
         if cert is None or cert.residual <= tol:
-            return cert
-    return _search(frame, projections, sigma, tol, seed)
+            return cert, closed
+    return _search(frame, projections, sigma, tol, seed), closed
 
 
 def _normal_operator(p: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
@@ -460,7 +461,7 @@ def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     if closed is not None:
         j = closed[0]
         label, generators = ("total", transpositions) if j is not None else ("alternating", three_cycles)
-        certs = [_closed_witness(projections, gen, j) for gen in generators]
+        certs = [_closed_witness(projections, gen, gen.transpositions(), j) for gen in generators]
         if all(cert.residual <= tol for cert in certs):
             return label, certs
     for label, generators in (("total", transpositions), ("alternating", three_cycles)):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eitff import cli, frame_io
+from eitff import cli, frame_io, symmetry
 from eitff.cli import main
 from eitff.errors import InvalidInputError
 from eitff.frame_io import (
@@ -342,9 +342,9 @@ class TestWriter:
         upsilon = np.full((4, 4), np.nan)
 
         def nan_witness(frame, sigma, tol, seed):
-            return SymmetryCertificate(sigma, upsilon, 0.0)
+            return SymmetryCertificate(sigma, upsilon, 0.0), None
 
-        monkeypatch.setattr(cli, "find_witness", nan_witness)
+        monkeypatch.setattr(cli, "_find_witness", nan_witness)
         code, _, err = run(
             capsys, "sym", "witness", str(frame_path), "--perm", "2 1 3 4", "--out", str(cert_path)
         )
@@ -693,6 +693,34 @@ class TestSym:
         code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
         assert code == 0
         assert out.strip() == "witness=none (closed form, m=3, tr_omega=2.00)"
+
+    @pytest.mark.parametrize(
+        "field,r,n,line",
+        [
+            (FieldTag.REAL, 4, 6, "witness=none (closed form, m=5, tr_omega=8.00)"),
+            (FieldTag.COMPLEX, 4, 8, "witness=none (closed form, m=7, tr_omega=8.00)"),
+            (FieldTag.COMPLEX, 32, 14, "witness=none (closed form, m=13, tr_omega=64.00)"),
+        ],
+    )
+    def test_witness_none_forms_the_clifford_system_once(
+        self, capsys, tmp_path, monkeypatch, field, r, n, line
+    ):
+        """The proof note comes from the decision the witness was made on."""
+        path = tmp_path / "code.json"
+        save_frame(build_eitff(field, r, n), str(path))
+        calls = []
+        clifford_system = symmetry._clifford_system
+
+        def counted(*args):
+            calls.append(args)
+            return clifford_system(*args)
+
+        monkeypatch.setattr(symmetry, "_clifford_system", counted)
+        perm = " ".join(["2", "1", *map(str, range(3, n + 1))])
+        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", perm)
+        assert code == 0
+        assert out.strip() == line
+        assert len(calls) == 1
 
     def test_witness_none_on_a_non_code_is_bare(self, capsys, tmp_path):
         from conftest import random_subspace_frame

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from eitff.frames import (
     naimark_complement,
     verify_eitff,
 )
-from eitff.linalg import FieldTag, max_abs, nullspace
+from eitff.linalg import DEFAULT_TOL, FieldTag, max_abs, nullspace
 from eitff.radon_hurwitz import (
     GEN,
     RhoOrthonormalSeq,
@@ -365,6 +367,87 @@ class TestFindWitness:
         a = find_witness(example_frame, sigma, seed=5)
         b = find_witness(example_frame, sigma, seed=5)
         assert max_abs(a.upsilon - b.upsilon) == 0.0
+
+
+def reflection(projections, a, b):
+    n = len(projections)
+    return np.sqrt(2.0 * (n - 1) / n) * (projections[a - 1] - projections[b - 1])
+
+
+def reflection_chain(projections, steps, j):
+    """-V V for each consecutive pair of steps and J V for a leftover one,
+    multiplied left to right from the identity."""
+    factors = []
+    for first, second in zip(steps[0::2], steps[1::2]):
+        factors += [-reflection(projections, *first), reflection(projections, *second)]
+    if len(steps) % 2:
+        factors += [j, reflection(projections, *steps[-1])]
+    return reduce(np.matmul, factors, np.eye(projections.shape[1], dtype=projections.dtype))
+
+
+def identity_dropped_simplex(field, r, n):
+    """Skew simplex of a family of n - 1 with its identity member dropped,
+    as the benchmark's symmetry workload builds it."""
+    family = build_rho_orthonormal(field, r, n - 1)
+    skews = [c for c in family.array if max_abs(c - np.eye(r)) > 0.5]
+    return rho_simplex_from_orthonormal(RhoOrthonormalSeq(field, r, skews))
+
+
+class TestClosedFormBuilder:
+    """Every closed-form entry point returns the explicit product of
+    reflections, equal entry for entry, with that product's own residual."""
+
+    @staticmethod
+    def assert_certificate(projections, cert, want):
+        assert np.array_equal(cert.upsilon, want)
+        assert cert.residual == _conjugation_residual(projections, cert.sigma, cert.upsilon)
+
+    @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (C, 8, 8)])
+    def test_alternating_witness_is_minus_v_v(self, field, r, n):
+        frame = build_eitff(field, r, n)
+        p = _projections(frame)
+        for t1, t2 in [((1, 2), (3, 4)), ((2, 1), (3, 2)), ((1, n), (2, 3)), ((2, 4), (2, 4))]:
+            (a, b), (c, d) = sorted(t1), sorted(t2)
+            want = -reflection(p, a, b) @ reflection(p, c, d)
+            self.assert_certificate(p, alternating_witness(frame, t1, t2), want)
+
+    @pytest.mark.parametrize(
+        "make", [scalar_skew_simplex, lambda: identity_dropped_simplex(R, 8, 8)], ids=["C1n3", "R8n8"]
+    )
+    def test_transposition_witness_is_s_v(self, make):
+        simplex = make()
+        p, r = _projections(frame_from_simplex(simplex)), simplex.r
+        for j in range(1, simplex.n + 1):
+            for k in range(j + 1, simplex.n + 1):
+                v = reflection(p, j, k)
+                want = np.concatenate([v[r:], v[:r]])
+                self.assert_certificate(p, transposition_witness(simplex, j, k), want)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_eitff(R, 8, 8), lambda: build_eitff(C, 8, 8), lambda: rotated_code(C, 16, 10, 4)],
+        ids=["R8n8", "C8n8", "rotated-C16n10"],
+    )
+    def test_find_witness_and_probe_are_the_left_to_right_chain(self, make):
+        frame = make()
+        n, p = frame.n, _projections(frame)
+        j = symmetry._closed_form(frame, p, DEFAULT_TOL, 0)[0]
+        assert j is not None
+        sigmas = [
+            Permutation.identity(n),
+            Permutation.transposition(n, 1, 2),
+            Permutation.cycle(n, (1, 2, 3)),
+            Permutation.cycle(n, (2, 5, 3, 1)),
+            Permutation.cycle(n, range(1, n + 1)),
+        ]
+        for sigma in sigmas:
+            want = reflection_chain(p, sigma.transpositions(), j)
+            self.assert_certificate(p, find_witness(frame, sigma), want)
+        label, certs = probe_symmetry(frame)
+        assert label == "total"
+        assert [c.sigma for c in certs] == [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
+        for cert in certs:
+            self.assert_certificate(p, cert, reflection_chain(p, cert.sigma.transpositions(), j))
 
 
 def kronecker_blocks(projections, sigma):
