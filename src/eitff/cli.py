@@ -35,10 +35,10 @@ from .radon_hurwitz import VARIANTS, decompose_r, exists, rho_number
 from .symmetry import (
     Permutation,
     SymmetryCertificate,
+    _closed_form,
     _find_witness,
+    _projections,
     check_certificate,
-    clifford_rule,
-    probe_symmetry,
 )
 
 def _positive_int(text: str) -> int:
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sym = sub.add_parser("sym", help="symmetry certificates")
     sym_sub = p_sym.add_subparsers(dest="sym_command", required=True)
 
-    how = "in closed form on codes at any d, by search on other frames with d <= 32"
+    how = "in closed form on codes with d = 2r; other frames are refused (exit 2)"
     p_witness = sym_sub.add_parser("witness", help=f"witness a permutation: {how}")
     p_witness.add_argument("frame")
     p_witness.add_argument("--perm", required=True, help='one-line notation, e.g. "2 1 3 4"')
@@ -209,8 +209,9 @@ def cmd_sym_witness(args) -> int:
         return 2
     cert, closed = _find_witness(frame, sigma, args.tol, args.seed)
     if cert is None:
-        proof = closed is not None and closed[0] is None and len(sigma.transpositions()) % 2
-        print("witness=none" + (_closed_form_note(*closed[1:]) if proof else ""))
+        j, m, trace = closed
+        proof = j is None and len(sigma.transpositions()) % 2
+        print("witness=none" + (_closed_form_note(m, trace) if proof else ""))
         return 0
     print(f"witness=found residual={cert.residual:.6e}")
     if args.out:
@@ -237,14 +238,10 @@ def _closed_form_note(m: int, trace: float) -> str:
 
 def cmd_sym_probe(args) -> int:
     frame, _ = load_frame(args.frame)
-    # On a code the rule is the label (`probe_symmetry` reads it the same
-    # way); only other frames need the probe's search.
-    rule = clifford_rule(frame, args.tol, args.seed)
-    if rule is not None:
-        print(f"symmetry={'total' if rule[2] else 'alternating'}" + _closed_form_note(*rule[:2]))
-    else:
-        label, _ = probe_symmetry(frame, args.tol, args.seed)
-        print(f"symmetry={label} (numerically-decided)")
+    # The rule is the label, as in `probe_symmetry`, without certificates;
+    # a frame that is not a code raises `DomainError` (exit 2).
+    j, m, trace = _closed_form(frame, _projections(frame), args.tol, args.seed)
+    print(f"symmetry={'total' if j is not None else 'alternating'}" + _closed_form_note(m, trace))
     return 0
 
 

@@ -21,7 +21,9 @@ matrix, is the benchmark's view and nothing else: `perfbench/` reads
 frames and families through `FusionFrame.isometries` and
 `RhoOrthonormalSeq.mats`, builds them from tuples of `Mat`s, and traces
 the `Mat` argument of `nullspace`.  It goes once the benchmark reads
-plain arrays.
+plain arrays.  No package path calls `nullspace` either: it is kept for
+the intertwiner search that the symmetry tests use as their oracle, and
+for the benchmark's tracer, which looks it up by name.
 """
 
 from __future__ import annotations

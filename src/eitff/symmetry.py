@@ -3,12 +3,13 @@
 A permutation sigma is a symmetry of (U_i) when some unitary Upsilon
 conjugates each projection onto U_i into the projection onto
 U_{sigma(i)}.  This module checks such certificates, manufactures them
-in closed form for the half-dimension codes, searches for them
-numerically through the intertwiner equations on every other frame,
-and probes whether a frame's symmetry group is all of S_n, the
-alternating group, or something smaller.  Whether a totally symmetric
-code exists at all is decided by `radon_hurwitz.exists`; where it does,
-the generic code is one.
+in closed form for the half-dimension codes, and probes whether a
+code's symmetry group is all of S_n or the alternating group.  Only
+codes are answered: `find_witness`, `probe_symmetry` and `clifford_rule`
+take every answer from the code's Clifford system, and a frame that is
+not a code with d = 2r is refused (`_clifford_system`).  Whether a
+totally symmetric code exists at all is decided by
+`radon_hurwitz.exists`; where it does, the generic code is one.
 
 Every closed-form witness comes from one identity: for a code with
 d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with
@@ -27,8 +28,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, ShapeError, SingularMatrixError
-from .linalg import DEFAULT_TOL, Mat, max_abs, nullspace, polar_unitary, relation_residual, require_finite
+from .errors import DomainError, InvalidInputError, ShapeError
+from .linalg import DEFAULT_TOL, max_abs, polar_unitary, relation_residual, require_finite
 from .frames import FusionFrame, frame_from_simplex
 from .simplex import RhoSimplex, simplex_matrix
 
@@ -222,7 +223,8 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
 
 def _clifford_system(frame: FusionFrame, projections: np.ndarray, tol: float):
     """The code's Clifford system E_1 ... E_m, m = n - 1, as one (m, d, d)
-    stack, or None unless the frame is a code with d = 2r within `tol`.
+    stack.  A frame that is not a code with d = 2r within `tol` is
+    refused with `DomainError`, which names the condition that failed.
 
     With Gamma_i = 2 Pi_i - I and Psi_n = `simplex_matrix(n)`, set
     E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i.  The frame is such a code
@@ -232,14 +234,18 @@ def _clifford_system(frame: FusionFrame, projections: np.ndarray, tol: float):
     Gamma_i Gamma_k + Gamma_k Gamma_i = -2/(n-1) I for i != k.
     """
     n, d = frame.n, frame.d
-    if n < 3 or d != 2 * frame.r:
-        return None
+    if d != 2 * frame.r:
+        raise DomainError(f"not a code: d = {d} is not 2r = {2 * frame.r}")
+    if n < 3:
+        raise DomainError(f"not a code: n = {n} < 3")
     gammas = 2.0 * projections - np.eye(d)
-    if not max_abs(gammas.sum(axis=0)) <= tol:
-        return None
+    residual = max_abs(gammas.sum(axis=0))
+    if not residual <= tol:
+        raise DomainError(f"not a code: sum of Gamma_i residual {residual:.2e} exceeds tol {tol:.2e}")
     e = ((n - 1) / n) * (simplex_matrix(n) @ gammas.reshape(n, -1)).reshape(n - 1, d, d)
-    if not relation_residual(e, 0.0)[0] <= tol:
-        return None
+    residual = relation_residual(e, 0.0)[0]
+    if not residual <= tol:
+        raise DomainError(f"not a code: E relation residual {residual:.2e} exceeds tol {tol:.2e}")
     return e
 
 
@@ -272,15 +278,9 @@ def _complement(e: np.ndarray, seed: int):
 
 
 def _closed_form(frame: FusionFrame, projections: np.ndarray, tol: float, seed: int):
-    """`_complement` of the frame's Clifford system, or None (the search
-    path) for a non-code or a singular projected X."""
-    e = _clifford_system(frame, projections, tol)
-    if e is None:
-        return None
-    try:
-        return _complement(e, seed)
-    except SingularMatrixError:
-        return None
+    """`_complement` of the frame's Clifford system; `DomainError` for a
+    frame that is not a code (`_clifford_system`)."""
+    return _complement(_clifford_system(frame, projections, tol), seed)
 
 
 def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
@@ -304,10 +304,10 @@ def clifford_rule(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     frame (`_clifford_system`, `_complement`).  The code is totally
     symmetric exactly when m is even or tr omega = 0.  The sign of
     tr omega flips with the order of the subspaces, so it is dropped."""
-    closed = _closed_form(frame, _projections(frame), tol, seed)
-    if closed is None:
+    try:
+        j, m, trace = _closed_form(frame, _projections(frame), tol, seed)
+    except DomainError:
         return None
-    j, m, trace = closed
     return m, trace, j is not None
 
 
@@ -317,15 +317,15 @@ def find_witness(
     tol: float = DEFAULT_TOL,
     seed: int = 0,
 ):
-    """A unitary witness of sigma, or None.
+    """A unitary witness of sigma on a code with d = 2r, or None.
 
-    A code with d = 2r (`_clifford_system`) gets the closed form
-    `_closed_witness`, with J from `_complement` seeded by `seed`; when
-    sigma is odd and the code has no J, None is a proof that sigma is no
-    symmetry.  Every other frame, and a code whose closed-form witness
-    misses `tol`, goes to the intertwiner search `_search`, where None
-    is a numeric verdict and d > 32 is refused.  On either path a
-    witness is returned only once its conjugation residual clears `tol`.
+    The witness is the closed form `_closed_witness` of sigma's
+    transpositions, with J from `_complement` seeded by `seed`; a frame
+    that is not a code is refused with `DomainError` (`_clifford_system`).
+    When sigma is odd and the code has no J, None is a proof that sigma
+    is no symmetry.  A witness is returned only once its conjugation
+    residual clears `tol`; a near-code that passes the gate but whose
+    witness misses `tol` gets None, a numeric verdict.
     """
     return _find_witness(frame, sigma, tol, seed)[0]
 
@@ -336,141 +336,27 @@ def _find_witness(frame: FusionFrame, sigma: Permutation, tol: float, seed: int)
         raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
     projections = _projections(frame)
     closed = _closed_form(frame, projections, tol, seed)
-    if closed is not None:
-        cert = _closed_witness(projections, sigma, sigma.transpositions(), closed[0])
-        if cert is None or cert.residual <= tol:
-            return cert, closed
-    return _search(frame, projections, sigma, tol, seed), closed
-
-
-def _normal_operator(p: np.ndarray, q: np.ndarray, r: int) -> np.ndarray:
-    """The block-diagonal compression of L = sum_i A_i* A_i for
-    A_i = I (x) P_i^T - Q_i (x) I, given (n, d, d) stacks of Hermitian
-    projections P_i and Q_i.
-
-    Both terms of A_i are commuting projections, so
-    L = I (x) sum_i P_i^T + sum_i Q_i (x) I - 2 sum_i Q_i (x) P_i^T.  Only
-    the rows and columns of block-diagonal W = blkdiag(W_1, W_2), W_1 of
-    size r and W_2 of size s = d - r, are formed, in the order vec(W_1),
-    vec(W_2).  With P_ab, Q_ab the (r, s) blocks, block (a, b) of the
-    result is delta_ab (I (x) sum_i P_i,aa^T + sum_i Q_i,aa (x) I)
-    - 2 sum_i Q_i,ab (x) P_i,ba^T; each cross sum is one GEMM over i and a
-    transpose, in the projections' dtype.  The result has
-    (r^2 + s^2)^2 entries (d^4/4 when d = 2r) and no d^4 temporary is made.
-    No tightness is assumed.
-    """
-    n, d = p.shape[:2]
-    pt = p.swapaxes(1, 2)
-    pt_sum, q_sum, eye = pt.sum(axis=0), q.sum(axis=0), np.eye(d)
-    halves = (slice(0, r), slice(r, d))
-    offsets = (0, r * r, r * r + (d - r) ** 2)
-    out = np.empty((offsets[2], offsets[2]), dtype=np.result_type(p, q))
-    for a, ha in enumerate(halves):
-        for b, hb in enumerate(halves):
-            ra, rb = ha.stop - ha.start, hb.stop - hb.start
-            cross = q[:, ha, hb].reshape(n, -1).T @ pt[:, ha, hb].reshape(n, -1)
-            cross = cross.reshape(ra, rb, ra, rb).transpose(0, 2, 1, 3).reshape(ra * ra, rb * rb)
-            # eye[ha, hb] is I on the diagonal blocks and 0 off them, so each
-            # entry is the same sum as in L, down to the sign of a zero.
-            out[offsets[a] : offsets[a + 1], offsets[b] : offsets[b + 1]] = (
-                np.kron(eye[ha, hb], pt_sum[ha, hb])
-                + np.kron(q_sum[ha, hb], eye[ha, hb])
-                - 2.0 * cross
-            )
-    return out
-
-
-def _search(
-    frame: FusionFrame, projections: np.ndarray, sigma: Permutation, tol: float, seed: int
-):
-    """Search for a witness of sigma through the intertwiner equations
-    Upsilon Pi_i = Pi_{sigma(i)} Upsilon, on projections the caller has
-    already formed.
-
-    The solutions are the eigenvectors with lambda <= 1e-10 lambda_max
-    of a Hermitian PSD normal operator; they only propose candidates: a
-    random real combination of them, then each one.  The unitary polar
-    factor of an invertible candidate is itself an intertwiner; it is
-    returned once its conjugation residual clears `tol`.  None means no
-    witness was found at this tolerance, a numeric verdict.
-
-    Let U_k, U_m be the Q factors of complete QRs of Phi_k and Phi_m,
-    k = n, m = sigma(n).  Equation k maps ran Pi_k into ran Pi_m and
-    ker Pi_k into ker Pi_m, so every intertwiner is U_m W U_k* with W
-    block diagonal: r^2 + (d-r)^2 unknowns.  W solves the equations for
-    P_i = U_k* Pi_i U_k and Q_i = U_m* Pi_sigma(i) U_m; the block-diagonal
-    compression of their L (`_normal_operator`, formed without L itself)
-    has the nullity of L and, by Cauchy interlacing, no smaller gap.
-    Costs O((r^2 + (d-r)^2)^3) time and (r^2 + (d-r)^2)^2 entries of
-    memory (d^6/8 and d^4/4 when d = 2r), with no d^4 temporary; d > 32
-    is refused with `DomainError` before the operator is formed, a
-    rank-deficient Phi_n or Phi_sigma(n) with `InvalidInputError`.
-    """
-    d, n = frame.d, frame.n
-    if d > 32:
-        raise DomainError(f"witness search is limited to d <= 32, got d={d}")
-    ends = (n, sigma.apply(n))
-    ends_stack = frame.array[[i - 1 for i in ends]]
-    (uk, um), rmat = np.linalg.qr(ends_stack, mode="complete")
-    for i, diag in zip(ends, np.abs(np.diagonal(rmat, axis1=1, axis2=2))):
-        if diag.min() <= 1e-8 * diag.max():
-            raise InvalidInputError(f"subspace {i} is rank-deficient (|R_jj| {diag.min():.2e})")
-    p = uk.conj().T @ projections @ uk
-    q = um.conj().T @ projections[np.array(sigma.image) - 1] @ um
-    basis = nullspace(Mat(frame.field, _normal_operator(p, q, frame.r)), 1e-10)
-    nullity = basis.shape[1]
-    if nullity == 0:
-        return None
-    side = np.arange(d) < frame.r
-    lifted = np.zeros((nullity, d * d), dtype=p.dtype)
-    lifted[:, np.equal.outer(side, side).ravel()] = basis.T
-    vecs = (um @ lifted.reshape(-1, d, d) @ uk.conj().T).reshape(nullity, d * d)
-    rng = np.random.default_rng(seed)
-    candidates = [rng.standard_normal(nullity) @ vecs, *vecs]
-    for cand in candidates:
-        x = cand.reshape(d, d)
-        s = np.linalg.svd(x, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-8 * s[0]:
-            continue
-        ups = polar_unitary(x)
-        residual = _conjugation_residual(projections, sigma, ups)
-        if residual <= tol:
-            return SymmetryCertificate(sigma, ups, residual)
-    return None
+    cert = _closed_witness(projections, sigma, sigma.transpositions(), closed[0])
+    return (cert if cert is not None and cert.residual <= tol else None), closed
 
 
 def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
-    """Classify the symmetry group: ("total" | "alternating" | "other",
-    certificates of the generators).  These are the n - 1 adjacent
-    transpositions for "total", the n - 2 consecutive 3-cycles for
-    "alternating", and for "other" the 3-cycles found before the first
-    one without a witness.
+    """Classify the symmetry group of a code with d = 2r: ("total" |
+    "alternating", certificates of the generators).  These are the n - 1
+    adjacent transpositions for "total" and the n - 2 consecutive
+    3-cycles for "alternating".
 
-    On a code with d = 2r the label is the Clifford rule's (`clifford_rule`),
-    a proof, and the certificates are closed-form (`_closed_witness`),
-    from one projection stack, E and J; each must clear `tol`.  Every
-    other frame, and a code whose certificates miss `tol`, runs the
-    search `_search` over the generators: a missing witness there is a
-    numeric verdict, and d > 32 is refused, as in `find_witness`.
+    The label is the Clifford rule's (`clifford_rule`), a proof.  The
+    certificates are closed-form (`_closed_witness`), from one projection
+    stack, E and J, each with its measured conjugation residual; on a
+    near-code that passes the gate a residual may miss `tol`.  A frame
+    that is not a code is refused with `DomainError`, as in `find_witness`.
     """
     n = frame.n
     projections = _projections(frame)
-    transpositions = [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
-    three_cycles = [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]
-    closed = _closed_form(frame, projections, tol, seed)
-    if closed is not None:
-        j = closed[0]
-        label, generators = ("total", transpositions) if j is not None else ("alternating", three_cycles)
-        certs = [_closed_witness(projections, gen, gen.transpositions(), j) for gen in generators]
-        if all(cert.residual <= tol for cert in certs):
-            return label, certs
-    for label, generators in (("total", transpositions), ("alternating", three_cycles)):
-        found = []
-        for gen in generators:
-            cert = _search(frame, projections, gen, tol, seed)
-            if cert is None:
-                break
-            found.append(cert)
-        else:
-            return label, found
-    return "other", found
+    j = _closed_form(frame, projections, tol, seed)[0]
+    if j is not None:
+        label, generators = "total", [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
+    else:
+        label, generators = "alternating", [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]
+    return label, [_closed_witness(projections, gen, gen.transpositions(), j) for gen in generators]

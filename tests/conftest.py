@@ -32,6 +32,15 @@ def random_subspace_frame(field, d, r, n, seed=0):
     return FusionFrame.from_arrays(field, isos)
 
 
+def near_code(seed, scale):
+    """The real code with r = 8 and n = 8, its member 3 re-orthonormalized
+    after a seeded Gaussian perturbation of size `scale`."""
+    arrays = build_eitff(FieldTag.REAL, 8, 8).arrays()
+    rng = np.random.default_rng(seed)
+    arrays[2] = np.linalg.qr(arrays[2] + scale * rng.standard_normal(arrays[2].shape))[0]
+    return FusionFrame.from_arrays(FieldTag.REAL, arrays)
+
+
 def random_orthogonal(d, seed=0):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))

@@ -27,6 +27,8 @@ from eitff.frames import FusionFrame, build_eitff, naimark_complement
 from eitff.linalg import FieldTag
 from eitff.symmetry import SymmetryCertificate
 
+from conftest import near_code, random_subspace_frame
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -521,8 +523,6 @@ class TestLoaderFuzz:
     @pytest.fixture
     def big(self, tmp_path):
         """A frame file each of whose two payloads spans several reads."""
-        from conftest import random_subspace_frame
-
         frame = random_subspace_frame(FieldTag.REAL, 96, 48, 2, seed=5)
         path = tmp_path / "big.json"
         save_frame(frame, str(path), {"note": "é"})
@@ -644,8 +644,6 @@ class TestNaimark:
         assert peak <= 5 * comp.synthesis.nbytes + _CHUNK
 
     def test_untight_input_exit_one(self, capsys, tmp_path):
-        from conftest import random_subspace_frame
-
         src = tmp_path / "loose.json"
         save_frame(random_subspace_frame(FieldTag.REAL, 4, 2, 4, seed=4), str(src))
         code, _, _ = run(capsys, "naimark", str(src), "--out", str(tmp_path / "x.json"))
@@ -663,6 +661,13 @@ class TestAngles:
         want = math.acos(1 / math.sqrt(3))
         first = lines[0].split("theta=")[1].split()
         assert all(abs(float(tok) - want) <= 1e-6 for tok in first)
+
+
+def zero_last_member():
+    """The real code with r = 2 and n = 4, its last member zero."""
+    arrays = build_eitff(FieldTag.REAL, 2, 4).arrays()
+    arrays[-1] = 0.0
+    return FusionFrame.from_arrays(FieldTag.REAL, arrays)
 
 
 class TestSym:
@@ -722,14 +727,45 @@ class TestSym:
         assert out.strip() == line
         assert len(calls) == 1
 
-    def test_witness_none_on_a_non_code_is_bare(self, capsys, tmp_path):
-        from conftest import random_subspace_frame
-
-        path = tmp_path / "random.json"
-        save_frame(random_subspace_frame(FieldTag.REAL, 4, 2, 4, seed=13), str(path))
-        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
+    def test_near_code_witness_none_is_bare(self, capsys, tmp_path):
+        """A frame that passes the Clifford gate but whose closed-form
+        witness misses --tol: a numeric verdict, with no proof note."""
+        path = tmp_path / "near.json"
+        save_frame(near_code(221, 1e-11), str(path))
+        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4 5 6 7 8")
         assert code == 0
-        assert out.strip() == "witness=none"
+        assert out == "witness=none\n"
+        code, out, _ = run(capsys, "sym", "probe", str(path))
+        assert code == 0
+        assert out.startswith("symmetry=total (closed form, m=7, ")
+
+    @pytest.mark.parametrize("command", ["witness", "probe"])
+    @pytest.mark.parametrize(
+        "make,reason",
+        [
+            pytest.param(lambda: random_subspace_frame(FieldTag.REAL, 4, 2, 4, seed=13),
+                         "sum of Gamma_i residual", id="random"),
+            pytest.param(lambda: random_subspace_frame(FieldTag.REAL, 33, 2, 3, seed=1),
+                         "d = 33 is not 2r = 4", id="large-d"),
+            pytest.param(zero_last_member, "sum of Gamma_i residual", id="rank-deficient"),
+            pytest.param(lambda: naimark_complement(build_eitff(FieldTag.REAL, 8, 10)),
+                         "d = 64 is not 2r = 16", id="complement-R8n10"),
+        ],
+    )
+    def test_non_code_refused(self, capsys, tmp_path, command, make, reason):
+        """Only codes with d = 2r are answered: any other frame is a usage
+        error (exit 2) that names the failed condition, with nothing on
+        stdout."""
+        frame = make()
+        path = tmp_path / "frame.json"
+        save_frame(frame, str(path))
+        perm = " ".join(["2", "1", *map(str, range(3, frame.n + 1))])
+        argv = ["--perm", perm] if command == "witness" else []
+        code, out, err = run(capsys, "sym", command, str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: not a code: ")
+        assert reason in err
 
     def test_perm_size_mismatch_usage_error(self, capsys, frame_path):
         code, _, err = run(capsys, "sym", "witness", str(frame_path), "--perm", "2 1 3")
@@ -738,27 +774,6 @@ class TestSym:
     def test_malformed_perm_usage_error(self, capsys, frame_path):
         code, _, _ = run(capsys, "sym", "witness", str(frame_path), "--perm", "(1 2)")
         assert code == 2
-
-    def test_witness_refuses_large_d(self, capsys, tmp_path):
-        from conftest import random_subspace_frame
-
-        path = tmp_path / "wide.json"
-        save_frame(random_subspace_frame(FieldTag.REAL, 33, 2, 3, seed=1), str(path))
-        code, out, err = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3")
-        assert code == 2
-        assert out == ""
-        assert "d <= 32" in err
-
-    def test_witness_refuses_rank_deficient_subspace(self, capsys, tmp_path):
-        frame = build_eitff(FieldTag.REAL, 2, 4)
-        arrays = list(frame.arrays())
-        arrays[-1] = np.zeros_like(arrays[-1])
-        path = tmp_path / "degenerate.json"
-        save_frame(FusionFrame.from_arrays(FieldTag.REAL, arrays), str(path))
-        code, out, err = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4")
-        assert code == 1
-        assert out == ""
-        assert "subspace 4 is rank-deficient" in err
 
     def test_probe_total(self, capsys, frame_path):
         code, out, _ = run(capsys, "sym", "probe", str(frame_path))
@@ -771,15 +786,6 @@ class TestSym:
         code, out, _ = run(capsys, "sym", "probe", str(path))
         assert code == 0
         assert out.strip() == "symmetry=alternating (closed form, m=3, tr_omega=2.00)"
-
-    def test_probe_non_code_is_numerically_decided(self, capsys, tmp_path):
-        from conftest import random_subspace_frame
-
-        path = tmp_path / "random.json"
-        save_frame(random_subspace_frame(FieldTag.REAL, 4, 2, 4, seed=13), str(path))
-        code, out, _ = run(capsys, "sym", "probe", str(path))
-        assert code == 0
-        assert out.strip() == "symmetry=other (numerically-decided)"
 
     def test_check_fail_exit_one(self, capsys, frame_path, tmp_path):
         cert_path = tmp_path / "bad.json"
