@@ -32,19 +32,19 @@ from .frames import (
 )
 from .linalg import DEFAULT_TOL, FieldTag
 from .radon_hurwitz import VARIANTS, decompose_r, exists, rho_number
-from .symmetry import (
-    Permutation,
-    SymmetryCertificate,
-    _closed_form,
-    _find_witness,
-    _projections,
-    check_certificate,
-)
+from .symmetry import CliffordSystem, Permutation, SymmetryCertificate, check_certificate, clifford_system
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text}")
     return value
 
 
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("frame")
     p_witness.add_argument("--perm", required=True, help='one-line notation, e.g. "2 1 3 4"')
     p_witness.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_witness.add_argument("--seed", type=int, default=0)
+    p_witness.add_argument("--seed", type=_seed, default=0)
     p_witness.add_argument("--out", default=None, help="write the certificate as JSON")
     p_witness.set_defaults(func=cmd_sym_witness)
 
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sym_sub.add_parser("probe", help=f"classify the symmetry group: {how}")
     p_probe.add_argument("frame")
     p_probe.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_probe.add_argument("--seed", type=int, default=0)
+    p_probe.add_argument("--seed", type=_seed, default=0)
     p_probe.set_defaults(func=cmd_sym_probe)
 
     p_exists = sub.add_parser("exists", help="decide existence for given parameters")
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("frame")
     p_demo.add_argument("--k", type=_positive_int, default=1)
     p_demo.add_argument("--trials", type=_positive_int, default=200)
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=_seed, default=0)
     p_demo.set_defaults(func=cmd_omp_demo)
 
     return parser
@@ -207,11 +207,11 @@ def cmd_sym_witness(args) -> int:
     sigma = _parse_perm_for(frame, args.perm)
     if sigma is None:
         return 2
-    cert, closed = _find_witness(frame, sigma, args.tol, args.seed)
-    if cert is None:
-        j, m, trace = closed
-        proof = j is None and len(sigma.transpositions()) % 2
-        print("witness=none" + (_closed_form_note(m, trace) if proof else ""))
+    system = clifford_system(frame, args.tol, args.seed)
+    cert = system.witness(sigma)
+    if not system.accepts(cert):
+        # No witness at all is a proof, noted as such.
+        print("witness=none" + (_closed_form_note(system) if cert is None else ""))
         return 0
     print(f"witness=found residual={cert.residual:.6e}")
     if args.out:
@@ -232,16 +232,16 @@ def cmd_sym_check(args) -> int:
     return 0 if verdict == "pass" else 1
 
 
-def _closed_form_note(m: int, trace: float) -> str:
-    return f" (closed form, m={m}, tr_omega={trace:.2f})"
+def _closed_form_note(system: CliffordSystem) -> str:
+    return f" (closed form, m={system.m}, tr_omega={system.trace:.2f})"
 
 
 def cmd_sym_probe(args) -> int:
     frame, _ = load_frame(args.frame)
     # The rule is the label, as in `probe_symmetry`, without certificates;
     # a frame that is not a code raises `DomainError` (exit 2).
-    j, m, trace = _closed_form(frame, _projections(frame), args.tol, args.seed)
-    print(f"symmetry={'total' if j is not None else 'alternating'}" + _closed_form_note(m, trace))
+    system = clifford_system(frame, args.tol, args.seed)
+    print(f"symmetry={'total' if system.j is not None else 'alternating'}" + _closed_form_note(system))
     return 0
 
 
@@ -254,23 +254,16 @@ def cmd_exists(args) -> int:
 def cmd_omp_demo(args) -> int:
     frame, _ = load_frame(args.frame)
     rng = np.random.default_rng(args.seed)
-    arrs = frame.array
     recovered = 0
     for _ in range(args.trials):
         block = int(rng.integers(1, frame.n + 1))
         coeffs = rng.standard_normal(frame.r)
         if frame.field is FieldTag.COMPLEX:
             coeffs = coeffs + 1j * rng.standard_normal(frame.r)
-        signal = arrs[block - 1] @ coeffs
-        result = block_omp_recover(frame, signal, args.k)
+        result = block_omp_recover(frame, frame.array[block - 1] @ coeffs, args.k)
         by_index = dict(result)
         ok = block in by_index and np.max(np.abs(by_index[block] - coeffs)) <= 1e-8
-        if ok:
-            for idx, values in result:
-                if idx != block and np.max(np.abs(values)) > 1e-8:
-                    ok = False
-                    break
-        recovered += int(ok)
+        recovered += int(ok and all(i == block or np.max(np.abs(v)) <= 1e-8 for i, v in result))
     print(f"recovered={recovered}/{args.trials}")
     return 0
 

@@ -280,7 +280,7 @@ def gerzon_bound(field: FieldTag, d: int, r: int) -> int:
     return d * d - r * r + 1
 
 
-def _tightness_residual(frame: FusionFrame) -> float:
+def tightness_residual(frame: FusionFrame) -> float:
     """Largest entry of S S* - (nr/d) I, S the synthesis operator, formed
     in one d x d buffer; a real one also takes its magnitudes there.  A
     real S is its own conjugate and takes one product.  A complex S is
@@ -354,7 +354,7 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     coincides, since it only speaks about nonidentical subspaces.
     """
     d, r, n = frame.d, frame.r, frame.n
-    tight = _tightness_residual(frame)
+    tight = tightness_residual(frame)
 
     sigma2 = (n * r - d) / (d * (n - 1))
     screen, iso = _weyl_screen(r, sigma2), np.empty(n)
@@ -403,7 +403,7 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
-    tight = _tightness_residual(frame)
+    tight = tightness_residual(frame)
     if not tight <= 1e-8:
         raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
     cols = math.sqrt(d / (n * r)) * frame.synthesis.T

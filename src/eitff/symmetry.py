@@ -4,11 +4,8 @@ A permutation sigma is a symmetry of (U_i) when some unitary Upsilon
 conjugates each projection onto U_i into the projection onto
 U_{sigma(i)}.  This module checks such certificates, manufactures them
 in closed form for the half-dimension codes, and probes whether a
-code's symmetry group is all of S_n or the alternating group.  Only
-codes are answered: `find_witness`, `probe_symmetry` and `clifford_rule`
-take every answer from the code's Clifford system, and a frame that is
-not a code with d = 2r is refused (`_clifford_system`).  Whether a
-totally symmetric code exists at all is decided by
+code's symmetry group is all of S_n or the alternating group.  Whether
+a totally symmetric code exists at all is decided by
 `radon_hurwitz.exists`; where it does, the generic code is one.
 
 Every closed-form witness comes from one identity: for a code with
@@ -17,8 +14,16 @@ V_ab Pi_i V_ab = I - Pi_(a b)(i).  A product of two transpositions of
 any code is witnessed by -V_ab V_cd, and a transposition by J V_ab for
 any unitary J with J Pi_i J* = I - Pi_i (S, the swap of the two
 r-blocks, on skew codes); `_closed_witness` is the one builder of both.
-The code's Clifford system (`clifford_rule`) decides whether such a J
-exists and builds it when it does.
+
+Only codes are answered.  `clifford_system` forms a code's Clifford
+system once and returns one `CliffordSystem`: the projection stack, m,
+|tr omega|, J (or None) and the rule `accepts` for a found witness, from
+which `clifford_rule`, `find_witness`, `probe_symmetry` and the CLI read
+every answer; a frame that is not a code with d = 2r is refused.  Its gate needs no stack of
+Gamma_i = 2 Pi_i - I: sum_i Gamma_i = 2 (S S* - (n/2) I), twice the
+tightness residual of `verify_eitff`, and since the rows of Psi_n sum
+to 0 the -I of each Gamma_i cancels in E = ((n-1)/n) Psi_n Gamma,
+so E = (2(n-1)/n) Psi_n Pi.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
 from .linalg import DEFAULT_TOL, max_abs, polar_unitary, relation_residual, require_finite
-from .frames import FusionFrame, frame_from_simplex
+from .frames import FusionFrame, frame_from_simplex, tightness_residual
 from .simplex import RhoSimplex, simplex_matrix
 
 # |tr omega| is a whole multiple of the dimension (at least 1) of an
@@ -221,68 +226,6 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
     return cert
 
 
-def _clifford_system(frame: FusionFrame, projections: np.ndarray, tol: float):
-    """The code's Clifford system E_1 ... E_m, m = n - 1, as one (m, d, d)
-    stack.  A frame that is not a code with d = 2r within `tol` is
-    refused with `DomainError`, which names the condition that failed.
-
-    With Gamma_i = 2 Pi_i - I and Psi_n = `simplex_matrix(n)`, set
-    E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i.  The frame is such a code
-    exactly when sum_i Gamma_i = 0 and the E_j are anticommuting Hermitian
-    unitaries (`relation_residual(E, 0)`): then Gamma_i = sum_j
-    Psi_n(j, i) E_j, so Gamma_i is an involution of trace 0 and
-    Gamma_i Gamma_k + Gamma_k Gamma_i = -2/(n-1) I for i != k.
-    """
-    n, d = frame.n, frame.d
-    if d != 2 * frame.r:
-        raise DomainError(f"not a code: d = {d} is not 2r = {2 * frame.r}")
-    if n < 3:
-        raise DomainError(f"not a code: n = {n} < 3")
-    gammas = 2.0 * projections - np.eye(d)
-    residual = max_abs(gammas.sum(axis=0))
-    if not residual <= tol:
-        raise DomainError(f"not a code: sum of Gamma_i residual {residual:.2e} exceeds tol {tol:.2e}")
-    e = ((n - 1) / n) * (simplex_matrix(n) @ gammas.reshape(n, -1)).reshape(n - 1, d, d)
-    residual = relation_residual(e, 0.0)[0]
-    if not residual <= tol:
-        raise DomainError(f"not a code: E relation residual {residual:.2e} exceeds tol {tol:.2e}")
-    return e
-
-
-def _complement(e: np.ndarray, seed: int):
-    """(J, m, |tr omega|) for a Clifford system E_1 ... E_m: omega =
-    E_1 ... E_m, and J is a unitary anticommuting with every E_j, so
-    J Pi_i J* = I - Pi_i, or None when none exists.
-
-    For m even omega anticommutes with every E_j: J = omega.  For m odd
-    omega commutes with every E_j and J omega J* = -omega, so J exists
-    exactly when tr omega = 0; it is then the polar factor of a seeded
-    random X projected onto the operators anticommuting with every E_j
-    by X <- (X - E_j X E_j) / 2.  A singular projection raises
-    `SingularMatrixError`.
-    """
-    m, d = e.shape[:2]
-    omega = reduce(np.matmul, e)
-    trace = float(abs(np.trace(omega)))
-    if m % 2 == 0:
-        return omega, m, trace
-    if trace > TRACE_THRESHOLD:
-        return None, m, trace
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((d, d))
-    if np.iscomplexobj(e):
-        x = x + 1j * rng.standard_normal((d, d))
-    for ej in e:
-        x = (x - ej @ x @ ej) / 2.0
-    return polar_unitary(x), m, trace
-
-
-def _closed_form(frame: FusionFrame, projections: np.ndarray, tol: float, seed: int):
-    """`_complement` of the frame's Clifford system; `DomainError` for a
-    frame that is not a code (`_clifford_system`)."""
-    return _complement(_clifford_system(frame, projections, tol), seed)
-
-
 def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
     """The one builder of closed-form witnesses: of transpositions `steps`
     giving sigma left to right, each consecutive pair (a b), (c d) becomes
@@ -299,45 +242,110 @@ def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
     return SymmetryCertificate(sigma, ups, _conjugation_residual(projections, sigma, ups))
 
 
+@dataclass(frozen=True)
+class CliffordSystem:
+    """What a code's Clifford system E_1 ... E_m decides (`clifford_system`):
+    the (n, d, d) projection stack, m = n - 1, |tr omega| for omega =
+    E_1 ... E_m, a unitary J with J Pi_i J* = I - Pi_i, or None when the
+    code has none, and the `tol` witnesses must clear.  The code is
+    totally symmetric exactly when J exists."""
+
+    projections: np.ndarray
+    m: int
+    trace: float
+    j: np.ndarray | None
+    tol: float
+
+    def witness(self, sigma: Permutation):
+        """sigma's closed-form witness, from its transpositions
+        (`_closed_witness`); None, a proof that sigma is no symmetry, when
+        sigma is odd and J is None.  A sigma of another size is refused
+        with `ShapeError`."""
+        if sigma.n != len(self.projections):
+            raise ShapeError(f"permutation of [1, {sigma.n}] against n={len(self.projections)}")
+        return _closed_witness(self.projections, sigma, sigma.transpositions(), self.j)
+
+    def accepts(self, cert: SymmetryCertificate | None) -> bool:
+        """Whether `witness` gave a witness whose residual clears `tol`."""
+        return cert is not None and cert.residual <= self.tol
+
+
+def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0) -> CliffordSystem:
+    """The `CliffordSystem` of a code with d = 2r.  A frame that is not
+    such a code within `tol` is refused with `DomainError`, which names
+    the condition that failed; a singular projection for J raises
+    `SingularMatrixError`.
+
+    With Gamma_i = 2 Pi_i - I and Psi_n = `simplex_matrix(n)`, set
+    E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i.  The frame is such a code
+    exactly when sum_i Gamma_i = 0 and the E_j are anticommuting Hermitian
+    unitaries (`relation_residual(E, 0)`): then Gamma_i = sum_j
+    Psi_n(j, i) E_j, so Gamma_i is an involution of trace 0 and
+    Gamma_i Gamma_k + Gamma_k Gamma_i = -2/(n-1) I for i != k.
+
+    For m even omega anticommutes with every E_j: J = omega.  For m odd
+    omega commutes with every E_j and J omega J* = -omega, so J exists
+    exactly when tr omega = 0; it is then the polar factor of a random X,
+    seeded by `seed`, projected onto the operators anticommuting with
+    every E_j by X <- (X - E_j X E_j) / 2.
+    """
+    n, d = frame.n, frame.d
+    if d != 2 * frame.r:
+        raise DomainError(f"not a code: d = {d} is not 2r = {2 * frame.r}")
+    if n < 3:
+        raise DomainError(f"not a code: n = {n} < 3")
+    residual = 2.0 * tightness_residual(frame)
+    if not residual <= tol:
+        raise DomainError(f"not a code: sum of Gamma_i residual {residual:.2e} exceeds tol {tol:.2e}")
+    projections = _projections(frame)
+    e = (simplex_matrix(n) @ projections.reshape(n, -1)).reshape(n - 1, d, d)
+    e *= 2.0 * (n - 1) / n
+    residual = relation_residual(e, 0.0)[0]
+    if not residual <= tol:
+        raise DomainError(f"not a code: E relation residual {residual:.2e} exceeds tol {tol:.2e}")
+    m, omega = n - 1, reduce(np.matmul, e)
+    trace = float(abs(np.trace(omega)))
+    if m % 2 == 0:
+        j = omega
+    elif trace > TRACE_THRESHOLD:
+        j = None
+    else:
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((d, d))
+        if np.iscomplexobj(e):
+            x = x + 1j * rng.standard_normal((d, d))
+        for ej in e:
+            x = (x - ej @ x @ ej) / 2.0
+        j = polar_unitary(x)
+    return CliffordSystem(projections, m, trace, j, tol)
+
+
 def clifford_rule(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     """(m, |tr omega|, total) of a code with d = 2r, or None for any other
-    frame (`_clifford_system`, `_complement`).  The code is totally
-    symmetric exactly when m is even or tr omega = 0.  The sign of
-    tr omega flips with the order of the subspaces, so it is dropped."""
+    frame (`clifford_system`).  The code is totally symmetric exactly when
+    m is even or tr omega = 0.  The sign of tr omega flips with the order
+    of the subspaces, so it is dropped."""
     try:
-        j, m, trace = _closed_form(frame, _projections(frame), tol, seed)
+        system = clifford_system(frame, tol, seed)
     except DomainError:
         return None
-    return m, trace, j is not None
+    return system.m, system.trace, system.j is not None
 
 
-def find_witness(
-    frame: FusionFrame,
-    sigma: Permutation,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-):
+def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TOL, seed: int = 0):
     """A unitary witness of sigma on a code with d = 2r, or None.
 
-    The witness is the closed form `_closed_witness` of sigma's
-    transpositions, with J from `_complement` seeded by `seed`; a frame
-    that is not a code is refused with `DomainError` (`_clifford_system`).
-    When sigma is odd and the code has no J, None is a proof that sigma
-    is no symmetry.  A witness is returned only once its conjugation
-    residual clears `tol`; a near-code that passes the gate but whose
-    witness misses `tol` gets None, a numeric verdict.
+    The witness is the closed form `CliffordSystem.witness` of the code's
+    `clifford_system`, with J seeded by `seed`; a frame that is not a
+    code is refused with `DomainError`, and a sigma of another size with
+    `ShapeError`.  When sigma is odd and the code has no J, None is a
+    proof that sigma is no symmetry.  A witness is returned only when
+    `CliffordSystem.accepts` it; a near-code that passes the gate but
+    whose witness misses `tol` gets None, a numeric verdict.
     """
-    return _find_witness(frame, sigma, tol, seed)[0]
-
-
-def _find_witness(frame: FusionFrame, sigma: Permutation, tol: float, seed: int):
-    """(`find_witness`'s answer, the `_closed_form` it decided on)."""
-    if sigma.n != frame.n:
-        raise ShapeError(f"permutation of [1, {sigma.n}] against n={frame.n}")
-    projections = _projections(frame)
-    closed = _closed_form(frame, projections, tol, seed)
-    cert = _closed_witness(projections, sigma, sigma.transpositions(), closed[0])
-    return (cert if cert is not None and cert.residual <= tol else None), closed
+    system = clifford_system(frame, tol, seed)
+    cert = system.witness(sigma)
+    return cert if system.accepts(cert) else None
 
 
 def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
@@ -347,16 +355,14 @@ def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     3-cycles for "alternating".
 
     The label is the Clifford rule's (`clifford_rule`), a proof.  The
-    certificates are closed-form (`_closed_witness`), from one projection
-    stack, E and J, each with its measured conjugation residual; on a
+    certificates are closed-form (`CliffordSystem.witness`), from one
+    `clifford_system`, each with its measured conjugation residual; on a
     near-code that passes the gate a residual may miss `tol`.  A frame
     that is not a code is refused with `DomainError`, as in `find_witness`.
     """
-    n = frame.n
-    projections = _projections(frame)
-    j = _closed_form(frame, projections, tol, seed)[0]
-    if j is not None:
+    n, system = frame.n, clifford_system(frame, tol, seed)
+    if system.j is not None:
         label, generators = "total", [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
     else:
         label, generators = "alternating", [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]
-    return label, [_closed_witness(projections, gen, gen.transpositions(), j) for gen in generators]
+    return label, [system.witness(gen) for gen in generators]

@@ -5,6 +5,7 @@ import pytest
 
 from eitff.frames import FusionFrame, build_eitff
 from eitff.linalg import FieldTag
+from eitff.simplex import simplex_matrix
 
 
 @pytest.fixture
@@ -63,3 +64,11 @@ def traced_peak(call, *args) -> int:
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def clifford_e(projections):
+    """E_j = (2(n-1)/n) sum_i Psi_n(j, i) Pi_i, j = 1 ... n - 1: the
+    Clifford system of a code's (n, d, d) projection stack, formed
+    without Gamma_i = 2 Pi_i - I (the rows of Psi_n sum to 0)."""
+    n = len(projections)
+    return (2.0 * (n - 1) / n) * np.tensordot(simplex_matrix(n), projections, 1)

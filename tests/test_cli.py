@@ -1,7 +1,11 @@
+import ast
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
+import pkgutil
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import eitff
 from eitff import cli, frame_io, symmetry
 from eitff.cli import main
 from eitff.errors import InvalidInputError
@@ -24,7 +29,7 @@ from eitff.frame_io import (
     save_frame,
 )
 from eitff.frames import FusionFrame, build_eitff, naimark_complement
-from eitff.linalg import FieldTag
+from eitff.linalg import DEFAULT_TOL, FieldTag
 from eitff.symmetry import SymmetryCertificate
 
 from conftest import near_code, random_subspace_frame
@@ -343,10 +348,10 @@ class TestWriter:
         save_frame(build_eitff(FieldTag.REAL, 2, 4), str(frame_path))
         upsilon = np.full((4, 4), np.nan)
 
-        def nan_witness(frame, sigma, tol, seed):
-            return SymmetryCertificate(sigma, upsilon, 0.0), None
+        def nan_witness(system, sigma):
+            return SymmetryCertificate(sigma, upsilon, 0.0)
 
-        monkeypatch.setattr(cli, "_find_witness", nan_witness)
+        monkeypatch.setattr(symmetry.CliffordSystem, "witness", nan_witness)
         code, _, err = run(
             capsys, "sym", "witness", str(frame_path), "--perm", "2 1 3 4", "--out", str(cert_path)
         )
@@ -700,32 +705,56 @@ class TestSym:
         assert out.strip() == "witness=none (closed form, m=3, tr_omega=2.00)"
 
     @pytest.mark.parametrize(
-        "field,r,n,line",
+        "field,r,n,argv,line",
         [
-            (FieldTag.REAL, 4, 6, "witness=none (closed form, m=5, tr_omega=8.00)"),
-            (FieldTag.COMPLEX, 4, 8, "witness=none (closed form, m=7, tr_omega=8.00)"),
-            (FieldTag.COMPLEX, 32, 14, "witness=none (closed form, m=13, tr_omega=64.00)"),
+            (FieldTag.REAL, 4, 6, ["witness", "--perm", "2 1 3 4 5 6"],
+             "witness=none (closed form, m=5, tr_omega=8.00)"),
+            (FieldTag.COMPLEX, 4, 8, ["witness", "--perm", "2 1 3 4 5 6 7 8"],
+             "witness=none (closed form, m=7, tr_omega=8.00)"),
+            (FieldTag.COMPLEX, 32, 14, ["witness", "--perm", " ".join(["2", "1", *map(str, range(3, 15))])],
+             "witness=none (closed form, m=13, tr_omega=64.00)"),
+            (FieldTag.REAL, 8, 8, ["witness", "--perm", "2 1 3 4 5 6 7 8"], "witness=found residual="),
+            (FieldTag.REAL, 4, 6, ["probe"], "symmetry=alternating (closed form, m=5, tr_omega=8.00)"),
+            (FieldTag.COMPLEX, 16, 10, ["probe"], "symmetry=total (closed form, m=9, tr_omega=0.00)"),
         ],
     )
-    def test_witness_none_forms_the_clifford_system_once(
-        self, capsys, tmp_path, monkeypatch, field, r, n, line
+    def test_sym_forms_the_clifford_system_once(
+        self, capsys, tmp_path, formations, field, r, n, argv, line
     ):
-        """The proof note comes from the decision the witness was made on."""
+        """Each answer, and the proof note, comes from one `clifford_system`."""
         path = tmp_path / "code.json"
         save_frame(build_eitff(field, r, n), str(path))
-        calls = []
-        clifford_system = symmetry._clifford_system
+        command, *rest = argv
+        code, out, _ = run(capsys, "sym", command, str(path), *rest)
+        assert code == 0
+        if line == "witness=found residual=":
+            # The residual may move in its last digits; it must clear --tol.
+            assert out.startswith(line) and float(out[len(line):]) <= DEFAULT_TOL
+        else:
+            assert out.strip() == line
+        assert len(formations) == 1
+
+    @pytest.mark.parametrize("field,r,n", [(FieldTag.REAL, 4, 6), (FieldTag.REAL, 8, 8)])
+    def test_api_forms_the_clifford_system_once(self, formations, field, r, n):
+        frame = build_eitff(field, r, n)
+        symmetry.find_witness(frame, symmetry.Permutation.transposition(n, 1, 2))
+        assert len(formations) == 1
+        symmetry.probe_symmetry(frame)
+        assert len(formations) == 2
+
+    @pytest.fixture
+    def formations(self, monkeypatch):
+        """Every call of `clifford_system`, through the CLI's name or the
+        module's."""
+        calls, clifford_system = [], symmetry.clifford_system
 
         def counted(*args):
             calls.append(args)
             return clifford_system(*args)
 
-        monkeypatch.setattr(symmetry, "_clifford_system", counted)
-        perm = " ".join(["2", "1", *map(str, range(3, n + 1))])
-        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", perm)
-        assert code == 0
-        assert out.strip() == line
-        assert len(calls) == 1
+        monkeypatch.setattr(symmetry, "clifford_system", counted)
+        monkeypatch.setattr(cli, "clifford_system", counted)
+        return calls
 
     def test_near_code_witness_none_is_bare(self, capsys, tmp_path):
         """A frame that passes the Clifford gate but whose closed-form
@@ -900,3 +929,31 @@ class TestUsage:
     def test_usage_errors(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sym", "probe"], ["sym", "witness", "--perm", "2 1 3 4 5 6 7 8"], ["omp", "demo"]],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, argv):
+        """A seed below 0 is refused by the parser (exit 2), not by the
+        random generator with a traceback."""
+        path = tmp_path / "code.json"
+        save_frame(build_eitff(FieldTag.REAL, 8, 8), str(path))
+        code, out, err = run(capsys, *argv[:2], str(path), *argv[2:], "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "expected a non-negative integer seed, got -1" in err
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(eitff.__path__)])
+def test_module_imports_no_private_name(name):
+    """Each module of `eitff` reaches the others only through public names."""
+    module = importlib.import_module(f"eitff.{name}")
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("eitff"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

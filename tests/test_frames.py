@@ -10,7 +10,6 @@ from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputErr
 from eitff.frames import (
     _OMP_TIE_RTOL,
     FusionFrame,
-    _tightness_residual,
     block_omp_recover,
     build_eitff,
     canonicalize,
@@ -19,6 +18,7 @@ from eitff.frames import (
     gerzon_bound,
     naimark_complement,
     principal_angles,
+    tightness_residual,
     verify_eitff,
     welch_bound,
 )
@@ -290,7 +290,7 @@ class TestPanels:
             (R, 256, 19, principal_angles, 9.5),
             (C, 128, 18, verify_eitff, 12.5),
             (C, 128, 18, principal_angles, 9.0),
-            (C, 128, 18, _tightness_residual, 7.0),
+            (C, 128, 18, tightness_residual, 7.0),
         ],
     )
     def test_peak_beyond_synthesis_is_bounded(self, field, r, n, check, limit):

@@ -25,7 +25,7 @@ from eitff.frames import FusionFrame, build_eitff
 from eitff.radon_hurwitz import GEN, RhoOrthonormalSeq, build_rho_orthonormal, rho_number, tensor
 from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal
 
-from conftest import random_orthogonal, random_unitary, traced_peak
+from conftest import clifford_e, random_orthogonal, random_unitary, traced_peak
 
 
 def assert_close(a, b, tol=1e-12):
@@ -317,6 +317,6 @@ class TestDenseResidualPanels:
         # (8.5 MiB).  Forming its first block row whole, with the sum
         # H_ij + H_ij*, peaked at 17.6 MiB beyond E; 4 MiB panels read 9.1.
         frame = build_eitff(FieldTag.REAL, 128, 18)
-        e = symmetry._clifford_system(frame, symmetry._projections(frame), 1e-10)
+        e = clifford_e(symmetry.clifford_system(frame).projections)
         assert e.shape == (17, 256, 256)
         assert traced_peak(relation_residual, e, 0.0) <= 10 * 2**20

@@ -53,6 +53,14 @@ class TestSimplexMatrix:
             assert psi[i, i] > 0
             assert np.all(psi[i + 1 :, i] == 0.0)
 
+    @pytest.mark.parametrize("m", range(2, 65))
+    def test_rows_sum_to_zero_and_are_orthogonal(self, m):
+        """The identities behind E = (2(n-1)/n) Psi_n Pi: the -I of each
+        Gamma_i = 2 Pi_i - I cancels, and the rows have norm^2 m/(m-1)."""
+        psi = simplex_matrix(m)
+        assert max_abs(psi.sum(axis=1)) <= 1e-14
+        assert max_abs(psi @ psi.T - m / (m - 1) * np.eye(m - 1)) <= 1e-14
+
     def test_rejects_small_m(self):
         with pytest.raises(DomainError):
             simplex_matrix(1)

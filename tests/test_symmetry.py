@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 
 import numpy as np
@@ -13,6 +14,7 @@ from eitff.frames import (
     eitff_params,
     frame_from_simplex,
     naimark_complement,
+    tightness_residual,
     verify_eitff,
 )
 from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs, nullspace, polar_unitary
@@ -23,22 +25,29 @@ from eitff.radon_hurwitz import (
     exists,
     rho_number,
 )
-from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal
+from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal, simplex_matrix
 from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
-    _closed_form,
     _conjugation_residual,
     _projections,
     alternating_witness,
     check_certificate,
     clifford_rule,
+    clifford_system,
     find_witness,
     probe_symmetry,
     transposition_witness,
 )
 
-from conftest import near_code, random_orthogonal, random_subspace_frame, random_unitary
+from conftest import (
+    clifford_e,
+    near_code,
+    random_orthogonal,
+    random_subspace_frame,
+    random_unitary,
+    traced_peak,
+)
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
@@ -420,7 +429,7 @@ class TestClosedFormBuilder:
     def test_find_witness_and_probe_are_the_left_to_right_chain(self, make):
         frame = make()
         n, p = frame.n, _projections(frame)
-        j = _closed_form(frame, p, DEFAULT_TOL, 0)[0]
+        j = clifford_system(frame).j
         assert j is not None
         sigmas = [
             Permutation.identity(n),
@@ -913,7 +922,7 @@ class TestNearCode:
         n, p = frame.n, _projections(frame)
         m, _, total = clifford_rule(frame)
         assert (m, total) == (n - 1, True)
-        j = _closed_form(frame, p, DEFAULT_TOL, 0)[0]
+        j = clifford_system(frame).j
         sigma = Permutation.transposition(n, 1, 2)
         upsilon = reflection_chain(p, sigma.transpositions(), j)
         assert _conjugation_residual(p, sigma, upsilon) > DEFAULT_TOL
@@ -924,6 +933,82 @@ class TestNearCode:
         for cert in certs:
             assert cert.residual == _conjugation_residual(p, cert.sigma, cert.upsilon)
         assert max(cert.residual for cert in certs) > DEFAULT_TOL
+
+    @pytest.mark.parametrize("tol,found", [(DEFAULT_TOL, False), (1e-8, True)])
+    def test_find_witness_reads_accepts(self, tol, found):
+        """`CliffordSystem.accepts` is the one rule for a found witness."""
+        frame = near_code(221, 1e-11)
+        sigma = Permutation.transposition(frame.n, 1, 2)
+        system = clifford_system(frame, tol)
+        cert = system.witness(sigma)
+        assert (system.tol, system.accepts(cert), system.accepts(None)) == (tol, found, False)
+        assert (find_witness(frame, sigma, tol) is not None) == found
+
+
+def gamma_e(projections):
+    """Oracle of the Gamma-free E: E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i,
+    with the (n, d, d) stack of Gamma_i = 2 Pi_i - I formed whole."""
+    n, d = projections.shape[:2]
+    return ((n - 1) / n) * np.tensordot(simplex_matrix(n), 2.0 * projections - np.eye(d), 1)
+
+
+class TestCliffordSystem:
+    """`clifford_system` gates on the two identities that need no Gamma
+    stack: sum_i Gamma_i = 2 (S S* - (n/2) I) and E = (2(n-1)/n) Psi_n Pi."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_eitff(R, 8, 8), lambda: build_eitff(C, 8, 9), lambda: rotated_code(C, 16, 10, 4)],
+        ids=["R8n8", "C8n9", "rotated-C16n10"],
+    )
+    def test_gamma_free_e_and_sum(self, make):
+        frame = make()
+        system = clifford_system(frame)
+        p, d = system.projections, frame.d
+        assert np.array_equal(p, _projections(frame))
+        want = gamma_e(p)
+        assert max_abs(clifford_e(p) - want) <= 1e-14
+        assert all(max_abs(system.j @ e + e @ system.j) <= 1e-14 for e in want)
+        gamma_sum = max_abs((2.0 * p - np.eye(d)).sum(axis=0))
+        assert abs(2.0 * tightness_residual(frame) - gamma_sum) <= 1e-14
+        assert (system.m, system.j is not None) == (frame.n - 1, True)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: near_code(221, 1e-6), lambda: random_subspace_frame(R, 4, 2, 4, seed=8)],
+        ids=["noisy-code", "random-seed8"],
+    )
+    def test_refusal_reads_the_gamma_sum(self, make):
+        frame = make()
+        gamma_sum = max_abs((2.0 * _projections(frame) - np.eye(frame.d)).sum(axis=0))
+        with pytest.raises(DomainError, match=re.escape(f"sum of Gamma_i residual {gamma_sum:.2e} exceeds")):
+            clifford_system(frame)
+
+    def test_witness_is_the_closed_form_of_the_transpositions(self):
+        frame = build_eitff(R, 4, 6)
+        system = clifford_system(frame)
+        assert system.j is None
+        for sigma in [Permutation.transposition(6, 1, 2), Permutation.cycle(6, (1, 2, 3, 4))]:
+            assert system.witness(sigma) is None
+        sigma = Permutation.cycle(6, (2, 5, 3))
+        cert = system.witness(sigma)
+        want = reflection_chain(system.projections, sigma.transpositions(), None)
+        assert np.array_equal(cert.upsilon, want)
+        assert cert.residual == _conjugation_residual(system.projections, sigma, want)
+
+    def test_sigma_of_another_size_refused(self, example_frame):
+        sigma = Permutation.transposition(5, 1, 2)
+        with pytest.raises(ShapeError, match=r"permutation of \[1, 5\] against n=4"):
+            clifford_system(example_frame).witness(sigma)
+        with pytest.raises(ShapeError, match=r"permutation of \[1, 5\] against n=4"):
+            find_witness(example_frame, sigma)
+
+    def test_clifford_rule_peak_is_bounded(self):
+        # R128 n=18: the projection stack (9.0 MiB) and E (8.5 MiB) plus the
+        # panels of relation_residual read 26.6 MiB; forming the Gamma stack
+        # and the sum of Gamma_i read 35.6.  The bound leaves about 9 % over
+        # the measured peak for numpy's temporaries.
+        frame = build_eitff(R, 128, 18)
+        assert traced_peak(clifford_rule, frame) <= 29 * 2**20
 
 
 def negated_code(field, r, n):
