@@ -23,7 +23,10 @@ def main() -> None:
     args = parser.parse_args()
 
     rs = [int(tok) for tok in args.rs.split(",")]
-    fields = [FieldTag.REAL if ch == "R" else FieldTag.COMPLEX for ch in args.fields]
+    try:
+        fields = [FieldTag(ch) for ch in args.fields]
+    except ValueError:
+        parser.error(f"--fields takes letters from 'RC', got {args.fields!r}")
 
     print(f"{'field':5} {'r':>4} {'n':>4} {'rho':>4} "
           f"{'tightness':>12} {'equiiso':>12} {'welch_gap':>12}")

@@ -3,49 +3,39 @@
 
 Every half-dimension optimal code has at least alternating symmetry;
 whether a totally symmetric one exists for the same parameters is
-decided by `exists(..., total=True)`.  This scan builds frames, probes
-them (in closed form on every verified code), and prints both verdicts
-side by side.  The probe runs the generic construction by default; pass
---variant to scan the skew or totally_symmetric builds instead.
+decided by `exists(..., total=True)`.  This scan builds each code, reads
+its group from the code's own Clifford system (`clifford_rule`), and
+prints both verdicts side by side.
 """
 
 import argparse
 
-from eitff.errors import InfeasibleParametersError
 from eitff.frames import build_eitff
 from eitff.linalg import FieldTag
-from eitff.radon_hurwitz import VARIANTS, exists, rho_number
-from eitff.symmetry import probe_symmetry
+from eitff.radon_hurwitz import exists, rho_number
+from eitff.symmetry import clifford_rule
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rs", default="1,2,3,4", help="comma-separated subspace dimensions")
     parser.add_argument("--fields", default="RC", help="subset of 'RC'")
-    parser.add_argument("--variant", default="generic", choices=VARIANTS)
     parser.add_argument("--max-n", type=int, default=8, help="largest n to scan")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     rs = [int(tok) for tok in args.rs.split(",")]
-    fields = [FieldTag.REAL if ch == "R" else FieldTag.COMPLEX for ch in args.fields]
+    try:
+        fields = [FieldTag(ch) for ch in args.fields]
+    except ValueError:
+        parser.error(f"--fields takes letters from 'RC', got {args.fields!r}")
 
-    print(f"{'field':5} {'r':>3} {'n':>3} {'variant':>17} "
-          f"{'probed':>12} {'total_exists':>12}")
+    print(f"{'field':5} {'r':>3} {'n':>3} {'probed':>12} {'total_exists':>12}")
     for field in fields:
         for r in rs:
-            rho = rho_number(field, r)
-            for n in range(3, min(rho + 2, args.max_n) + 1):
+            for n in range(3, min(rho_number(field, r) + 2, args.max_n) + 1):
+                label = "total" if clifford_rule(build_eitff(field, r, n))[2] else "alternating"
                 total_exists = exists(field, r, n, total=True)[0]
-                try:
-                    frame = build_eitff(field, r, n, args.variant)
-                except InfeasibleParametersError:
-                    print(f"{field.value:5} {r:>3} {n:>3} {args.variant:>17} "
-                          f"{'-':>12} {total_exists:>12}")
-                    continue
-                label, _ = probe_symmetry(frame, seed=args.seed)
-                print(f"{field.value:5} {r:>3} {n:>3} {args.variant:>17} "
-                      f"{label:>12} {total_exists:>12}")
+                print(f"{field.value:5} {r:>3} {n:>3} {label:>12} {total_exists:>12}")
 
 
 if __name__ == "__main__":

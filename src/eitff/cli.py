@@ -31,7 +31,7 @@ from .frames import (
     verify_eitff,
 )
 from .linalg import DEFAULT_TOL, FieldTag
-from .radon_hurwitz import VARIANTS, decompose_r, exists, rho_number
+from .radon_hurwitz import decompose_r, exists, rho_number
 from .symmetry import CliffordSystem, Permutation, SymmetryCertificate, check_certificate, clifford_system
 
 def _positive_int(text: str) -> int:
@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--field", choices=("R", "C"), required=True)
     p_build.add_argument("--r", type=_positive_int, required=True)
     p_build.add_argument("--n", type=_positive_int, required=True)
-    p_build.add_argument("--variant", choices=VARIANTS, default="generic")
     p_build.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_build.set_defaults(func=cmd_build)
 
@@ -113,7 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe = sym_sub.add_parser("probe", help=f"classify the symmetry group: {how}")
     p_probe.add_argument("frame")
     p_probe.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_probe.add_argument("--seed", type=_seed, default=0)
     p_probe.set_defaults(func=cmd_sym_probe)
 
     p_exists = sub.add_parser("exists", help="decide existence for given parameters")
@@ -143,15 +141,8 @@ def cmd_rho(args) -> int:
 
 
 def cmd_build(args) -> int:
-    frame = build_eitff(FieldTag(args.field), args.r, args.n, args.variant)
-    metadata = {
-        "variant": args.variant,
-        "field": args.field,
-        "r": args.r,
-        "n": args.n,
-        "seed": None,
-    }
-    save_frame(frame, args.out, metadata)
+    frame = build_eitff(FieldTag(args.field), args.r, args.n)
+    save_frame(frame, args.out, {"field": args.field, "r": args.r, "n": args.n})
     return 0
 
 
@@ -240,7 +231,7 @@ def cmd_sym_probe(args) -> int:
     frame, _ = load_frame(args.frame)
     # The rule is the label, as in `probe_symmetry`, without certificates;
     # a frame that is not a code raises `DomainError` (exit 2).
-    system = clifford_system(frame, args.tol, args.seed)
+    system = clifford_system(frame, args.tol)
     print(f"symmetry={'total' if system.j is not None else 'alternating'}" + _closed_form_note(system))
     return 0
 

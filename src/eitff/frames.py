@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
+from .errors import DomainError, InfeasibleParametersError, InvalidInputError
 from .linalg import DEFAULT_TOL, FieldTag, Mat, field_array, panel_blocks
-from .radon_hurwitz import variant_family
+from .radon_hurwitz import build_rho_orthonormal, rho_number
 from .simplex import RhoSimplex, rho_simplex_from_orthonormal
 
 # Cross-Gram pairs whose smallest singular value exceeds this are treated
@@ -187,10 +187,20 @@ def frame_from_simplex(s: RhoSimplex) -> FusionFrame:
     return FusionFrame._adopt(s.field, r, synthesis)
 
 
-def build_eitff(field: FieldTag, r: int, n: int, variant: str = "generic") -> FusionFrame:
-    """Optimal code of n subspaces of dimension r in F^{2r} of the given
-    variant, built from the family `variant_family` picks and checks."""
-    return frame_from_simplex(rho_simplex_from_orthonormal(variant_family(field, r, n, variant)))
+def build_eitff(field: FieldTag, r: int, n: int) -> FusionFrame:
+    """Optimal code of n subspaces of dimension r in F^{2r}, built from
+    the family `build_rho_orthonormal(field, r, n - 2)`.  n < 3 raises
+    `DomainError`, n > rho_F(r) + 2 `InfeasibleParametersError`; whether
+    the code is totally symmetric is `exists(..., total=True)`'s answer."""
+    if n < 3:
+        raise DomainError(f"need n >= 3 subspaces, got n={n}")
+    rho = rho_number(field, r)
+    if n > rho + 2:
+        raise InfeasibleParametersError(
+            f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
+            bound="n <= rho+2",
+        )
+    return frame_from_simplex(rho_simplex_from_orthonormal(build_rho_orthonormal(field, r, n - 2)))
 
 
 def _complete_unitary(cols: np.ndarray) -> np.ndarray:

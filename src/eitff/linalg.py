@@ -133,9 +133,7 @@ def field_array(field: FieldTag, values, shape: tuple, what: str, out=None) -> n
 def max_abs(values) -> float:
     """Largest entrywise magnitude; zero for an empty array."""
     arr = np.asarray(values)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def panel_blocks(block_bytes: int) -> int:

@@ -11,10 +11,9 @@ explicit families of every admissible length over both fields:
   sizes 2, 4, 8, 16 and an inflation step that trades size 16r for
   eight extra members.
 
-Every half-dimension optimal code is built from such a family: this
-module also picks the family of each code variant (`variant_family`) and
-holds the one rule (`exists`) for whether a code, or a totally symmetric
-one, exists.
+Every half-dimension optimal code is built from such a family
+(`frames.build_eitff`), and this module holds the one rule (`exists`)
+for whether a code, or a totally symmetric one, exists.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
 from .linalg import FieldTag, Mat, field_array, relation_residual, require_finite
-
-VARIANTS = ("generic", "skew", "totally_symmetric")
 
 
 @dataclass(frozen=True)
@@ -267,14 +264,6 @@ def verify_rho_orthonormal(seq: RhoOrthonormalSeq) -> float:
     return relation_residual(seq.array, 0.0)[0]
 
 
-def _skew_members(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
-    """The m skew-Hermitian members of the built family of length m + 1,
-    whose identity member is first over R and last over C
-    (`build_rho_orthonormal`)."""
-    stack = build_rho_orthonormal(field, r, m + 1).array
-    return RhoOrthonormalSeq(field, r, stack[1:] if field is FieldTag.REAL else stack[:-1])
-
-
 def exists(field: FieldTag, r: int, n: int, total: bool = False) -> tuple[str, str]:
     """Does an optimal code of n subspaces of dimension r in F^{2r} exist,
     totally symmetric when `total`?  Returns "yes" or "no" and the text of
@@ -326,41 +315,3 @@ def exists(field: FieldTag, r: int, n: int, total: bool = False) -> tuple[str, s
         3: ("no", "complex obstruction"),
     }[c]
     return answer, f"{rule} at n = rho+2 (c={c})"
-
-
-def variant_family(field: FieldTag, r: int, n: int, variant: str) -> RhoOrthonormalSeq:
-    """The length n - 2 family that `frames.build_eitff` builds a code of
-    n subspaces of F^{2r} from, and the rule for whether that code exists.
-
-    generic            the built family; rule: `exists`
-    skew               its skew members; n <= rho_F(r) + 1
-    totally_symmetric  the built family; rule: `exists(..., total=True)`,
-                       which says yes only where the generic code is
-                       totally symmetric
-
-    Unknown variants and n < 3 raise `DomainError`, codes that do not
-    exist `InfeasibleParametersError`.
-    """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    if n < 3:
-        raise DomainError(f"need n >= 3 subspaces, got n={n}")
-    rho = rho_number(field, r)
-    if variant == "skew":
-        if n > rho + 1:
-            raise InfeasibleParametersError(
-                f"n <= rho+1 violated: n={n}, rho_{field.value}({r})={rho}",
-                bound="n <= rho+1",
-            )
-        return _skew_members(field, r, n - 2)
-    if variant == "totally_symmetric" and exists(field, r, n, total=True)[0] == "no":
-        raise InfeasibleParametersError(
-            f"no totally symmetric code for field={field.value}, r={r}, n={n}",
-            bound="total symmetry",
-        )
-    if exists(field, r, n)[0] == "no":
-        raise InfeasibleParametersError(
-            f"n <= rho+2 violated: n={n}, rho_{field.value}({r})={rho}",
-            bound="n <= rho+2",
-        )
-    return build_rho_orthonormal(field, r, n - 2)

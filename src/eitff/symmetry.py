@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import DEFAULT_TOL, max_abs, polar_unitary, relation_residual, require_finite
+from .linalg import DEFAULT_TOL, max_abs, panel_blocks, polar_unitary, relation_residual, require_finite
 from .frames import FusionFrame, frame_from_simplex, tightness_residual
 from .simplex import RhoSimplex, simplex_matrix
 
@@ -141,9 +141,16 @@ def _projections(frame: FusionFrame) -> np.ndarray:
 def _conjugation_residual(
     projections: np.ndarray, sigma: Permutation, upsilon: np.ndarray
 ) -> float:
-    """Largest entry of Upsilon Pi_i Upsilon* - Pi_sigma(i) over all i."""
-    moved = upsilon @ projections @ upsilon.conj().T
-    return max_abs(moved - projections[np.array(sigma.image) - 1])
+    """Largest entry of Upsilon Pi_i Upsilon* - Pi_sigma(i) over all i,
+    formed one panel of subspaces at a time (`panel_blocks`); a NaN in
+    any panel reads as NaN."""
+    targets, adjoint = np.array(sigma.image) - 1, upsilon.conj().T
+    step, worst = panel_blocks(projections[0].nbytes), 0.0
+    for lo in range(0, len(projections), step):
+        moved = upsilon @ projections[lo : lo + step] @ adjoint
+        moved -= projections[targets[lo : lo + step]]
+        worst = np.maximum(worst, max_abs(moved))  # keeps a NaN
+    return float(worst)
 
 
 def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
@@ -181,7 +188,10 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
 
     On a skew canonical frame S Pi_i S = I - Pi_i for every i, so S undoes
     the complement that V_jk introduces.  Non-skew simplices are refused
-    with `InvalidInputError`.
+    with `InvalidInputError`.  A skew simplex of n subspaces, n <=
+    rho_F(r) + 1, is `rho_simplex_from_orthonormal` of the family
+    `build_rho_orthonormal(F, r, n - 1)` with its identity member dropped,
+    as the benchmark's symmetry workload builds it before calling this.
     """
     n = simplex.n
     if not (1 <= j < k <= n):
@@ -320,13 +330,13 @@ def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0)
     return CliffordSystem(projections, m, trace, j, tol)
 
 
-def clifford_rule(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
+def clifford_rule(frame: FusionFrame, tol: float = DEFAULT_TOL):
     """(m, |tr omega|, total) of a code with d = 2r, or None for any other
     frame (`clifford_system`).  The code is totally symmetric exactly when
     m is even or tr omega = 0.  The sign of tr omega flips with the order
     of the subspaces, so it is dropped."""
     try:
-        system = clifford_system(frame, tol, seed)
+        system = clifford_system(frame, tol)
     except DomainError:
         return None
     return system.m, system.trace, system.j is not None

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from eitff.frames import FusionFrame, build_eitff
-from eitff.linalg import FieldTag
-from eitff.simplex import simplex_matrix
+from eitff.linalg import FieldTag, max_abs
+from eitff.radon_hurwitz import RhoOrthonormalSeq, build_rho_orthonormal
+from eitff.simplex import rho_simplex_from_orthonormal, simplex_matrix
 
 
 @pytest.fixture
@@ -18,6 +19,15 @@ def example_frame():
 def complex_etf_frame():
     """The 4-vector equiangular tight frame in C^2 (r = 1)."""
     return build_eitff(FieldTag.COMPLEX, 1, 4)
+
+
+def skew_simplex(field, r, n):
+    """The skew-Hermitian unitary simplex of n subspaces of F^{2r}, n <=
+    rho_F(r) + 1: the built family of n - 1 members with its identity
+    member dropped, as the benchmark's symmetry workload builds it."""
+    family = build_rho_orthonormal(field, r, n - 1)
+    skews = [c for c in family.array if max_abs(c - np.eye(r)) > 0.5]
+    return rho_simplex_from_orthonormal(RhoOrthonormalSeq(field, r, skews))
 
 
 def random_subspace_frame(field, d, r, n, seed=0):

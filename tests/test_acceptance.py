@@ -34,6 +34,7 @@ from eitff.radon_hurwitz import (
 from eitff.simplex import simplex_matrix
 from eitff.symmetry import alternating_witness, probe_symmetry, transposition_witness
 
+from conftest import skew_simplex
 from test_frames import block_coherence
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
@@ -137,8 +138,7 @@ def test_c05_naimark():
 
 def test_c06_symmetry_positive():
     for field, r, n in [(C, 1, 3), (R, 2, 3), (C, 2, 5), (R, 4, 5)]:
-        frame = build_eitff(field, r, n, "skew")
-        _, simplex = canonicalize(frame)
+        simplex = skew_simplex(field, r, n)
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 cert = transposition_witness(simplex, j, k)

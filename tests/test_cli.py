@@ -5,7 +5,10 @@ import inspect
 import io
 import json
 import math
+import pathlib
 import pkgutil
+import runpy
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -69,7 +72,7 @@ class TestBuild:
         )
         assert code == 0
         frame, metadata = load_frame(str(path))
-        assert metadata["variant"] == "generic"
+        assert metadata == {"field": "R", "r": 2, "n": 4}
         values = {1 / math.sqrt(3), math.sqrt(2 / 3), -1 / math.sqrt(6),
                   1 / math.sqrt(2), -1 / math.sqrt(2), 1.0, 0.0}
         seen = np.concatenate([phi.reshape(-1) for phi in frame.arrays()])
@@ -91,8 +94,7 @@ class TestBuild:
         path = tmp_path / "c48.json"
         code, _, _ = run(
             capsys,
-            "build", "--field", "C", "--r", "4", "--n", "8",
-            "--variant", "generic", "--out", str(path),
+            "build", "--field", "C", "--r", "4", "--n", "8", "--out", str(path),
         )
         assert code == 0
         code, out, _ = run(capsys, "verify", str(path))
@@ -105,21 +107,12 @@ class TestBuild:
         )
         assert code == 4
 
-    def test_totally_symmetric_c2_case_exit_three(self, capsys):
-        code, _, err = run(
-            capsys,
-            "build", "--field", "R", "--r", "4", "--n", "6",
-            "--variant", "totally_symmetric",
-        )
-        assert code == 3
-        assert "no totally symmetric code" in err
-
 
 class TestVerify:
     @pytest.fixture
     def frame_path(self, tmp_path):
         path = tmp_path / "frame.json"
-        save_frame(build_eitff(FieldTag.REAL, 2, 4), str(path), {"variant": "generic"})
+        save_frame(build_eitff(FieldTag.REAL, 2, 4), str(path), {"field": "R", "r": 2, "n": 4})
         return path
 
     def test_pass(self, capsys, frame_path):
@@ -169,7 +162,7 @@ class TestRoundTrip:
         frame = build_eitff(FieldTag.COMPLEX, 2, 6)
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        metadata = {"variant": "generic", "field": "C", "r": 2, "n": 6, "seed": None}
+        metadata = {"field": "C", "r": 2, "n": 6}
         save_frame(frame, str(first), metadata)
         loaded, meta = load_frame(str(first))
         assert meta == metadata
@@ -213,7 +206,7 @@ class TestRoundTrip:
     def test_compact_and_indented_files_load_alike(self, tmp_path):
         frame = build_eitff(FieldTag.REAL, 2, 4)
         compact = tmp_path / "compact.json"
-        save_frame(frame, str(compact), {"variant": "generic"})
+        save_frame(frame, str(compact), {"field": "R", "r": 2, "n": 4})
         text = compact.read_text()
         payload = json.loads(text)
         assert text == json.dumps(payload, separators=(",", ":")) + "\n"
@@ -222,7 +215,7 @@ class TestRoundTrip:
         indented = tmp_path / "indented.json"
         indented.write_text(json.dumps(payload, indent=1) + "\n")
         loaded, meta = load_frame(str(indented))
-        assert meta == {"variant": "generic"}
+        assert meta == {"field": "R", "r": 2, "n": 4}
         for want, got in zip(frame.isometries, loaded.isometries):
             assert want.array.tobytes() == got.array.tobytes()
 
@@ -323,7 +316,7 @@ class TestWriter:
         from conftest import random_unitary
 
         src, comp = tmp_path / "r16.json", tmp_path / "comp.json"
-        save_frame(build_eitff(FieldTag.REAL, 16, 11), str(src), {"variant": "generic"})
+        save_frame(build_eitff(FieldTag.REAL, 16, 11), str(src), {"field": "R", "r": 16, "n": 11})
         assert run(capsys, "naimark", str(src), "--out", str(comp))[0] == 0
         cert = tmp_path / "cert.json"
         save_certificate(str(cert), "2 1 3", random_unitary(6, 2), 3.5e-16)
@@ -932,7 +925,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sym", "probe"], ["sym", "witness", "--perm", "2 1 3 4 5 6 7 8"], ["omp", "demo"]],
+        [["sym", "witness", "--perm", "2 1 3 4 5 6 7 8"], ["omp", "demo"]],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, argv):
@@ -943,6 +936,19 @@ class TestUsage:
         code, out, err = run(capsys, *argv[:2], str(path), *argv[2:], "--seed", "-1")
         assert (code, out) == (2, "")
         assert "expected a non-negative integer seed, got -1" in err
+
+
+@pytest.mark.parametrize("script", ["existence_frontier.py", "symmetry_scan.py"])
+def test_scripts_refuse_an_unknown_field_letter(capsys, monkeypatch, script):
+    """`--fields` takes only the letters R and C: any other letter is a
+    usage error (exit 2), not a scan of the complex field."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [script, "--rs", "1", "--fields", "Rx"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(path), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (2, "")
+    assert "--fields takes letters from 'RC', got 'Rx'" in err
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(eitff.__path__)])

@@ -23,10 +23,10 @@ from eitff.frames import (
     welch_bound,
 )
 from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
-from eitff.radon_hurwitz import GEN, exists, rho_number
+from eitff.radon_hurwitz import GEN, rho_number
 from eitff.simplex import verify_rho_simplex
 
-from conftest import random_orthogonal, random_subspace_frame, random_unitary, traced_peak
+from conftest import random_orthogonal, random_subspace_frame, random_unitary, skew_simplex, traced_peak
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
@@ -168,7 +168,7 @@ ORACLE_FRAMES = {
     "R2n4": lambda: build_eitff(R, 2, 4),
     "C2n6": lambda: build_eitff(C, 2, 6),
     "R8n10": lambda: build_eitff(R, 8, 10),
-    "C4n7-skew": lambda: build_eitff(C, 4, 7, "skew"),
+    "C4n7-skew": lambda: frame_from_simplex(skew_simplex(C, 4, 7)),
     "R16n11": lambda: build_eitff(R, 16, 11),
     "R4n6-noisy": lambda: perturbed(build_eitff(R, 4, 6), 1e-6, 1),
     "C4n8-noisy": lambda: perturbed(build_eitff(C, 4, 8), 1e-4, 2),
@@ -360,51 +360,13 @@ class TestBuild:
                 assert abs(val - 1 / 3) <= 1e-12
 
     def test_infeasible_r2_n5(self):
-        with pytest.raises(InfeasibleParametersError) as err:
+        with pytest.raises(InfeasibleParametersError, match=r"n <= rho\+2 violated: n=5, rho_R\(2\)=2") as err:
             build_eitff(R, 2, 5)
         assert err.value.bound == "n <= rho+2"
 
-    def test_skew_variant_members_are_skew(self):
-        frame = build_eitff(C, 2, 5, "skew")
-        p = eitff_params(5)
-        for phi in frame.arrays()[:-1]:
-            b = phi[2:] / p.beta
-            assert max_abs(b + b.conj().T) <= 1e-12
-        assert verify_eitff(frame).passed
-
-    def test_skew_bound_is_tighter(self):
-        with pytest.raises(InfeasibleParametersError):
-            build_eitff(C, 2, 6, "skew")
-
-    def test_totally_symmetric_variant(self):
-        frame = build_eitff(R, 2, 4, "totally_symmetric")
-        assert verify_eitff(frame).passed
-        frame3 = build_eitff(R, 3, 3, "totally_symmetric")
-        assert verify_eitff(frame3).passed
-
-    @pytest.mark.parametrize("field,r,n", [(C, 1, 4), (C, 2, 6), (C, 4, 8), (R, 8, 10)])
-    def test_totally_symmetric_infeasible_rejected(self, field, r, n):
-        # A code exists (n <= rho + 2) but no totally symmetric one does.
-        assert verify_eitff(build_eitff(field, r, n)).passed
-        with pytest.raises(InfeasibleParametersError, match="no totally symmetric code") as info:
-            build_eitff(field, r, n, "totally_symmetric")
-        assert info.value.bound == "total symmetry"
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(DomainError):
-            build_eitff(R, 2, 4, "fancy")
-
-    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 12, 16])
-    def test_totally_symmetric_is_the_generic_code(self, r):
-        # Wherever a totally symmetric code exists the generic one is
-        # totally symmetric, so the two variants write the same isometries.
-        for field in (R, C):
-            for n in range(3, rho_number(field, r) + 3):
-                if exists(field, r, n, total=True)[0] == "no":
-                    continue
-                generic = build_eitff(field, r, n).arrays()
-                total = build_eitff(field, r, n, "totally_symmetric").arrays()
-                assert generic.tobytes() == total.tobytes(), (field, r, n)
+    def test_fewer_than_three_subspaces_rejected(self):
+        with pytest.raises(DomainError, match="need n >= 3 subspaces, got n=2"):
+            build_eitff(C, 2, 2)
 
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 16, 32])
