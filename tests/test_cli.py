@@ -937,6 +937,22 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert "expected a non-negative integer seed, got -1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["build", "--field", "R", "--r", "4", "--n", "6", "--variant", "totally_symmetric"],
+         ["sym", "probe", "--seed", "0"]],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_removed_options_are_usage_errors(self, capsys, tmp_path, argv):
+        """`build` makes one code per (F, r, n) and `sym probe` draws
+        nothing at random, so neither takes a variant or a seed."""
+        path = tmp_path / "code.json"
+        save_frame(build_eitff(FieldTag.REAL, 4, 6), str(path))
+        args = [*argv[:2], str(path), *argv[2:]] if argv[0] == "sym" else [*argv, "--out", str(path)]
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
 
 @pytest.mark.parametrize("script", ["existence_frontier.py", "symmetry_scan.py"])
 def test_scripts_refuse_an_unknown_field_letter(capsys, monkeypatch, script):

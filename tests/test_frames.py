@@ -23,8 +23,9 @@ from eitff.frames import (
     welch_bound,
 )
 from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
-from eitff.radon_hurwitz import GEN, rho_number
+from eitff.radon_hurwitz import GEN, exists, rho_number
 from eitff.simplex import verify_rho_simplex
+from eitff.symmetry import Permutation, check_certificate, clifford_rule, clifford_system
 
 from conftest import random_orthogonal, random_subspace_frame, random_unitary, skew_simplex, traced_peak
 
@@ -367,6 +368,52 @@ class TestBuild:
     def test_fewer_than_three_subspaces_rejected(self):
         with pytest.raises(DomainError, match="need n >= 3 subspaces, got n=2"):
             build_eitff(C, 2, 2)
+
+    def test_skew_variant_members_are_skew(self):
+        # The skew simplex of the symmetry benchmark: its members are
+        # skew-Hermitian and its frame is a code.
+        s = skew_simplex(C, 2, 5)
+        for b in s.blocks:
+            assert max_abs(b + b.conj().T) <= 1e-12
+        assert verify_eitff(frame_from_simplex(s)).passed
+
+    def test_skew_bound_is_tighter(self):
+        # A skew simplex needs n - 1 <= rho members: C2 n=6 has a code but
+        # no skew simplex.
+        assert verify_eitff(build_eitff(C, 2, 6)).passed
+        with pytest.raises(InfeasibleParametersError):
+            skew_simplex(C, 2, 6)
+
+    def test_totally_symmetric_variant(self):
+        for r, n in [(2, 4), (3, 3)]:
+            frame = build_eitff(R, r, n)
+            assert verify_eitff(frame).passed
+            assert clifford_rule(frame)[2], (r, n)
+
+    @pytest.mark.parametrize("field,r,n", [(C, 1, 4), (C, 2, 6), (C, 4, 8), (R, 8, 10)])
+    def test_totally_symmetric_infeasible_rejected(self, field, r, n):
+        # A code exists (n <= rho + 2) but no totally symmetric one does:
+        # the built code has no J, so no transposition has a witness.
+        frame = build_eitff(field, r, n)
+        assert verify_eitff(frame).passed
+        assert exists(field, r, n, total=True)[0] == "no"
+        system = clifford_system(frame)
+        assert system.j is None
+        assert system.witness(Permutation.transposition(n, 1, 2)) is None
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 12, 16])
+    def test_totally_symmetric_is_the_generic_code(self, r):
+        # Wherever a totally symmetric code exists the generic one is
+        # totally symmetric: its closed-form transposition witness certifies.
+        for field in (R, C):
+            for n in range(3, rho_number(field, r) + 3):
+                if exists(field, r, n, total=True)[0] == "no":
+                    continue
+                frame = build_eitff(field, r, n)
+                system = clifford_system(frame)
+                assert system.j is not None, (field, r, n)
+                cert = system.witness(Permutation.transposition(n, 1, n))
+                assert check_certificate(frame, cert) <= 1e-10, (field, r, n)
 
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 16, 32])
