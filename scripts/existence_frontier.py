@@ -22,7 +22,12 @@ def main() -> None:
     parser.add_argument("--fields", default="RC", help="subset of 'RC'")
     args = parser.parse_args()
 
-    rs = [int(tok) for tok in args.rs.split(",")]
+    try:
+        rs = [int(tok) for tok in args.rs.split(",")]
+        if min(rs) < 1:
+            raise ValueError
+    except ValueError:
+        parser.error(f"--rs takes comma-separated positive integers, got {args.rs!r}")
     try:
         fields = [FieldTag(ch) for ch in args.fields]
     except ValueError:

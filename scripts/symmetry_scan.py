@@ -4,7 +4,7 @@
 Every half-dimension optimal code has at least alternating symmetry;
 whether a totally symmetric one exists for the same parameters is
 decided by `exists(..., total=True)`.  This scan builds each code, reads
-its group from the code's own Clifford system (`clifford_rule`), and
+its group from the code's own Clifford system (`clifford_system`), and
 prints both verdicts side by side.
 """
 
@@ -13,7 +13,7 @@ import argparse
 from eitff.frames import build_eitff
 from eitff.linalg import FieldTag
 from eitff.radon_hurwitz import exists, rho_number
-from eitff.symmetry import clifford_rule
+from eitff.symmetry import clifford_system
 
 
 def main() -> None:
@@ -23,7 +23,12 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=8, help="largest n to scan")
     args = parser.parse_args()
 
-    rs = [int(tok) for tok in args.rs.split(",")]
+    try:
+        rs = [int(tok) for tok in args.rs.split(",")]
+        if min(rs) < 1:
+            raise ValueError
+    except ValueError:
+        parser.error(f"--rs takes comma-separated positive integers, got {args.rs!r}")
     try:
         fields = [FieldTag(ch) for ch in args.fields]
     except ValueError:
@@ -33,7 +38,7 @@ def main() -> None:
     for field in fields:
         for r in rs:
             for n in range(3, min(rho_number(field, r) + 2, args.max_n) + 1):
-                label = "total" if clifford_rule(build_eitff(field, r, n))[2] else "alternating"
+                label = "total" if clifford_system(build_eitff(field, r, n)).j is not None else "alternating"
                 total_exists = exists(field, r, n, total=True)[0]
                 print(f"{field.value:5} {r:>3} {n:>3} {label:>12} {total_exists:>12}")
 

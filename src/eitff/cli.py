@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("frame")
     p_witness.add_argument("--perm", required=True, help='one-line notation, e.g. "2 1 3 4"')
     p_witness.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_witness.add_argument("--seed", type=_seed, default=0)
     p_witness.add_argument("--out", default=None, help="write the certificate as JSON")
     p_witness.set_defaults(func=cmd_sym_witness)
 
@@ -198,7 +197,7 @@ def cmd_sym_witness(args) -> int:
     sigma = _parse_perm_for(frame, args.perm)
     if sigma is None:
         return 2
-    system = clifford_system(frame, args.tol, args.seed)
+    system = clifford_system(frame, args.tol)
     cert = system.witness(sigma)
     if not system.accepts(cert):
         # No witness at all is a proof, noted as such.

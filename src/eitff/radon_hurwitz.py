@@ -277,7 +277,7 @@ def exists(field: FieldTag, r: int, n: int, total: bool = False) -> tuple[str, s
 
     Each answer at n = rho + 2 reads the code's Clifford system.  A code
     carries m = n - 1 anticommuting Hermitian unitaries E_j on F^d, d = 2r
-    (`symmetry.clifford_rule`), and it is totally symmetric exactly when
+    (`symmetry.clifford_system`), and it is totally symmetric exactly when
     m is even or omega = E_1 ... E_m has trace 0.  Over R, c = 0 gives
     m = 8b + 2, which is even, and c = 1 gives m = 8b + 3, where
     omega^2 = -I on a real space forces tr omega = 0; so the generic code

@@ -18,12 +18,13 @@ r-blocks, on skew codes); `_closed_witness` is the one builder of both.
 Only codes are answered.  `clifford_system` forms a code's Clifford
 system once and returns one `CliffordSystem`: the projection stack, m,
 |tr omega|, J (or None) and the rule `accepts` for a found witness, from
-which `clifford_rule`, `find_witness`, `probe_symmetry` and the CLI read
-every answer; a frame that is not a code with d = 2r is refused.  Its gate needs no stack of
-Gamma_i = 2 Pi_i - I: sum_i Gamma_i = 2 (S S* - (n/2) I), twice the
-tightness residual of `verify_eitff`, and since the rows of Psi_n sum
-to 0 the -I of each Gamma_i cancels in E = ((n-1)/n) Psi_n Gamma,
-so E = (2(n-1)/n) Psi_n Pi.
+which `find_witness`, `probe_symmetry`, the CLI and the scripts read
+every answer; the code is totally symmetric exactly when J is not None,
+and a frame that is not a code with d = 2r is refused.  Its gate needs
+no stack of Gamma_i = 2 Pi_i - I: sum_i Gamma_i = 2 (S S* - (n/2) I),
+twice the tightness residual of `verify_eitff`, and since the rows of
+Psi_n sum to 0 the -I of each Gamma_i cancels in
+E = ((n-1)/n) Psi_n Gamma, so E = (2(n-1)/n) Psi_n Pi.
 """
 
 from __future__ import annotations
@@ -256,9 +257,10 @@ def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
 class CliffordSystem:
     """What a code's Clifford system E_1 ... E_m decides (`clifford_system`):
     the (n, d, d) projection stack, m = n - 1, |tr omega| for omega =
-    E_1 ... E_m, a unitary J with J Pi_i J* = I - Pi_i, or None when the
+    E_1 ... E_m (its sign flips with the order of the subspaces, so it is
+    dropped), a unitary J with J Pi_i J* = I - Pi_i, or None when the
     code has none, and the `tol` witnesses must clear.  The code is
-    totally symmetric exactly when J exists."""
+    totally symmetric exactly when J exists: m is even or tr omega = 0."""
 
     projections: np.ndarray
     m: int
@@ -330,18 +332,6 @@ def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0)
     return CliffordSystem(projections, m, trace, j, tol)
 
 
-def clifford_rule(frame: FusionFrame, tol: float = DEFAULT_TOL):
-    """(m, |tr omega|, total) of a code with d = 2r, or None for any other
-    frame (`clifford_system`).  The code is totally symmetric exactly when
-    m is even or tr omega = 0.  The sign of tr omega flips with the order
-    of the subspaces, so it is dropped."""
-    try:
-        system = clifford_system(frame, tol)
-    except DomainError:
-        return None
-    return system.m, system.trace, system.j is not None
-
-
 def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TOL, seed: int = 0):
     """A unitary witness of sigma on a code with d = 2r, or None.
 
@@ -364,7 +354,7 @@ def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     adjacent transpositions for "total" and the n - 2 consecutive
     3-cycles for "alternating".
 
-    The label is the Clifford rule's (`clifford_rule`), a proof.  The
+    The label reads `system.j is not None`, a proof.  The
     certificates are closed-form (`CliffordSystem.witness`), from one
     `clifford_system`, each with its measured conjugation residual; on a
     near-code that passes the gate a residual may miss `tol`.  A frame

@@ -925,7 +925,7 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sym", "witness", "--perm", "2 1 3 4 5 6 7 8"], ["omp", "demo"]],
+        [["omp", "demo"]],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, argv):
@@ -940,12 +940,14 @@ class TestUsage:
     @pytest.mark.parametrize(
         "argv",
         [["build", "--field", "R", "--r", "4", "--n", "6", "--variant", "totally_symmetric"],
-         ["sym", "probe", "--seed", "0"]],
+         ["sym", "probe", "--seed", "0"],
+         ["sym", "witness", "--perm", "2 1 3 4 5 6", "--seed", "0"]],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_removed_options_are_usage_errors(self, capsys, tmp_path, argv):
-        """`build` makes one code per (F, r, n) and `sym probe` draws
-        nothing at random, so neither takes a variant or a seed."""
+        """`build` makes one code per (F, r, n), `sym probe` draws nothing
+        at random and `sym witness` always takes the default J, so none
+        takes a variant or a seed."""
         path = tmp_path / "code.json"
         save_frame(build_eitff(FieldTag.REAL, 4, 6), str(path))
         args = [*argv[:2], str(path), *argv[2:]] if argv[0] == "sym" else [*argv, "--out", str(path)]
@@ -955,16 +957,25 @@ class TestUsage:
 
 
 @pytest.mark.parametrize("script", ["existence_frontier.py", "symmetry_scan.py"])
-def test_scripts_refuse_an_unknown_field_letter(capsys, monkeypatch, script):
-    """`--fields` takes only the letters R and C: any other letter is a
-    usage error (exit 2), not a scan of the complex field."""
+@pytest.mark.parametrize(
+    "rs,fields,message",
+    [
+        ("1", "Rx", "--fields takes letters from 'RC', got 'Rx'"),
+        ("0", "RC", "--rs takes comma-separated positive integers, got '0'"),
+        ("1,x", "RC", "--rs takes comma-separated positive integers, got '1,x'"),
+    ],
+)
+def test_scripts_refuse_a_bad_field_letter_or_r(capsys, monkeypatch, script, rs, fields, message):
+    """`--fields` takes only the letters R and C, and `--rs` only positive
+    integers: anything else is a usage error (exit 2), not a scan of the
+    complex field or a traceback."""
     path = pathlib.Path(__file__).parent.parent / "scripts" / script
-    monkeypatch.setattr(sys, "argv", [script, "--rs", "1", "--fields", "Rx"])
+    monkeypatch.setattr(sys, "argv", [script, "--rs", rs, "--fields", fields])
     with pytest.raises(SystemExit) as info:
         runpy.run_path(str(path), run_name="__main__")
     out, err = capsys.readouterr()
     assert (info.value.code, out) == (2, "")
-    assert "--fields takes letters from 'RC', got 'Rx'" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(eitff.__path__)])

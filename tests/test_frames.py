@@ -25,7 +25,7 @@ from eitff.frames import (
 from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
 from eitff.radon_hurwitz import GEN, exists, rho_number
 from eitff.simplex import verify_rho_simplex
-from eitff.symmetry import Permutation, check_certificate, clifford_rule, clifford_system
+from eitff.symmetry import Permutation, check_certificate, clifford_system
 
 from conftest import random_orthogonal, random_subspace_frame, random_unitary, skew_simplex, traced_peak
 
@@ -388,7 +388,7 @@ class TestBuild:
         for r, n in [(2, 4), (3, 3)]:
             frame = build_eitff(R, r, n)
             assert verify_eitff(frame).passed
-            assert clifford_rule(frame)[2], (r, n)
+            assert clifford_system(frame).j is not None, (r, n)
 
     @pytest.mark.parametrize("field,r,n", [(C, 1, 4), (C, 2, 6), (C, 4, 8), (R, 8, 10)])
     def test_totally_symmetric_infeasible_rejected(self, field, r, n):

@@ -34,7 +34,6 @@ from eitff.symmetry import (
     _projections,
     alternating_witness,
     check_certificate,
-    clifford_rule,
     clifford_system,
     find_witness,
     probe_symmetry,
@@ -843,7 +842,7 @@ class TestProbe:
         for n in range(3, rho_number(field, r) + 3):
             frame = build_eitff(field, r, n)
             answer = exists(field, r, n, total=True)[0]
-            assert clifford_rule(frame)[2] == (answer == "yes"), (field, r, n, answer)
+            assert (clifford_system(frame).j is not None) == (answer == "yes"), (field, r, n, answer)
             if r <= 8:
                 label = probe_symmetry(frame)[0]
                 assert (label == "total") == (answer == "yes"), (field, r, n, label, answer)
@@ -877,7 +876,7 @@ def tight_lines():
 class TestRefusal:
     """Only codes with d = 2r are answered: every other frame is refused
     with `DomainError`, which names the condition that failed, and has no
-    Clifford rule."""
+    Clifford system."""
 
     @pytest.mark.parametrize(
         "make,cycle,reason",
@@ -900,6 +899,8 @@ class TestRefusal:
                          id="direct-sum"),
             pytest.param(lambda: naimark_complement(build_eitff(R, 8, 10)), (1, 2),
                          "d = 64 is not 2r = 16", id="complement-R8n10"),
+            pytest.param(lambda: naimark_complement(build_eitff(R, 4, 5)), (1, 2),
+                         "d = 12 is not 2r = 8", id="complement-R4n5"),
             pytest.param(lambda: random_subspace_frame(C, 4, 2, 2, seed=2), (1, 2), "n = 2 < 3",
                          id="n2"),
             pytest.param(tight_lines, (1, 2), "E relation residual .* exceeds tol 1.00e-10",
@@ -915,7 +916,8 @@ class TestRefusal:
             find_witness(frame, sigma)
         with pytest.raises(DomainError, match=f"^not a code: {reason}"):
             probe_symmetry(frame)
-        assert clifford_rule(frame) is None
+        with pytest.raises(DomainError, match=f"^not a code: {reason}"):
+            clifford_system(frame)
 
 
 class TestNearCode:
@@ -926,9 +928,9 @@ class TestNearCode:
     def test_witness_none_and_probe_residuals(self):
         frame = near_code(221, 1e-11)
         n, p = frame.n, _projections(frame)
-        m, _, total = clifford_rule(frame)
-        assert (m, total) == (n - 1, True)
-        j = clifford_system(frame).j
+        system = clifford_system(frame)
+        assert (system.m, system.j is not None) == (n - 1, True)
+        j = system.j
         sigma = Permutation.transposition(n, 1, 2)
         upsilon = reflection_chain(p, sigma.transpositions(), j)
         assert _conjugation_residual(p, sigma, upsilon) > DEFAULT_TOL
@@ -989,6 +991,43 @@ class TestCliffordSystem:
         with pytest.raises(DomainError, match=re.escape(f"sum of Gamma_i residual {gamma_sum:.2e} exceeds")):
             clifford_system(frame)
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-3, 1e-1])
+    @pytest.mark.parametrize("field,r,n", [(R, 16, 11), (C, 8, 10), (C, 4, 8)], ids=case_id)
+    def test_anticommutator_residuals_are_the_pair_residuals(self, field, r, n, scale):
+        # With X_il = Gamma_i Gamma_l + Gamma_l Gamma_i + (2/(n-1)) I for
+        # i != l and X_ii = 2 (Gamma_i^2 - I), every pair of isometries
+        # with d = 2r has ||X_il||_F = 4 sqrt(2) ||G_il* G_il - sigma^2 I||_F,
+        # sigma^2 = (n-2)/(2(n-1)), and {E_j, E_k} - 2 delta_jk I =
+        # ((n-1)/n)^2 sum_il Psi_n(j, i) Psi_n(k, l) X_il: so the E
+        # relations hold exactly when every pair is equi-isoclinic.  Member
+        # 3 is perturbed by `scale` and re-orthonormalized.
+        arrays = build_eitff(field, r, n).arrays()
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal(arrays[2].shape)
+        if field is C:
+            noise = noise + 1j * rng.standard_normal(arrays[2].shape)
+        arrays[2] = np.linalg.qr(arrays[2] + scale * noise)[0]
+        frame = FusionFrame.from_arrays(field, arrays)
+        eye = np.eye(2 * r)
+        gamma = 2.0 * _projections(frame) - eye
+        x = np.einsum("iab,lbc->ilac", gamma, gamma)
+        x += x.swapaxes(0, 1)
+        x += (2.0 / (n - 1)) * eye
+        x[range(n), range(n)] = 2.0 * (gamma @ gamma - eye)
+        g = np.einsum("iab,lac->ilbc", arrays.conj(), arrays)
+        pair = g.conj().swapaxes(2, 3) @ g - (n - 2) / (2.0 * (n - 1)) * np.eye(r)
+        off = ~np.eye(n, dtype=bool)
+        lhs = np.linalg.norm(x[off], axis=(1, 2))
+        rhs = 4.0 * np.sqrt(2.0) * np.linalg.norm(pair[off], axis=(1, 2))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-13
+        e = gamma_e(_projections(frame))
+        anti = np.einsum("jab,kbc->jkac", e, e)
+        anti += anti.swapaxes(0, 1)
+        anti[range(n - 1), range(n - 1)] -= 2.0 * eye
+        psi = simplex_matrix(n)
+        want = ((n - 1) / n) ** 2 * np.einsum("ji,kl,ilac->jkac", psi, psi, x)
+        assert max_abs(anti - want) <= 1e-13
+
     def test_witness_is_the_closed_form_of_the_transpositions(self):
         frame = build_eitff(R, 4, 6)
         system = clifford_system(frame)
@@ -1008,13 +1047,13 @@ class TestCliffordSystem:
         with pytest.raises(ShapeError, match=r"permutation of \[1, 5\] against n=4"):
             find_witness(example_frame, sigma)
 
-    def test_clifford_rule_peak_is_bounded(self):
+    def test_clifford_system_peak_is_bounded(self):
         # R128 n=18: the projection stack (9.0 MiB) and E (8.5 MiB) plus the
         # panels of relation_residual read 26.6 MiB; forming the Gamma stack
         # and the sum of Gamma_i read 35.6.  The bound leaves about 9 % over
         # the measured peak for numpy's temporaries.
         frame = build_eitff(R, 128, 18)
-        assert traced_peak(clifford_rule, frame) <= 29 * 2**20
+        assert traced_peak(clifford_system, frame) <= 29 * 2**20
 
     def test_probe_peak_is_bounded(self):
         # R128 n=18: the conjugation residual of each of the 16 certificates
@@ -1079,9 +1118,9 @@ class TestClosedFormOracle:
         total = all(oracle[: n - 1])
         assert all(oracle[n - 1 :])
         assert label == ("total" if total else "alternating")
-        m, trace, rule_total = clifford_rule(frame)
-        assert (m, rule_total) == (n - 1, total)
-        assert total == (m % 2 == 0 or trace <= 1e-8)
+        system = clifford_system(frame)
+        assert (system.m, system.j is not None) == (n - 1, total)
+        assert total == (system.m % 2 == 0 or system.trace <= 1e-8)
         want = generators[: n - 1] if total else generators[n - 1 :]
         assert [cert.sigma for cert in certs] == want
         return label
@@ -1133,7 +1172,7 @@ class TestClosedFormOracle:
         # d = 64 and 128, past the oracle search's d <= 32 limit; R64 n=14
         # is the c = 2 case of `exists(..., total=True)`.
         frame = build_eitff(field, r, n)
-        assert clifford_rule(frame)[2] is total
+        assert (clifford_system(frame).j is not None) is total
         sigma = Permutation.transposition(n, 1, n)
         cert = find_witness(frame, sigma)
         assert (cert is not None) is total
@@ -1141,10 +1180,6 @@ class TestClosedFormOracle:
         assert label == ("total" if total else "alternating")
         for c in ([cert] if cert else []) + certs:
             assert check_certificate(frame, c) <= 1e-10
-
-    def test_non_codes_have_no_rule(self):
-        assert clifford_rule(random_subspace_frame(R, 4, 2, 4, seed=13)) is None
-        assert clifford_rule(naimark_complement(build_eitff(R, 4, 5))) is None
 
 
 class TestBasisInvariance:
@@ -1155,10 +1190,9 @@ class TestBasisInvariance:
         frame = build_eitff(field, r, n)
         q = random_orthogonal(2 * r, seed) if field is R else random_unitary(2 * r, seed)
         rotated = FusionFrame.from_arrays(field, q @ frame.arrays())
-        m, trace, total = clifford_rule(frame)
-        m_rot, trace_rot, total_rot = clifford_rule(rotated)
-        assert (m_rot, total_rot) == (m, total)
-        assert abs(trace_rot - trace) <= 1e-8
+        system, system_rot = clifford_system(frame), clifford_system(rotated)
+        assert (system_rot.m, system_rot.j is not None) == (system.m, system.j is not None)
+        assert abs(system_rot.trace - system.trace) <= 1e-8
         assert probe_symmetry(rotated)[0] == probe_symmetry(frame)[0]
 
 
