@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Sweep the existence frontier and print verification residuals.
+"""Sweep the existence frontier: verify each code and probe its symmetry.
 
 For each field and each r in the list, builds the optimal code at every
-feasible n (3 <= n <= rho_F(r) + 2), verifies it, and confirms that
-n = rho_F(r) + 3 is rejected.
+feasible n (3 <= n <= rho_F(r) + 2), prints its verification residuals,
+the symmetry label its own Clifford system decides
+(`CliffordSystem.total`) and the decision `exists(..., total=True)`, and
+confirms that n = rho_F(r) + 3 is rejected.
 """
 
 import argparse
@@ -11,7 +13,8 @@ import argparse
 from eitff.errors import InfeasibleParametersError
 from eitff.frames import build_eitff, verify_eitff
 from eitff.linalg import FieldTag
-from eitff.radon_hurwitz import rho_number
+from eitff.radon_hurwitz import exists, rho_number
+from eitff.symmetry import clifford_system
 
 
 def main() -> None:
@@ -34,17 +37,21 @@ def main() -> None:
         parser.error(f"--fields takes letters from 'RC', got {args.fields!r}")
 
     print(f"{'field':5} {'r':>4} {'n':>4} {'rho':>4} "
-          f"{'tightness':>12} {'equiiso':>12} {'welch_gap':>12}")
+          f"{'tightness':>12} {'equiiso':>12} {'welch_gap':>12} "
+          f"{'probed':>12} {'total_exists':>12}")
     for field in fields:
         for r in rs:
             rho = rho_number(field, r)
             for n in range(3, rho + 3):
-                report = verify_eitff(build_eitff(field, r, n))
+                frame = build_eitff(field, r, n)
+                report = verify_eitff(frame)
+                label = "total" if clifford_system(frame).total else "alternating"
                 print(
                     f"{field.value:5} {r:>4} {n:>4} {rho:>4} "
                     f"{report.tightness_residual:>12.3e} "
                     f"{report.equiisoclinic_residual:>12.3e} "
-                    f"{report.welch_gap:>12.3e}"
+                    f"{report.welch_gap:>12.3e} "
+                    f"{label:>12} {exists(field, r, n, total=True)[0]:>12}"
                 )
             try:
                 build_eitff(field, r, rho + 3)

@@ -231,7 +231,7 @@ def cmd_sym_probe(args) -> int:
     # The rule is the label, as in `probe_symmetry`, without certificates;
     # a frame that is not a code raises `DomainError` (exit 2).
     system = clifford_system(frame, args.tol)
-    print(f"symmetry={'total' if system.j is not None else 'alternating'}" + _closed_form_note(system))
+    print(f"symmetry={'total' if system.total else 'alternating'}" + _closed_form_note(system))
     return 0
 
 

@@ -35,9 +35,6 @@ class RHDecomposition:
     b: int
     c: int
 
-    def reconstruct(self) -> int:
-        return (2 * self.a + 1) * 2 ** (4 * self.b + self.c)
-
 
 @dataclass(frozen=True)
 class BaseGenerators:
@@ -77,8 +74,7 @@ class RhoOrthonormalSeq:
     construction; the numeric relations are the builder's business and
     can be re-measured with `verify_rho_orthonormal`.  `array` holds the
     members as one read-only (m, r, r) array in the field's dtype, from a
-    sequence of r x r arrays or one stack (`field_array`); `stack`
-    returns a writable copy.
+    sequence of r x r arrays or one stack (`field_array`).
     """
 
     field: FieldTag
@@ -93,9 +89,6 @@ class RhoOrthonormalSeq:
         cap = rho_number(self.field, self.r)
         if len(arr) > cap:
             raise InvalidInputError(f"{len(arr)} members exceed rho({self.r}) = {cap}")
-
-    def stack(self) -> np.ndarray:
-        return self.array.copy()
 
     @property
     def mats(self) -> tuple[Mat, ...]:

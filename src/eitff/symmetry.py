@@ -17,10 +17,11 @@ r-blocks, on skew codes); `_closed_witness` is the one builder of both.
 
 Only codes are answered.  `clifford_system` forms a code's Clifford
 system once and returns one `CliffordSystem`: the projection stack, m,
-|tr omega|, J (or None) and the rule `accepts` for a found witness, from
-which `find_witness`, `probe_symmetry`, the CLI and the scripts read
-every answer; the code is totally symmetric exactly when J is not None,
-and a frame that is not a code with d = 2r is refused.  Its gate needs
+omega, the label `total`, J (or None) and the rule `accepts` for a found
+witness, from which `find_witness`, `probe_symmetry`, the CLI and the
+frontier scan read every answer; `total` (m even or tr omega = 0) is
+the one place the rule lives, and a frame that is not a code with
+d = 2r is refused.  Its gate needs
 no stack of Gamma_i = 2 Pi_i - I: sum_i Gamma_i = 2 (S S* - (n/2) I),
 twice the tightness residual of `verify_eitff`, and since the rows of
 Psi_n sum to 0 the -I of each Gamma_i cancels in
@@ -30,7 +31,7 @@ E = ((n-1)/n) Psi_n Gamma, so E = (2(n-1)/n) Psi_n Pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -253,29 +254,71 @@ def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
     return SymmetryCertificate(sigma, ups, _conjugation_residual(projections, sigma, ups))
 
 
+def _generators(projections: np.ndarray) -> np.ndarray:
+    """E_j = (2(n-1)/n) sum_i Psi_n(j, i) Pi_i, j = 1 ... n - 1, from the
+    (n, d, d) projection stack of a code, as one (n - 1, d, d) stack."""
+    n, d = projections.shape[:2]
+    e = (simplex_matrix(n) @ projections.reshape(n, -1)).reshape(n - 1, d, d)
+    e *= 2.0 * (n - 1) / n
+    return e
+
+
 @dataclass(frozen=True)
 class CliffordSystem:
     """What a code's Clifford system E_1 ... E_m decides (`clifford_system`):
-    the (n, d, d) projection stack, m = n - 1, |tr omega| for omega =
-    E_1 ... E_m (its sign flips with the order of the subspaces, so it is
-    dropped), a unitary J with J Pi_i J* = I - Pi_i, or None when the
-    code has none, and the `tol` witnesses must clear.  The code is
-    totally symmetric exactly when J exists: m is even or tr omega = 0."""
+    the (n, d, d) projection stack, m = n - 1, omega = E_1 ... E_m, the
+    `tol` witnesses must clear and the `seed` of J.  The code is totally
+    symmetric exactly when `total`: m is even or tr omega = 0; J, a
+    unitary with J Pi_i J* = I - Pi_i, exists exactly then."""
 
     projections: np.ndarray
     m: int
-    trace: float
-    j: np.ndarray | None
+    omega: np.ndarray
     tol: float
+    seed: int
+
+    @property
+    def trace(self) -> float:
+        """|tr omega|: its sign flips with the order of the subspaces."""
+        return float(abs(np.trace(self.omega)))
+
+    @property
+    def total(self) -> bool:
+        """Whether the code is totally symmetric (has a J): the one rule,
+        read from m and |tr omega| alone."""
+        return self.m % 2 == 0 or self.trace <= TRACE_THRESHOLD
+
+    @cached_property
+    def j(self) -> np.ndarray | None:
+        """J, or None when the code is not `total`.  For m even omega
+        anticommutes with every E_j: J = omega.  For m odd omega commutes
+        with every E_j and J omega J* = -omega, so J exists exactly when
+        tr omega = 0; it is then the polar factor of a random X, seeded by
+        `seed`, projected onto the operators anticommuting with every E_j
+        by X <- (X - E_j X E_j) / 2.  Formed on first use, from E formed
+        again from the projections."""
+        if self.m % 2 == 0:
+            return self.omega
+        if not self.total:
+            return None
+        d = self.projections.shape[1]
+        rng = np.random.default_rng(self.seed)
+        x = rng.standard_normal((d, d))
+        if np.iscomplexobj(self.projections):
+            x = x + 1j * rng.standard_normal((d, d))
+        for ej in _generators(self.projections):
+            x = (x - ej @ x @ ej) / 2.0
+        return polar_unitary(x)
 
     def witness(self, sigma: Permutation):
         """sigma's closed-form witness, from its transpositions
         (`_closed_witness`); None, a proof that sigma is no symmetry, when
-        sigma is odd and J is None.  A sigma of another size is refused
-        with `ShapeError`."""
+        sigma is odd and the code is not `total`.  A sigma of another size
+        is refused with `ShapeError`."""
         if sigma.n != len(self.projections):
             raise ShapeError(f"permutation of [1, {sigma.n}] against n={len(self.projections)}")
-        return _closed_witness(self.projections, sigma, sigma.transpositions(), self.j)
+        steps = sigma.transpositions()
+        return _closed_witness(self.projections, sigma, steps, self.j if len(steps) % 2 else None)
 
     def accepts(self, cert: SymmetryCertificate | None) -> bool:
         """Whether `witness` gave a witness whose residual clears `tol`."""
@@ -283,10 +326,10 @@ class CliffordSystem:
 
 
 def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0) -> CliffordSystem:
-    """The `CliffordSystem` of a code with d = 2r.  A frame that is not
-    such a code within `tol` is refused with `DomainError`, which names
-    the condition that failed; a singular projection for J raises
-    `SingularMatrixError`.
+    """The `CliffordSystem` of a code with d = 2r, with J seeded by `seed`.
+    A frame that is not such a code within `tol` is refused with
+    `DomainError`, which names the condition that failed; a singular
+    projection for J raises `SingularMatrixError` when J is first read.
 
     With Gamma_i = 2 Pi_i - I and Psi_n = `simplex_matrix(n)`, set
     E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i.  The frame is such a code
@@ -294,12 +337,6 @@ def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0)
     unitaries (`relation_residual(E, 0)`): then Gamma_i = sum_j
     Psi_n(j, i) E_j, so Gamma_i is an involution of trace 0 and
     Gamma_i Gamma_k + Gamma_k Gamma_i = -2/(n-1) I for i != k.
-
-    For m even omega anticommutes with every E_j: J = omega.  For m odd
-    omega commutes with every E_j and J omega J* = -omega, so J exists
-    exactly when tr omega = 0; it is then the polar factor of a random X,
-    seeded by `seed`, projected onto the operators anticommuting with
-    every E_j by X <- (X - E_j X E_j) / 2.
     """
     n, d = frame.n, frame.d
     if d != 2 * frame.r:
@@ -310,26 +347,11 @@ def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0)
     if not residual <= tol:
         raise DomainError(f"not a code: sum of Gamma_i residual {residual:.2e} exceeds tol {tol:.2e}")
     projections = _projections(frame)
-    e = (simplex_matrix(n) @ projections.reshape(n, -1)).reshape(n - 1, d, d)
-    e *= 2.0 * (n - 1) / n
+    e = _generators(projections)
     residual = relation_residual(e, 0.0)[0]
     if not residual <= tol:
         raise DomainError(f"not a code: E relation residual {residual:.2e} exceeds tol {tol:.2e}")
-    m, omega = n - 1, reduce(np.matmul, e)
-    trace = float(abs(np.trace(omega)))
-    if m % 2 == 0:
-        j = omega
-    elif trace > TRACE_THRESHOLD:
-        j = None
-    else:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((d, d))
-        if np.iscomplexobj(e):
-            x = x + 1j * rng.standard_normal((d, d))
-        for ej in e:
-            x = (x - ej @ x @ ej) / 2.0
-        j = polar_unitary(x)
-    return CliffordSystem(projections, m, trace, j, tol)
+    return CliffordSystem(projections, n - 1, reduce(np.matmul, e), tol, seed)
 
 
 def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TOL, seed: int = 0):
@@ -354,14 +376,14 @@ def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
     adjacent transpositions for "total" and the n - 2 consecutive
     3-cycles for "alternating".
 
-    The label reads `system.j is not None`, a proof.  The
+    The label reads `CliffordSystem.total`, a proof.  The
     certificates are closed-form (`CliffordSystem.witness`), from one
     `clifford_system`, each with its measured conjugation residual; on a
     near-code that passes the gate a residual may miss `tol`.  A frame
     that is not a code is refused with `DomainError`, as in `find_witness`.
     """
     n, system = frame.n, clifford_system(frame, tol, seed)
-    if system.j is not None:
+    if system.total:
         label, generators = "total", [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
     else:
         label, generators = "alternating", [Permutation.cycle(n, (i, i + 1, i + 2)) for i in range(1, n - 1)]

@@ -31,8 +31,9 @@ from eitff.frame_io import (
     save_certificate,
     save_frame,
 )
-from eitff.frames import FusionFrame, build_eitff, naimark_complement
+from eitff.frames import FusionFrame, build_eitff, naimark_complement, verify_eitff
 from eitff.linalg import DEFAULT_TOL, FieldTag
+from eitff.radon_hurwitz import exists, rho_number
 from eitff.symmetry import SymmetryCertificate
 
 from conftest import near_code, random_subspace_frame
@@ -735,6 +736,23 @@ class TestSym:
         symmetry.probe_symmetry(frame)
         assert len(formations) == 2
 
+    def test_polar_factor_only_for_an_odd_witness(self, capsys, tmp_path, monkeypatch):
+        """R8 n=8 (m = 7, tr omega = 0) is totally symmetric: its label
+        needs no J, and only the witness of an odd permutation forms J,
+        the polar factor, once."""
+        calls, polar_unitary = [], symmetry.polar_unitary
+        monkeypatch.setattr(symmetry, "polar_unitary", lambda x: calls.append(x) or polar_unitary(x))
+        frame = build_eitff(FieldTag.REAL, 8, 8)
+        path = tmp_path / "code.json"
+        save_frame(frame, str(path))
+        assert symmetry.clifford_system(frame).total and len(calls) == 0
+        code, out, _ = run(capsys, "sym", "probe", str(path))
+        assert (code, out) == (0, "symmetry=total (closed form, m=7, tr_omega=0.00)\n")
+        assert len(calls) == 0
+        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4 5 6 7 8")
+        assert (code, out.startswith("witness=found")) == (0, True)
+        assert len(calls) == 1
+
     @pytest.fixture
     def formations(self, monkeypatch):
         """Every call of `clifford_system`, through the CLI's name or the
@@ -956,7 +974,9 @@ class TestUsage:
         assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("script", ["existence_frontier.py", "symmetry_scan.py"])
+SCAN = pathlib.Path(__file__).parent.parent / "scripts" / "existence_frontier.py"
+
+
 @pytest.mark.parametrize(
     "rs,fields,message",
     [
@@ -965,17 +985,41 @@ class TestUsage:
         ("1,x", "RC", "--rs takes comma-separated positive integers, got '1,x'"),
     ],
 )
-def test_scripts_refuse_a_bad_field_letter_or_r(capsys, monkeypatch, script, rs, fields, message):
+def test_scripts_refuse_a_bad_field_letter_or_r(capsys, monkeypatch, rs, fields, message):
     """`--fields` takes only the letters R and C, and `--rs` only positive
     integers: anything else is a usage error (exit 2), not a scan of the
     complex field or a traceback."""
-    path = pathlib.Path(__file__).parent.parent / "scripts" / script
-    monkeypatch.setattr(sys, "argv", [script, "--rs", rs, "--fields", fields])
+    monkeypatch.setattr(sys, "argv", [SCAN.name, "--rs", rs, "--fields", fields])
     with pytest.raises(SystemExit) as info:
-        runpy.run_path(str(path), run_name="__main__")
+        runpy.run_path(str(SCAN), run_name="__main__")
     out, err = capsys.readouterr()
     assert (info.value.code, out) == (2, "")
     assert message in err
+
+
+def test_scan_rows_are_the_answers_for_each_code(capsys, monkeypatch):
+    """Each row of the frontier scan is `verify_eitff`, the label of
+    `CliffordSystem.total` and `exists(..., total=True)` for its code,
+    followed per r by the infeasible n = rho + 3; no J is formed."""
+    polar = []
+    monkeypatch.setattr(symmetry, "polar_unitary", polar.append)
+    monkeypatch.setattr(sys, "argv", [SCAN.name, "--rs", "1,2", "--fields", "RC"])
+    runpy.run_path(str(SCAN), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    want = []
+    for field in (FieldTag.REAL, FieldTag.COMPLEX):
+        for r in (1, 2):
+            rho = rho_number(field, r)
+            for n in range(3, rho + 3):
+                frame = build_eitff(field, r, n)
+                report = verify_eitff(frame)
+                residuals = (report.tightness_residual, report.equiisoclinic_residual, report.welch_gap)
+                label = "total" if symmetry.clifford_system(frame).total else "alternating"
+                want.append([field.value, str(r), str(n), str(rho), *(f"{v:.3e}" for v in residuals),
+                             label, exists(field, r, n, total=True)[0]])
+            want.append([field.value, str(r), str(rho + 3), str(rho), "infeasible"])
+    assert rows == want
+    assert polar == []
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(eitff.__path__)])

@@ -388,7 +388,7 @@ class TestBuild:
         for r, n in [(2, 4), (3, 3)]:
             frame = build_eitff(R, r, n)
             assert verify_eitff(frame).passed
-            assert clifford_system(frame).j is not None, (r, n)
+            assert clifford_system(frame).total, (r, n)
 
     @pytest.mark.parametrize("field,r,n", [(C, 1, 4), (C, 2, 6), (C, 4, 8), (R, 8, 10)])
     def test_totally_symmetric_infeasible_rejected(self, field, r, n):
@@ -398,22 +398,23 @@ class TestBuild:
         assert verify_eitff(frame).passed
         assert exists(field, r, n, total=True)[0] == "no"
         system = clifford_system(frame)
-        assert system.j is None
+        assert (system.total, system.j) == (False, None)
         assert system.witness(Permutation.transposition(n, 1, 2)) is None
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 12, 16])
+    @pytest.mark.parametrize("r", range(1, 17))
     def test_totally_symmetric_is_the_generic_code(self, r):
         # Wherever a totally symmetric code exists the generic one is
         # totally symmetric: its closed-form transposition witness certifies.
+        # Everywhere on the frontier the label `total` is whether J exists.
         for field in (R, C):
             for n in range(3, rho_number(field, r) + 3):
-                if exists(field, r, n, total=True)[0] == "no":
-                    continue
                 frame = build_eitff(field, r, n)
                 system = clifford_system(frame)
-                assert system.j is not None, (field, r, n)
-                cert = system.witness(Permutation.transposition(n, 1, n))
-                assert check_certificate(frame, cert) <= 1e-10, (field, r, n)
+                total = exists(field, r, n, total=True)[0] == "yes"
+                assert system.total == total == (system.j is not None), (field, r, n)
+                if total:
+                    cert = system.witness(Permutation.transposition(n, 1, n))
+                    assert check_certificate(frame, cert) <= 1e-10, (field, r, n)
 
     @pytest.mark.parametrize("field", [R, C])
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 8, 16, 32])

@@ -82,7 +82,7 @@ CONTAINERS = {
     ),
     "family": Container(
         (2, 2), lambda f, ms: RhoOrthonormalSeq(f, 2, ms), lambda c: c.array,
-        RhoOrthonormalSeq.stack, lambda c: c.mats, np.float64,
+        None, lambda c: c.mats, np.float64,
     ),
     "simplex": Container(
         (2, 2), lambda f, ms: RhoSimplex(f, 2, len(ms) + 1, ms), lambda c: c.blocks,
@@ -284,7 +284,7 @@ def dense_stack(field, r, kind):
     offdiag its relations use: a built family or unitary simplex with
     noise 1e-3, the family with two equal members, or with one NaN."""
     family = build_rho_orthonormal(field, r, rho_number(field, r))
-    stack, offdiag = family.stack(), 0.0
+    stack, offdiag = family.array, 0.0
     if kind == "simplex":
         simplex = rho_simplex_from_orthonormal(family)
         stack, offdiag = simplex.blocks.copy(), -2.0 / (simplex.n - 2)

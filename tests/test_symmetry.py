@@ -842,7 +842,7 @@ class TestProbe:
         for n in range(3, rho_number(field, r) + 3):
             frame = build_eitff(field, r, n)
             answer = exists(field, r, n, total=True)[0]
-            assert (clifford_system(frame).j is not None) == (answer == "yes"), (field, r, n, answer)
+            assert clifford_system(frame).total == (answer == "yes"), (field, r, n, answer)
             if r <= 8:
                 label = probe_symmetry(frame)[0]
                 assert (label == "total") == (answer == "yes"), (field, r, n, label, answer)
@@ -929,7 +929,7 @@ class TestNearCode:
         frame = near_code(221, 1e-11)
         n, p = frame.n, _projections(frame)
         system = clifford_system(frame)
-        assert (system.m, system.j is not None) == (n - 1, True)
+        assert (system.m, system.total) == (n - 1, True)
         j = system.j
         sigma = Permutation.transposition(n, 1, 2)
         upsilon = reflection_chain(p, sigma.transpositions(), j)
@@ -979,7 +979,7 @@ class TestCliffordSystem:
         assert all(max_abs(system.j @ e + e @ system.j) <= 1e-14 for e in want)
         gamma_sum = max_abs((2.0 * p - np.eye(d)).sum(axis=0))
         assert abs(2.0 * tightness_residual(frame) - gamma_sum) <= 1e-14
-        assert (system.m, system.j is not None) == (frame.n - 1, True)
+        assert (system.m, system.total) == (frame.n - 1, True)
 
     @pytest.mark.parametrize(
         "make", [lambda: near_code(221, 1e-6), lambda: random_subspace_frame(R, 4, 2, 4, seed=8)],
@@ -1028,10 +1028,26 @@ class TestCliffordSystem:
         want = ((n - 1) / n) ** 2 * np.einsum("ji,kl,ilac->jkac", psi, psi, x)
         assert max_abs(anti - want) <= 1e-13
 
+    @settings(max_examples=30, deadline=None)
+    @given(field=st.sampled_from([R, C]), r=st.integers(1, 8), n=st.integers(3, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pair_identity_on_random_subspaces(self, field, r, n, seed):
+        # The pair identity above needs no code: any two r-dimensional
+        # subspaces of F^{2r}, here the column spans of two random
+        # isometries, have ||X_il||_F = 4 sqrt(2) ||G_il* G_il - sigma^2 I||_F.
+        draw = random_orthogonal if field is R else random_unitary
+        phi_i, phi_l = draw(2 * r, seed)[:, :r], draw(2 * r, seed + 1)[:, :r]
+        eye = np.eye(2 * r)
+        gamma_i, gamma_l = (2.0 * p @ p.conj().T - eye for p in (phi_i, phi_l))
+        x = gamma_i @ gamma_l + gamma_l @ gamma_i + (2.0 / (n - 1)) * eye
+        g = phi_i.conj().T @ phi_l
+        pair = g.conj().T @ g - (n - 2) / (2.0 * (n - 1)) * np.eye(r)
+        assert abs(np.linalg.norm(x) - 4.0 * np.sqrt(2.0) * np.linalg.norm(pair)) <= 1e-12
+
     def test_witness_is_the_closed_form_of_the_transpositions(self):
         frame = build_eitff(R, 4, 6)
         system = clifford_system(frame)
-        assert system.j is None
+        assert (system.total, system.j) == (False, None)
         for sigma in [Permutation.transposition(6, 1, 2), Permutation.cycle(6, (1, 2, 3, 4))]:
             assert system.witness(sigma) is None
         sigma = Permutation.cycle(6, (2, 5, 3))
@@ -1066,7 +1082,7 @@ class TestCliffordSystem:
 
 def negated_code(field, r, n):
     """The code of the built family with one non-identity generator negated."""
-    stack = build_rho_orthonormal(field, r, n - 2).stack()
+    stack = build_rho_orthonormal(field, r, n - 2).array.copy()
     stack[1 if field is R else 0] *= -1
     seq = RhoOrthonormalSeq(field, r, stack)
     return frame_from_simplex(rho_simplex_from_orthonormal(seq))
@@ -1119,7 +1135,7 @@ class TestClosedFormOracle:
         assert all(oracle[n - 1 :])
         assert label == ("total" if total else "alternating")
         system = clifford_system(frame)
-        assert (system.m, system.j is not None) == (n - 1, total)
+        assert (system.m, system.total, system.j is not None) == (n - 1, total, total)
         assert total == (system.m % 2 == 0 or system.trace <= 1e-8)
         want = generators[: n - 1] if total else generators[n - 1 :]
         assert [cert.sigma for cert in certs] == want
@@ -1172,7 +1188,7 @@ class TestClosedFormOracle:
         # d = 64 and 128, past the oracle search's d <= 32 limit; R64 n=14
         # is the c = 2 case of `exists(..., total=True)`.
         frame = build_eitff(field, r, n)
-        assert (clifford_system(frame).j is not None) is total
+        assert clifford_system(frame).total is total
         sigma = Permutation.transposition(n, 1, n)
         cert = find_witness(frame, sigma)
         assert (cert is not None) is total
@@ -1191,7 +1207,7 @@ class TestBasisInvariance:
         q = random_orthogonal(2 * r, seed) if field is R else random_unitary(2 * r, seed)
         rotated = FusionFrame.from_arrays(field, q @ frame.arrays())
         system, system_rot = clifford_system(frame), clifford_system(rotated)
-        assert (system_rot.m, system_rot.j is not None) == (system.m, system.j is not None)
+        assert (system_rot.m, system_rot.total) == (system.m, system.total)
         assert abs(system_rot.trace - system.trace) <= 1e-8
         assert probe_symmetry(rotated)[0] == probe_symmetry(frame)[0]
 
