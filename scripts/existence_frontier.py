@@ -5,10 +5,13 @@ For each field and each r in the list, builds the optimal code at every
 feasible n (3 <= n <= rho_F(r) + 2), prints its verification residuals,
 the symmetry label its own Clifford system decides
 (`CliffordSystem.total`) and the decision `exists(..., total=True)`, and
-confirms that n = rho_F(r) + 3 is rejected.
+confirms that n = rho_F(r) + 3 is rejected.  After printing every row it
+exits 1 if any code fails verification or its label disagrees with
+`exists`.
 """
 
 import argparse
+import sys
 
 from eitff.errors import InfeasibleParametersError
 from eitff.frames import build_eitff, verify_eitff
@@ -39,19 +42,23 @@ def main() -> None:
     print(f"{'field':5} {'r':>4} {'n':>4} {'rho':>4} "
           f"{'tightness':>12} {'equiiso':>12} {'welch_gap':>12} "
           f"{'probed':>12} {'total_exists':>12}")
+    failed = []
     for field in fields:
         for r in rs:
             rho = rho_number(field, r)
             for n in range(3, rho + 3):
                 frame = build_eitff(field, r, n)
                 report = verify_eitff(frame)
-                label = "total" if clifford_system(frame).total else "alternating"
+                total = clifford_system(frame).total
+                answer = exists(field, r, n, total=True)[0]
+                if not report.passed or total != (answer == "yes"):
+                    failed.append(f"{field.value}{r} n={n}")
                 print(
                     f"{field.value:5} {r:>4} {n:>4} {rho:>4} "
                     f"{report.tightness_residual:>12.3e} "
                     f"{report.equiisoclinic_residual:>12.3e} "
                     f"{report.welch_gap:>12.3e} "
-                    f"{label:>12} {exists(field, r, n, total=True)[0]:>12}"
+                    f"{'total' if total else 'alternating':>12} {answer:>12}"
                 )
             try:
                 build_eitff(field, r, rho + 3)
@@ -59,6 +66,9 @@ def main() -> None:
             except InfeasibleParametersError:
                 print(f"{field.value:5} {r:>4} {rho + 3:>4} {rho:>4} "
                       f"{'infeasible':>12}")
+    if failed:
+        print(f"failed verification or disagreed with exists: {', '.join(failed)}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -177,26 +177,19 @@ def cmd_angles(args) -> int:
     return 0
 
 
-def _parse_perm_for(frame: FusionFrame, text: str) -> Permutation | None:
+def _parse_perm_for(frame: FusionFrame, text: str) -> Permutation:
     try:
         sigma = Permutation.parse(text)
     except InvalidInputError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return None
+        raise DomainError(str(exc)) from exc
     if sigma.n != frame.n:
-        print(
-            f"usage error: permutation has {sigma.n} points but frame has n={frame.n}",
-            file=sys.stderr,
-        )
-        return None
+        raise DomainError(f"permutation has {sigma.n} points but frame has n={frame.n}")
     return sigma
 
 
 def cmd_sym_witness(args) -> int:
     frame, _ = load_frame(args.frame)
     sigma = _parse_perm_for(frame, args.perm)
-    if sigma is None:
-        return 2
     system = clifford_system(frame, args.tol)
     cert = system.witness(sigma)
     if not system.accepts(cert):
@@ -213,8 +206,6 @@ def cmd_sym_check(args) -> int:
     frame, _ = load_frame(args.frame)
     perm_text, upsilon, _ = load_certificate(args.cert)
     sigma = _parse_perm_for(frame, perm_text)
-    if sigma is None:
-        return 2
     cert = SymmetryCertificate(sigma, upsilon, residual=0.0)
     residual = check_certificate(frame, cert)
     verdict = "pass" if residual <= args.tol else "fail"

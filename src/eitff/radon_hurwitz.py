@@ -3,13 +3,15 @@
 The Radon–Hurwitz number rho_F(r) is the largest m for which m unitaries
 C_1..C_m in F^{r x r} satisfy C_i* C_j + C_j* C_i = 0 for all i != j.
 This module computes rho_F(r) from the classical closed form and builds
-explicit families of every admissible length over both fields:
+explicit families of every admissible length over both fields, through
+one builder (`build_rho_orthonormal`) and its private steps:
 
-* complex families come from a doubling recursion that turns a maximal
-  family in C^{s x s} into one in C^{2s x 2s} with two extra members;
-* real families come from transcribed tensor-product generators for
-  sizes 2, 4, 8, 16 and an inflation step that trades size 16r for
-  eight extra members.
+* complex families come from a doubling recursion (`_double_complex`)
+  that turns a maximal family in C^{s x s} into one in C^{2s x 2s} with
+  two extra members;
+* real families come from transcribed tensor words for sizes 2, 4, 8, 16
+  (`_real_words`) and an inflation step that trades size 16r for eight
+  extra members (`_real_skew_tower`).
 
 Every half-dimension optimal code is built from such a family
 (`frames.build_eitff`), and this module holds the one rule (`exists`)
@@ -23,8 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleParametersError, InvalidInputError, ShapeError
-from .linalg import FieldTag, Mat, field_array, relation_residual, require_finite
+from .errors import DomainError, InfeasibleParametersError, InvalidInputError
+from .linalg import FieldTag, Mat, field_array, relation_residual
 
 
 @dataclass(frozen=True)
@@ -118,13 +120,10 @@ def rho_number(field: FieldTag, r: int) -> int:
     return 8 * dec.b + 2 * dec.c + 2
 
 
-def real_base_family(r: int) -> np.ndarray:
-    """Transcribed real anticommuting skew-symmetric unitaries, r in {2,4,8,16}.
-
-    The members are fixed tensor words in the base generators,
-    transcribed rather than computed; the count is rho_R(r) - 1.
-    Returned as one (rho_R(r) - 1, r, r) float64 stack.
-    """
+def _real_words(r: int) -> np.ndarray:
+    """The transcribed real anticommuting skew-symmetric unitaries of
+    size r in {2, 4, 8, 16}: rho_R(r) - 1 fixed tensor words in the base
+    generators, as one (rho_R(r) - 1, r, r) float64 stack."""
     I, M, T, R = GEN.I, GEN.M, GEN.T, GEN.R
     if r == 2:
         words = [(R,)]
@@ -140,7 +139,7 @@ def real_base_family(r: int) -> np.ndarray:
             (T, I, R),
             (R, I, I),
         ]
-    elif r == 16:
+    else:
         words = [
             (R, T, T, T),
             (T, R, T, M),
@@ -151,65 +150,39 @@ def real_base_family(r: int) -> np.ndarray:
             (M, T, R, M),
             (M, M, T, R),
         ]
-    else:
-        raise DomainError(f"no transcribed family for r={r}; supported: 2, 4, 8, 16")
     return np.stack([tensor(*word) for word in words])
 
 
-def inflate_real(stack: np.ndarray) -> np.ndarray:
-    """Trade m anticommuting skew unitaries of size r for m+8 of size 16r.
-
-    The input is an (m, r, r) stack; an empty (0, r, r) stack gives the
-    eight new members alone.  The new family is (R4 x C_i) for each input
-    member followed by (E_i x I_r) over the eight size-16 generators, R4
-    being the fourfold tensor power of R.
-    """
-    stack = np.asarray(stack)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise ShapeError(f"expected an (m, r, r) stack, got shape {stack.shape}")
-    require_finite(stack, "family")
-    size = stack.shape[-1]
-    if len(stack):
-        # [I, C_1, ..., C_m] satisfies the Radon–Hurwitz relations exactly
-        # when the C_i are anticommuting skew-Hermitian unitaries.
-        residual, (i, j) = relation_residual(np.concatenate([np.eye(size)[None], stack]), 0.0)
-        if not residual <= 1e-12:
-            if i == 1:
-                raise InvalidInputError(f"member {j - 1} is not skew-Hermitian")
-            if i == j:
-                raise InvalidInputError(f"member {i - 1} is not unitary")
-            raise InvalidInputError(f"members {i - 1} and {j - 1} do not anticommute")
-    r4 = tensor(GEN.R, GEN.R, GEN.R, GEN.R)
-    return np.concatenate([np.kron(r4, stack), np.kron(real_base_family(16), np.eye(size))])
-
-
 def _real_skew_tower(k: int) -> np.ndarray:
-    """Anticommuting skew unitaries of size 2^k, rho_R(2^k) - 1 of them."""
+    """Anticommuting skew unitaries of size 2^k, rho_R(2^k) - 1 of them.
+
+    Past 2^3 each step inflates the m members C_i of size s = 2^(k-4) to
+    m + 8 of size 16s: (R4 x C_i) for each, R4 being the fourfold tensor
+    power of R, followed by (E_j x I_s) over the eight words of size 16.
+    """
     if k == 0:
         return np.empty((0, 1, 1))
     if k <= 3:
-        return real_base_family(2**k)
-    return inflate_real(_real_skew_tower(k - 4))
-
-
-def skew_double(c: np.ndarray) -> np.ndarray:
-    """The skew-Hermitian doubling [[0, -C*], [C, 0]], in C's dtype; a
-    stack of matrices is doubled member by member."""
-    zero = np.zeros_like(c)
-    return np.block([[zero, -c.conj().swapaxes(-1, -2)], [c, zero]])
+        return _real_words(2**k)
+    stack = _real_skew_tower(k - 4)
+    r4 = tensor(GEN.R, GEN.R, GEN.R, GEN.R)
+    return np.concatenate([np.kron(r4, stack), np.kron(_real_words(16), np.eye(stack.shape[-1]))])
 
 
 def _double_complex(stack: np.ndarray) -> np.ndarray:
     """One doubling step for complex families.
 
-    Each member C becomes `skew_double(C)`, then i(M x I) and the
-    identity are appended, giving two more members at twice the size.
+    Each member C becomes the skew-Hermitian [[0, -C*], [C, 0]], then
+    i(M x I) and the identity are appended, giving two more members at
+    twice the size.
     """
     s = stack.shape[-1]
     diag = np.zeros((2 * s, 2 * s), dtype=np.complex128)
     diag[:s, :s] = 1j * np.eye(s)
     diag[s:, s:] = -1j * np.eye(s)
-    return np.concatenate([skew_double(stack), diag[None], np.eye(2 * s)[None]])
+    zero = np.zeros_like(stack)
+    doubled = np.block([[zero, -stack.conj().swapaxes(-1, -2)], [stack, zero]])
+    return np.concatenate([doubled, diag[None], np.eye(2 * s)[None]])
 
 
 def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
@@ -217,11 +190,13 @@ def build_rho_orthonormal(field: FieldTag, r: int, m: int) -> RhoOrthonormalSeq:
     Radon–Hurwitz equations, for any m up to rho_F(r).
 
     Over C the maximal family comes from doubling (i, 1) once per factor
-    of 2 in r and ends with the identity; truncation keeps the last m
-    members so the identity anchor survives.  Over R the identity comes
-    first, followed by the transcribed/inflated skew generators; here
-    truncation keeps the first m members for the same reason.  Odd
-    factors of r enter as an identity tensor factor on the left.
+    of 2 in r (`_double_complex`) and ends with the identity; truncation
+    keeps the last m members so the identity anchor survives.  Over R the
+    identity comes first, followed by the transcribed and inflated skew
+    generators (`_real_skew_tower`); here truncation keeps the first m
+    members for the same reason.  Odd factors of r enter as an identity
+    tensor factor on the left.  The steps have no input gate of their
+    own: `rho_simplex_from_orthonormal` checks the whole family exactly.
     """
     if m < 1:
         raise DomainError(f"family length must be >= 1, got {m}")

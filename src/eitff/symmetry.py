@@ -78,6 +78,8 @@ class Permutation:
     def cycle(cls, n: int, elements) -> "Permutation":
         """Cyclic permutation sending each listed element to the next."""
         elements = [int(e) for e in elements]
+        if len(set(elements)) != len(elements) or not all(1 <= e <= n for e in elements):
+            raise DomainError(f"cycle needs distinct elements in [1, {n}], got {tuple(elements)}")
         image = list(range(1, n + 1))
         for pos, e in enumerate(elements):
             image[e - 1] = elements[(pos + 1) % len(elements)]

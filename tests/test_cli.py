@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import eitff
-from eitff import cli, frame_io, symmetry
+from eitff import cli, frame_io, radon_hurwitz, symmetry
 from eitff.cli import main
 from eitff.errors import InvalidInputError
 from eitff.frame_io import (
@@ -836,6 +836,25 @@ class TestSym:
         assert code == 1
         assert "result=fail" in out
 
+    @pytest.mark.parametrize("command", ["witness", "check"])
+    @pytest.mark.parametrize(
+        "perm,message",
+        [("2 1 3", "permutation has 3 points but frame has n=4"),
+         ("(1 2)", "bad permutation string '(1 2)'"),
+         ("1 1 2 3", "not a permutation of [1, 4]: (1, 1, 2, 3)")],
+    )
+    def test_bad_perm_is_a_usage_error(self, capsys, frame_path, tmp_path, command, perm, message):
+        """A permutation given on the command line or stored in a
+        certificate that is not one of the frame's n points is a usage
+        error: exit 2, nothing on stdout, one line on stderr."""
+        if command == "witness":
+            argv = ["--perm", perm]
+        else:
+            save_certificate(str(tmp_path / "cert.json"), perm, np.eye(4), 0.0)
+            argv = ["--cert", str(tmp_path / "cert.json")]
+        code, out, err = run(capsys, "sym", command, str(frame_path), *argv)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
 
 class TestExists:
     def test_plain_existence(self, capsys):
@@ -1000,7 +1019,9 @@ def test_scripts_refuse_a_bad_field_letter_or_r(capsys, monkeypatch, rs, fields,
 def test_scan_rows_are_the_answers_for_each_code(capsys, monkeypatch):
     """Each row of the frontier scan is `verify_eitff`, the label of
     `CliffordSystem.total` and `exists(..., total=True)` for its code,
-    followed per r by the infeasible n = rho + 3; no J is formed."""
+    followed per r by the infeasible n = rho + 3; no J is formed.  When
+    `exists` disagrees with a label the scan still prints every row, then
+    exits 1 naming the rows."""
     polar = []
     monkeypatch.setattr(symmetry, "polar_unitary", polar.append)
     monkeypatch.setattr(sys, "argv", [SCAN.name, "--rs", "1,2", "--fields", "RC"])
@@ -1020,6 +1041,16 @@ def test_scan_rows_are_the_answers_for_each_code(capsys, monkeypatch):
             want.append([field.value, str(r), str(rho + 3), str(rho), "infeasible"])
     assert rows == want
     assert polar == []
+
+    monkeypatch.setattr(radon_hurwitz, "exists", lambda field, r, n, total=False: ("no", "flipped"))
+    with pytest.raises(SystemExit) as info:
+        runpy.run_path(str(SCAN), run_name="__main__")
+    out, err = capsys.readouterr()
+    flipped = [row[:-1] + ["no"] if len(row) > 5 else row for row in want]
+    assert [line.split() for line in out.splitlines()[1:]] == flipped
+    disagree = [f"{row[0]}{row[1]} n={row[2]}" for row in want if row[-1] == "yes"]
+    assert info.value.code == 1
+    assert err == f"failed verification or disagreed with exists: {', '.join(disagree)}\n"
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(eitff.__path__)])

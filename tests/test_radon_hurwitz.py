@@ -18,10 +18,7 @@ from eitff.radon_hurwitz import (
     build_rho_orthonormal,
     decompose_r,
     exists,
-    inflate_real,
-    real_base_family,
     rho_number,
-    skew_double,
     tensor,
     verify_rho_orthonormal,
 )
@@ -162,68 +159,58 @@ class TestBaseGenerators:
                 assert np.array_equal(gens[i] @ gens[j], -gens[j] @ gens[i])
 
 
-class TestRealBaseFamily:
+def real_skew_members(r):
+    """The members after the identity of the maximal real family."""
+    return build_rho_orthonormal(R, r, rho_number(R, r)).array[1:]
+
+
+class TestRealWords:
+    """At r in {2, 4, 8, 16} the maximal real family is the identity
+    followed by the transcribed skew tensor words."""
+
     @pytest.mark.parametrize("r", [2, 4, 8, 16])
     def test_count_and_relations(self, r):
-        fam = real_base_family(r)
+        fam = real_skew_members(r)
         assert fam.shape == (rho_number(R, r) - 1, r, r)
         assert fam.dtype == np.float64
         assert max_abs(fam + fam.swapaxes(1, 2)) == 0.0
-        assert relation_residual(with_identity(fam), 0.0)[0] <= 1e-12
+        assert relation_residual(with_identity(fam), 0.0)[0] == 0.0
 
     def test_first_members(self):
-        assert max_abs(real_base_family(2)[0] - GEN.R) == 0.0
-        assert max_abs(real_base_family(4)[0] - tensor(GEN.I, GEN.R)) == 0.0
+        assert max_abs(real_skew_members(2)[0] - GEN.R) == 0.0
+        assert max_abs(real_skew_members(4)[0] - tensor(GEN.I, GEN.R)) == 0.0
         expected16 = tensor(GEN.R, GEN.T, GEN.T, GEN.T)
-        assert max_abs(real_base_family(16)[0] - expected16) == 0.0
-
-    def test_unsupported_size(self):
-        with pytest.raises(DomainError):
-            real_base_family(3)
-        with pytest.raises(DomainError):
-            real_base_family(32)
+        assert max_abs(real_skew_members(16)[0] - expected16) == 0.0
 
 
-class TestInflateReal:
+R4 = tensor(GEN.R, GEN.R, GEN.R, GEN.R)
+
+
+class TestRealInflation:
+    """Past r = 8 the real family inflates m skew members C_i of size s to
+    m + 8 of size 16s: (R4 x C_i), then (E_j x I_s) over the r = 16 words."""
+
     def test_single_seed_gives_nine(self):
-        out = inflate_real(GEN.R[None])
-        assert out.shape == (9, 32, 32)
-        assert relation_residual(with_identity(out), 0.0)[0] <= 1e-12
+        seq = build_rho_orthonormal(R, 32, 10)
+        want = np.concatenate([np.kron(R4, GEN.R[None]), np.kron(real_skew_members(16), np.eye(2))])
+        assert np.array_equal(seq.array[1:], want)
+        assert verify_rho_orthonormal(seq) == 0.0
 
     def test_empty_input_reproduces_base(self):
-        # The empty (0, size, size) stack carries the size.
-        for size in (1, 3):
-            out = inflate_real(np.empty((0, size, size)))
-            assert out.shape == (8, 16 * size, 16 * size)
-            assert max_abs(out - np.kron(real_base_family(16), np.eye(size))) == 0.0
+        # Inflating the empty stack of size 1 gives the eight words alone.
+        M, T, Rg = GEN.M, GEN.T, GEN.R
+        words = [(Rg, T, T, T), (T, Rg, T, M), (T, M, Rg, T), (T, T, M, Rg),
+                 (Rg, M, M, M), (M, Rg, M, T), (M, T, Rg, M), (M, M, T, Rg)]
+        seq = build_rho_orthonormal(R, 16, 9)
+        assert np.array_equal(seq.array, np.stack([np.eye(16)] + [tensor(*w) for w in words]))
+        assert verify_rho_orthonormal(seq) == 0.0
 
     def test_double_inflation(self):
-        out = inflate_real(inflate_real(GEN.R[None]))
-        assert out.shape == (17, 512, 512)
-        assert len(out) == rho_number(R, 512) - 1
-        assert relation_residual(with_identity(out), 0.0)[0] <= 1e-12
-
-    def test_rejects_non_skew_input(self):
-        with pytest.raises(InvalidInputError, match="member 1 is not skew-Hermitian"):
-            inflate_real(GEN.M[None])
-
-    def test_rejects_non_anticommuting_input(self):
-        a = tensor(GEN.R, GEN.I)
-        b = tensor(GEN.R, GEN.M)
-        # a and b commute: both words share the R factor in slot one.
-        with pytest.raises(InvalidInputError, match="members 1 and 2 do not anticommute"):
-            inflate_real(np.stack([a, b]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_input(self, bad):
-        stack = GEN.R[None].copy()
-        stack[0, 0, 0] = bad
-        with pytest.raises(InvalidInputError, match="must be finite"):
-            inflate_real(stack)
-
-    def test_rejects_non_stack(self):
-        with pytest.raises(ShapeError):
-            inflate_real(GEN.R)
+        seq = build_rho_orthonormal(R, 512, rho_number(R, 512))
+        assert seq.array.shape == (18, 512, 512)
+        want = np.concatenate([np.kron(R4, real_skew_members(32)), np.kron(real_skew_members(16), np.eye(32))])
+        assert np.array_equal(seq.array[1:], want)
+        assert verify_rho_orthonormal(seq) == 0.0
 
 
 class TestBuildRhoOrthonormal:
@@ -432,36 +419,17 @@ class TestRelationKernel:
         assert np.isnan(residual)
         assert pair == (1, 2)
 
-    def test_inflate_names_equal_members(self):
-        fam = real_base_family(8)
-        with pytest.raises(InvalidInputError, match=r"members 2 and 5 do not anticommute"):
-            inflate_real(fam[[0, 1, 2, 3, 1]])
+    def test_relation_residual_names_equal_members(self):
+        # Members 2 and 5 of the skew words are equal, so the pair
+        # (3, 6) of [I, C_1, ..., C_5] reads 2 C_2* C_2 = 2 I.
+        fam = real_skew_members(8)[[0, 1, 2, 3, 1]]
+        assert relation_residual(with_identity(fam), 0.0) == (2.0, (3, 6))
 
-    def test_inflate_names_non_unitary_member(self):
-        fam = real_base_family(4)
+    def test_relation_residual_names_non_unitary_member(self):
+        # Doubling skew member 2 gives C_2* C_2 = 4 I at the pair (3, 3).
+        fam = real_skew_members(4).copy()
         fam[1] *= 2.0
-        with pytest.raises(InvalidInputError, match=r"member 2 is not unitary"):
-            inflate_real(fam)
-
-
-class TestSkewDouble:
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_block_form_and_dtype(self, dtype):
-        rng = np.random.default_rng(3)
-        c = rng.standard_normal((3, 3)).astype(dtype)
-        if dtype is np.complex128:
-            c = c + 1j * rng.standard_normal((3, 3))
-        w = skew_double(c)
-        assert w.dtype == dtype
-        assert np.array_equal(w[3:, :3], c)
-        assert np.array_equal(w[:3, 3:], -c.conj().T)
-        assert not w[:3, :3].any() and not w[3:, 3:].any()
-        assert np.array_equal(w.conj().T, -w)
-
-    def test_stack_doubles_member_by_member(self):
-        stack = build_rho_orthonormal(C, 2, 4).array
-        want = np.stack([skew_double(c) for c in stack])
-        assert np.array_equal(skew_double(stack), want)
+        assert relation_residual(with_identity(fam), 0.0) == (3.0, (3, 3))
 
 
 class TestTotallySymmetricExists:

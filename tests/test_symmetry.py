@@ -77,6 +77,15 @@ class TestPermutation:
         sigma = Permutation.cycle(4, (1, 2, 3))
         assert sigma.image == (2, 3, 1, 4)
 
+    @pytest.mark.parametrize(
+        "n,elements", [(3, (1, 2, 7)), (3, (0, 1, 2)), (4, (1, 1, 2))], ids=["above-n", "zero", "repeated"]
+    )
+    def test_cycle_refuses_bad_elements(self, n, elements):
+        """An element outside [1, n], or one listed twice, is refused as
+        `transposition` refuses it, not read as an index or a shorter cycle."""
+        with pytest.raises(DomainError, match=rf"cycle needs distinct elements in \[1, {n}\]"):
+            Permutation.cycle(n, elements)
+
     def test_compose_order(self):
         t12 = Permutation.transposition(3, 1, 2)
         t23 = Permutation.transposition(3, 2, 3)
