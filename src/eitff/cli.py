@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("frame")
     p_witness.add_argument("--perm", required=True, help='one-line notation, e.g. "2 1 3 4"')
     p_witness.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    p_witness.add_argument("--out", default=None, help="write the certificate as JSON")
+    p_witness.add_argument("--out", default=None, help="write the certificate as JSON to a file")
     p_witness.set_defaults(func=cmd_sym_witness)
 
     p_check = sym_sub.add_parser("check", help="re-measure a stored certificate")
@@ -188,6 +188,8 @@ def _parse_perm_for(frame: FusionFrame, text: str) -> Permutation:
 
 
 def cmd_sym_witness(args) -> int:
+    if args.out == "-":
+        raise DomainError("sym witness --out needs a file: stdout carries the witness line")
     frame, _ = load_frame(args.frame)
     sigma = _parse_perm_for(frame, args.perm)
     system = clifford_system(frame, args.tol)

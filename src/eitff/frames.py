@@ -16,7 +16,8 @@ families, reduces an arbitrary frame to it, or measures how far a frame
 is from optimality.  A check (`verify_eitff`, `principal_angles`) reads
 S* S one panel of a block row at a time, each at most
 `linalg._PANEL_BYTES` (4 MiB), so it holds S plus a few buffers of that
-size at every n and r.
+size at every n and r.  Bases are completed one way, by a closed-form
+Schreiber-Parlett block reflector (`_complement_rows`), never a complete QR.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .simplex import RhoSimplex, rho_simplex_from_orthonormal
 # Cross-Gram pairs whose smallest singular value exceeds this are treated
 # as coming from identical subspaces.
 _IDENTICAL_SUBSPACE_TOL = 1e-8
+
+# The tolerance to which a frame must verify, or be tight, to be completed.
+_COMPLETION_TOL = 1e-8
 
 
 def _weyl_screen(r: int, sigma2: float) -> float:
@@ -129,18 +133,6 @@ class FusionFrame:
 
 
 @dataclass(frozen=True)
-class EitffParams:
-    """Scalars of the canonical form: alpha = sqrt((n-2)/(2n-2)),
-    beta = sqrt(n/(2n-2)); sigma (the common cross-Gram singular value)
-    equals alpha."""
-
-    n: int
-    alpha: float
-    beta: float
-    sigma: float
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Residuals of every optimality property, measured at `tolerance`."""
 
@@ -165,25 +157,25 @@ class VerificationReport:
         return all(res <= self.tolerance for res in residuals) and self.gerzon_ok
 
 
-def eitff_params(n: int) -> EitffParams:
+def eitff_params(n: int) -> tuple[float, float]:
+    """(alpha, beta) of the canonical form: alpha = sqrt((n-2)/(2n-2)) equals
+    sigma, the common cross-Gram singular value, and beta = sqrt(n/(2n-2))."""
     if n < 3:
         raise DomainError(f"canonical form needs n >= 3, got {n}")
-    alpha = math.sqrt((n - 2) / (2 * n - 2))
-    beta = math.sqrt(n / (2 * n - 2))
-    return EitffParams(n=n, alpha=alpha, beta=beta, sigma=alpha)
+    return math.sqrt((n - 2) / (2 * n - 2)), math.sqrt(n / (2 * n - 2))
 
 
 def frame_from_simplex(s: RhoSimplex) -> FusionFrame:
     """Assemble the canonical synthesis operator
     [alpha I ... alpha I  I; beta B_1 ... beta B_{n-1}  0], written in
     place into the array the frame keeps."""
-    p = eitff_params(s.n)
+    alpha, beta = eitff_params(s.n)
     r, n = s.r, s.n
     synthesis = np.zeros((2 * r, n * r), dtype=s.blocks.dtype)
     top, bottom = _blocks(synthesis[:r], n), _blocks(synthesis[r:], n)
-    top[:-1] = p.alpha * np.eye(r)
+    top[:-1] = alpha * np.eye(r)
     top[-1] = np.eye(r)
-    np.multiply(s.blocks, p.beta, out=bottom[:-1])
+    np.multiply(s.blocks, beta, out=bottom[:-1])
     return FusionFrame._adopt(s.field, r, synthesis)
 
 
@@ -203,42 +195,49 @@ def build_eitff(field: FieldTag, r: int, n: int) -> FusionFrame:
     return frame_from_simplex(rho_simplex_from_orthonormal(build_rho_orthonormal(field, r, n - 2)))
 
 
-def _complete_unitary(cols: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary, keeping them first.
+def _complement_rows(w: np.ndarray) -> np.ndarray:
+    """Orthonormal rows K, (k - p) x k, with K w = 0, for a k x p isometry w.
 
-    The new columns come from a complete QR of the input; an input of
-    standard basis vectors completes to the exact identity.
+    With the SVD u s v* of w's top p x p block and x = -w[p:] v u*, K is
+    [x, I - x (I + u s u*)^-1 x*], the last rows of the Schreiber-Parlett
+    block reflector whose first columns are w (-v u*); no k x k unitary is
+    formed.  I + u s u* >= I, so the inverse is well conditioned for every
+    isometry, and w = [I; 0] gives exactly [0, I].
     """
-    q = np.linalg.qr(cols, mode="complete")[0]
-    q[:, : cols.shape[1]] = cols
-    return q
+    k, p = w.shape
+    u, s, vh = np.linalg.svd(w[:p])
+    y = w[p:] @ vh.conj().T  # x = -y u*, and x (I + u s u*)^-1 x* = y (I + s)^-1 y*
+    rows = np.empty((k - p, k), w.dtype)
+    np.matmul(y, -u.conj().T, out=rows[:, :p])
+    y /= np.sqrt(1.0 + s)
+    _less_diagonal(np.matmul(-y, y.conj().T, out=rows[:, p:])[None], -1.0)
+    return rows
 
 
-def canonicalize(frame: FusionFrame, tol: float = 1e-8):
+def canonicalize(frame: FusionFrame):
     """Reduce a verified optimal frame with d = 2r to canonical form.
 
     Returns the equivalent frame in the [alpha I; beta B_i] / [I; 0]
     shape together with the extracted unitary simplex.  The procedure:
-    rotate so the last subspace becomes the top coordinate block, then
-    peel the per-subspace unitaries off the top blocks.
+    rotate by [Phi_n*; K], K the block-reflector complement of Phi_n, so
+    the last subspace becomes the top coordinate block, then peel the
+    per-subspace unitaries off the top blocks Phi_n* Phi_i.
     """
     if frame.d != 2 * frame.r:
         raise DomainError(
             f"canonical form needs d = 2r, got d={frame.d}, r={frame.r}"
         )
-    report = verify_eitff(frame, tol)
+    report = verify_eitff(frame, _COMPLETION_TOL)
     if not report.passed:
         raise InvalidInputError(
             "frame does not verify as an optimal code at tolerance "
-            f"{tol} (tightness {report.tightness_residual:.2e}, "
+            f"{_COMPLETION_TOL} (tightness {report.tightness_residual:.2e}, "
             f"equi-isoclinic {report.equiisoclinic_residual:.2e})"
         )
-    r, p = frame.r, eitff_params(frame.n)
-    stack = frame.array
-    omegas = _complete_unitary(stack[-1]).conj().T @ stack[:-1]
-    z = omegas[:, :r] / p.alpha
-    blocks = (omegas[:, r:] @ z.conj().swapaxes(1, 2)) / p.beta
-    simplex = RhoSimplex(frame.field, r, frame.n, blocks)
+    (alpha, beta), stack = eitff_params(frame.n), frame.array
+    z = stack[-1].conj().T @ stack[:-1] / alpha
+    blocks = (_complement_rows(stack[-1]) @ stack[:-1] @ z.conj().swapaxes(1, 2)) / beta
+    simplex = RhoSimplex(frame.field, frame.r, frame.n, blocks)
     return frame_from_simplex(simplex), simplex
 
 
@@ -402,26 +401,25 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
 def naimark_complement(frame: FusionFrame) -> FusionFrame:
     """Companion tight frame in dimension nr - d.
 
-    For a tight frame the columns of sqrt(d/nr) S*, S = [Phi_1 ... Phi_n]
-    the synthesis operator, are orthonormal.  Their orthogonal completion
-    (`_complete_unitary`) supplies nr - d further columns Q, and
-    T = sqrt(nr/(nr-d)) Q* has T* T = (nr/(nr-d)) (I - (d/nr) S* S).  The
-    n r-column blocks of T are isometries whose cross-Grams are the
-    original ones scaled by -d/(nr-d).  The complement is unique up to a
-    left unitary.
+    For a tight frame the columns of W = sqrt(d/nr) S*, S = [Phi_1 ... Phi_n]
+    the synthesis operator, are orthonormal.  The block reflector gives
+    nr - d orthonormal rows K with K W = 0 (`_complement_rows`), and the
+    complement's synthesis operator S' = sqrt(nr/(nr-d)) K, kept without a
+    copy, has S'* S' = (nr/(nr-d)) (I - (d/nr) S* S).  Its n r-column
+    blocks are isometries whose cross-Grams are the original ones scaled
+    by -d/(nr-d).  The complement is unique up to a left unitary.
     """
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
     tight = tightness_residual(frame)
-    if not tight <= 1e-8:
+    if not tight <= _COMPLETION_TOL:
         raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
     cols = math.sqrt(d / (n * r)) * frame.synthesis.T
     np.conjugate(cols, out=cols)
-    # T* = conj(Q[:, d:]); over C the full Q is freed before the blocks are copied.
-    tilde_h = _complete_unitary(cols)[:, d:].conj()
-    tilde_h *= math.sqrt(n * r / (n * r - d))
-    return FusionFrame.from_arrays(frame.field, tilde_h.reshape(n, r, -1).swapaxes(1, 2))
+    synthesis = _complement_rows(cols)
+    synthesis *= math.sqrt(n * r / (n * r - d))
+    return FusionFrame._adopt(frame.field, r, synthesis)
 
 
 def _refit(stacked: np.ndarray, y: np.ndarray) -> np.ndarray:

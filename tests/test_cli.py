@@ -691,6 +691,15 @@ class TestSym:
         assert code == 0
         assert "result=pass" in out
 
+    @pytest.mark.parametrize("frame", ["code", "missing"])
+    def test_witness_to_stdout_is_a_usage_error(self, capsys, frame_path, tmp_path, frame):
+        """stdout carries the witness line, so `--out -` is refused (exit 2,
+        nothing on stdout) before the frame file is read."""
+        path = frame_path if frame == "code" else tmp_path / "missing.json"
+        code, out, err = run(capsys, "sym", "witness", str(path), "--perm", "1 3 2 4", "--out", "-")
+        assert (code, out) == (2, "")
+        assert err == "usage error: sym witness --out needs a file: stdout carries the witness line\n"
+
     def test_witness_none(self, capsys, tmp_path):
         path = tmp_path / "etf.json"
         save_frame(build_eitff(FieldTag.COMPLEX, 1, 4), str(path))

@@ -9,6 +9,7 @@ from eitff import linalg
 from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputError
 from eitff.frames import (
     _OMP_TIE_RTOL,
+    _complement_rows,
     FusionFrame,
     block_omp_recover,
     build_eitff,
@@ -300,15 +301,14 @@ class TestPanels:
 
 class TestParams:
     def test_n4(self):
-        p = eitff_params(4)
-        assert abs(p.alpha - 1 / math.sqrt(3)) <= 1e-15
-        assert abs(p.beta - math.sqrt(2) / math.sqrt(3)) <= 1e-15
-        assert p.sigma == p.alpha
+        alpha, beta = eitff_params(4)
+        assert abs(alpha - 1 / math.sqrt(3)) <= 1e-15
+        assert abs(beta - math.sqrt(2) / math.sqrt(3)) <= 1e-15
 
     def test_n3(self):
-        p = eitff_params(3)
-        assert abs(p.alpha - 0.5) <= 1e-15
-        assert abs(p.beta - math.sqrt(3) / 2) <= 1e-15
+        alpha, beta = eitff_params(3)
+        assert abs(alpha - 0.5) <= 1e-15
+        assert abs(beta - math.sqrt(3) / 2) <= 1e-15
 
     def test_rejects_small_n(self):
         with pytest.raises(DomainError):
@@ -316,8 +316,8 @@ class TestParams:
 
     @given(st.integers(min_value=3, max_value=500))
     def test_pythagorean_identity(self, n):
-        p = eitff_params(n)
-        assert abs(p.alpha**2 + p.beta**2 - 1.0) <= 1e-15
+        alpha, beta = eitff_params(n)
+        assert abs(alpha**2 + beta**2 - 1.0) <= 1e-15
 
 
 class TestBuild:
@@ -428,15 +428,29 @@ class TestBuild:
             assert report.passed
 
 
+def complete_qr_unitary(cols):
+    """Oracle completion of orthonormal columns to a unitary, keeping them
+    first: the other columns come from a complete QR."""
+    q = np.linalg.qr(cols, mode="complete")[0]
+    q[:, : cols.shape[1]] = cols
+    return q
+
+
+def projections(frame):
+    """The (n, d, d) stack of Pi_i = Phi_i Phi_i*."""
+    return frame.array @ frame.array.conj().swapaxes(1, 2)
+
+
 class TestCanonicalize:
-    def test_canonical_input_unchanged(self, example_frame):
-        canon, simplex = canonicalize(example_frame)
-        for a, b in zip(example_frame.arrays(), canon.arrays()):
-            assert max_abs(a - b) <= 1e-12
-        p = eitff_params(4)
-        assert simplex.blocks.shape == (3, 2, 2)
-        for phi, b in zip(example_frame.arrays(), simplex.blocks):
-            assert max_abs(phi[2:] / p.beta - b) <= 1e-12
+    @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (R, 4, 6), (C, 4, 8), (R, 8, 10)])
+    def test_canonical_input_unchanged(self, field, r, n):
+        frame = build_eitff(field, r, n)
+        canon, simplex = canonicalize(frame)
+        assert max_abs(canon.synthesis - frame.synthesis) <= 1e-12
+        _, beta = eitff_params(n)
+        assert simplex.blocks.shape == (n - 1, r, r)
+        for phi, b in zip(frame.arrays(), simplex.blocks):
+            assert max_abs(phi[r:] / beta - b) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rotated_frame_recovers_canonical_form(self, example_frame, seed):
@@ -450,21 +464,23 @@ class TestCanonicalize:
         canon, simplex = canonicalize(frame)
         assert verify_eitff(canon, 1e-9).passed
         assert verify_rho_simplex(simplex) <= 1e-9
-        p = eitff_params(4)
+        alpha, _ = eitff_params(4)
         for phi in canon.arrays()[:-1]:
-            assert max_abs(phi[:2] - p.alpha * np.eye(2)) <= 1e-12
+            assert max_abs(phi[:2] - alpha * np.eye(2)) <= 1e-12
 
-    def test_canonical_frame_is_equivalent_to_input(self, example_frame):
-        from eitff.frames import _complete_unitary
-
-        q = random_orthogonal(4, seed=21)
-        frame = FusionFrame.from_arrays(R, [q @ p for p in example_frame.arrays()])
+    @pytest.mark.parametrize("field,r,n,seed", [(R, 2, 4, 21), (C, 4, 8, 22)])
+    def test_canonical_frame_is_equivalent_to_input(self, field, r, n, seed):
+        """The complete-QR unitary U = [Phi_n, Q_2] maps the canonical
+        frame onto the input up to a unitary M on the bottom r coordinates,
+        read off member 1's projection: U diag(I, M*) Pi'_i diag(I, M) U* = Pi_i."""
+        frame = rotated(build_eitff(field, r, n), seed)
         canon, _ = canonicalize(frame)
-        ups = _complete_unitary(frame.arrays()[-1])
-        for orig, new in zip(frame.arrays(), canon.arrays()):
-            pi_orig = orig @ orig.conj().T
-            pi_new = new @ new.conj().T
-            assert max_abs(ups @ pi_new @ ups.conj().T - pi_orig) <= 1e-12
+        ups = complete_qr_unitary(frame.array[-1])
+        pi_orig, pi_new = projections(frame), projections(canon)
+        m_adj = np.linalg.solve(pi_new[0, :r, r:], (ups.conj().T @ pi_orig[0] @ ups)[:r, r:])
+        assert max_abs(m_adj.conj().T @ m_adj - np.eye(r)) <= 1e-12
+        rot = ups @ np.block([[np.eye(r), np.zeros((r, r))], [np.zeros((r, r)), m_adj.conj().T]])
+        assert max_abs(rot @ pi_new @ rot.conj().T - pi_orig) <= 1e-12
 
     def test_complex_frame_roundtrip(self):
         frame = build_eitff(C, 2, 6)
@@ -725,15 +741,6 @@ def fusion_gram(frame):
     return synth.conj().T @ synth
 
 
-def rotated(frame, seed):
-    """The frame after a random orthogonal / unitary change of basis."""
-    if frame.field is R:
-        u = random_orthogonal(frame.d, seed)
-    else:
-        u = random_unitary(frame.d, seed)
-    return FusionFrame.from_arrays(frame.field, [u @ a for a in frame.arrays()])
-
-
 class TestNaimark:
     @pytest.mark.parametrize(
         "field,r,n,rotate",
@@ -814,6 +821,50 @@ class TestNaimark:
         frame = orthogonal_blocks_frame(R, 2, 3)
         with pytest.raises(DomainError):
             naimark_complement(frame)
+
+    def test_peak_holds_no_nr_by_nr_unitary(self):
+        # S' (36 MiB at R128 n=18) is written once, beside W = sqrt(d/nr) S*
+        # and two (nr - d) x d buffers: the traced peak reads 49.5 MiB.  A
+        # complete QR, which formed the whole nr x nr unitary, read 85.6.
+        assert traced_peak(naimark_complement, build_eitff(R, 128, 18)) <= 55 * 2**20
+
+
+def random_isometry(field, k, p, seed, zero_top_row):
+    """A k x p isometry from the QR of a Gaussian matrix; with
+    `zero_top_row`, its first row, and so its top p x p block, is singular."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, p))
+    if field is C:
+        a = a + 1j * rng.standard_normal((k, p))
+    if zero_top_row:
+        a[0] = 0.0
+    return np.linalg.qr(a)[0]
+
+
+class TestComplementRows:
+    """The block reflector's complement: orthonormal rows K with K w = 0."""
+
+    @given(
+        field=st.sampled_from([R, C]),
+        k=st.integers(min_value=2, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        zero_top_row=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_an_orthonormal_complement(self, field, k, seed, zero_top_row, data):
+        p = data.draw(st.integers(min_value=1, max_value=k - 1))
+        w = random_isometry(field, k, p, seed, zero_top_row)
+        rows = _complement_rows(w)
+        assert rows.shape == (k - p, k) and rows.dtype == w.dtype
+        assert np.linalg.norm(rows @ w, 2) <= 1e-13
+        assert np.linalg.norm(rows @ rows.conj().T - np.eye(k - p), 2) <= 1e-13
+
+    @pytest.mark.parametrize("field", [R, C])
+    @pytest.mark.parametrize("k,p", [(2, 1), (4, 2), (7, 3), (40, 20)])
+    def test_standard_columns_give_the_standard_rows_exactly(self, field, k, p):
+        w = np.eye(k, p, dtype=field.dtype)
+        assert np.array_equal(_complement_rows(w), np.eye(k - p, k, p))
 
 
 def check_omp_against_lstsq(frame, y, k, result):

@@ -150,13 +150,13 @@ def block_transposition_matrix(blocks, j, k):
     B_1 ... B_{n-1} = `blocks`: alpha * blkdiag(B_j - B_k, B_k - B_j) for
     k < n, [[alpha B_j, beta I], [-beta I, -alpha B_j]] for k = n."""
     n = len(blocks) + 1
-    p = eitff_params(n)
+    alpha, beta = eitff_params(n)
     if k < n:
         diff = blocks[j - 1] - blocks[k - 1]
         zero = np.zeros_like(diff)
-        return np.block([[p.alpha * diff, zero], [zero, -p.alpha * diff]])
+        return np.block([[alpha * diff, zero], [zero, -alpha * diff]])
     bj, eye = blocks[j - 1], np.eye(len(blocks[j - 1]))
-    return np.block([[p.alpha * bj, p.beta * eye], [-p.beta * eye, -p.alpha * bj]])
+    return np.block([[alpha * bj, beta * eye], [-beta * eye, -alpha * bj]])
 
 
 def block_swap_defect(frame):
@@ -225,7 +225,7 @@ def permutation_matrix_alternating(frame, t1, t2):
     """Reference alternating witness: the doubled transposition witnesses
     conjugated by a dense (1, 4, 2, 3) block-permutation matrix."""
     n, rhat = frame.n, frame.r
-    beta = eitff_params(n).beta
+    _, beta = eitff_params(n)
     doubled = []
     for a in frame.arrays()[:-1]:
         bhat = a[rhat:] / beta
