@@ -194,13 +194,14 @@ def cmd_sym_witness(args) -> int:
     sigma = _parse_perm_for(frame, args.perm)
     system = clifford_system(frame, args.tol)
     cert = system.witness(sigma)
-    if not system.accepts(cert):
+    residual = None if cert is None else system.residual(cert)
+    if residual is None or not residual <= system.tol:
         # No witness at all is a proof, noted as such.
         print("witness=none" + (_closed_form_note(system) if cert is None else ""))
         return 0
-    print(f"witness=found residual={cert.residual:.6e}")
     if args.out:
-        save_certificate(args.out, cert.sigma.to_one_line(), cert.upsilon, cert.residual)
+        save_certificate(args.out, cert.sigma.to_one_line(), cert.upsilon, residual)
+    print(f"witness=found residual={residual:.6e}")
     return 0
 
 
@@ -208,8 +209,7 @@ def cmd_sym_check(args) -> int:
     frame, _ = load_frame(args.frame)
     perm_text, upsilon, _ = load_certificate(args.cert)
     sigma = _parse_perm_for(frame, perm_text)
-    cert = SymmetryCertificate(sigma, upsilon, residual=0.0)
-    residual = check_certificate(frame, cert)
+    residual = check_certificate(frame, SymmetryCertificate(sigma, upsilon))
     verdict = "pass" if residual <= args.tol else "fail"
     print(f"residual={residual:.6e} result={verdict}")
     return 0 if verdict == "pass" else 1

@@ -14,12 +14,14 @@ V_ab Pi_i V_ab = I - Pi_(a b)(i).  A product of two transpositions of
 any code is witnessed by -V_ab V_cd, and a transposition by J V_ab for
 any unitary J with J Pi_i J* = I - Pi_i (S, the swap of the two
 r-blocks, on skew codes); `_closed_witness` is the one builder of both.
+A certificate is (sigma, Upsilon) alone: its residual is measured where
+it is read, by `check_certificate` or `CliffordSystem.residual`.
 
 Only codes are answered.  `clifford_system` forms a code's Clifford
 system once and returns one `CliffordSystem`: the projection stack, m,
-omega, the label `total`, J (or None) and the rule `accepts` for a found
-witness, from which `find_witness`, `probe_symmetry`, the CLI and the
-frontier scan read every answer; `total` (m even or tr omega = 0) is
+omega, the label `total`, J (or None) and the `residual` of a
+certificate, from which `find_witness`, `probe_symmetry`, the CLI and
+the frontier scan read every answer; `total` (m even or tr omega = 0) is
 the one place the rule lives, and a frame that is not a code with
 d = 2r is refused.  Its gate needs
 no stack of Gamma_i = 2 Pi_i - I: sum_i Gamma_i = 2 (S S* - (n/2) I),
@@ -128,12 +130,11 @@ class Permutation:
 @dataclass(frozen=True)
 class SymmetryCertificate:
     """A permutation together with a unitary witnessing it (a d x d array
-    whose dtype gives its field), plus the measured conjugation residual
-    against the target frame."""
+    whose dtype gives its field).  It holds no residual: `check_certificate`
+    or `CliffordSystem.residual` measures it against a frame."""
 
     sigma: Permutation
     upsilon: np.ndarray
-    residual: float
 
 
 def _projections(frame: FusionFrame) -> np.ndarray:
@@ -147,7 +148,14 @@ def _conjugation_residual(
 ) -> float:
     """Largest entry of Upsilon Pi_i Upsilon* - Pi_sigma(i) over all i,
     formed one panel of subspaces at a time (`panel_blocks`); a NaN in
-    any panel reads as NaN."""
+    any panel reads as NaN.  A sigma or Upsilon of another size is refused
+    with `ShapeError`, a non-finite Upsilon with `InvalidInputError`."""
+    n, d = projections.shape[:2]
+    if sigma.n != n:
+        raise ShapeError(f"certificate permutes [1, {sigma.n}] but frame has n={n}")
+    if upsilon.shape != (d, d):
+        raise ShapeError(f"witness must be {d}x{d}, got {upsilon.shape}")
+    require_finite(upsilon, "witness")
     targets, adjoint = np.array(sigma.image) - 1, upsilon.conj().T
     step, worst = panel_blocks(projections[0].nbytes), 0.0
     for lo in range(0, len(projections), step):
@@ -158,16 +166,7 @@ def _conjugation_residual(
 
 
 def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
-    """Worst-case residual of Upsilon Pi_i Upsilon* = Pi_{sigma(i)}."""
-    if cert.sigma.n != frame.n:
-        raise ShapeError(
-            f"certificate permutes [1, {cert.sigma.n}] but frame has n={frame.n}"
-        )
-    if cert.upsilon.shape != (frame.d, frame.d):
-        raise ShapeError(
-            f"witness must be {frame.d}x{frame.d}, got {cert.upsilon.shape}"
-        )
-    require_finite(cert.upsilon, "witness")
+    """Worst-case residual of Upsilon Pi_i Upsilon* = Pi_{sigma(i)} on any frame."""
     return _conjugation_residual(_projections(frame), cert.sigma, cert.upsilon)
 
 
@@ -191,9 +190,9 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
     J = S = [[0, I], [I, 0]], the swap of the two r-blocks.
 
     On a skew canonical frame S Pi_i S = I - Pi_i for every i, so S undoes
-    the complement that V_jk introduces.  Non-skew simplices are refused
-    with `InvalidInputError`.  A skew simplex of n subspaces, n <=
-    rho_F(r) + 1, is `rho_simplex_from_orthonormal` of the family
+    the complement that V_jk introduces; `check_certificate` re-checks
+    it.  Non-skew simplices are refused with `InvalidInputError`.  A skew
+    simplex of n subspaces, n <= rho_F(r) + 1, is `rho_simplex_from_orthonormal` of the family
     `build_rho_orthonormal(F, r, n - 1)` with its identity member dropped,
     as the benchmark's symmetry workload builds it before calling this.
     """
@@ -222,7 +221,7 @@ def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertifica
 
     Pairs that are not two distinct indices in [1, n] are refused with
     `DomainError`, frames for which Upsilon is not unitary within 1e-8
-    with `InvalidInputError`; the conjugation residual is the verdict.
+    with `InvalidInputError`; `check_certificate` measures the verdict.
     """
     n = frame.n
     if n < 4:
@@ -253,7 +252,7 @@ def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
     if len(steps) % 2:
         factors += [j, _reflection(projections, *steps[-1])]
     ups = reduce(np.matmul, factors or [np.eye(projections.shape[1], dtype=projections.dtype)])
-    return SymmetryCertificate(sigma, ups, _conjugation_residual(projections, sigma, ups))
+    return SymmetryCertificate(sigma, ups)
 
 
 def _generators(projections: np.ndarray) -> np.ndarray:
@@ -269,9 +268,9 @@ def _generators(projections: np.ndarray) -> np.ndarray:
 class CliffordSystem:
     """What a code's Clifford system E_1 ... E_m decides (`clifford_system`):
     the (n, d, d) projection stack, m = n - 1, omega = E_1 ... E_m, the
-    `tol` witnesses must clear and the `seed` of J.  The code is totally
-    symmetric exactly when `total`: m is even or tr omega = 0; J, a
-    unitary with J Pi_i J* = I - Pi_i, exists exactly then."""
+    `tol` a witness's `residual` must clear and the `seed` of J.  The code
+    is totally symmetric exactly when `total`: m is even or tr omega = 0;
+    J, a unitary with J Pi_i J* = I - Pi_i, exists exactly then."""
 
     projections: np.ndarray
     m: int
@@ -322,9 +321,10 @@ class CliffordSystem:
         steps = sigma.transpositions()
         return _closed_witness(self.projections, sigma, steps, self.j if len(steps) % 2 else None)
 
-    def accepts(self, cert: SymmetryCertificate | None) -> bool:
-        """Whether `witness` gave a witness whose residual clears `tol`."""
-        return cert is not None and cert.residual <= self.tol
+    def residual(self, cert: SymmetryCertificate) -> float:
+        """`check_certificate` of cert on the code, without forming the
+        projection stack again; a witness is found when it clears `tol`."""
+        return _conjugation_residual(self.projections, cert.sigma, cert.upsilon)
 
 
 def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0) -> CliffordSystem:
@@ -363,13 +363,13 @@ def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TO
     `clifford_system`, with J seeded by `seed`; a frame that is not a
     code is refused with `DomainError`, and a sigma of another size with
     `ShapeError`.  When sigma is odd and the code has no J, None is a
-    proof that sigma is no symmetry.  A witness is returned only when
-    `CliffordSystem.accepts` it; a near-code that passes the gate but
-    whose witness misses `tol` gets None, a numeric verdict.
+    proof that sigma is no symmetry.  A witness is returned only when its
+    `CliffordSystem.residual`, measured once, clears `tol`; a near-code
+    that passes the gate but whose witness misses `tol` gets None.
     """
     system = clifford_system(frame, tol, seed)
     cert = system.witness(sigma)
-    return cert if system.accepts(cert) else None
+    return cert if cert is not None and system.residual(cert) <= system.tol else None
 
 
 def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
@@ -380,9 +380,9 @@ def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):
 
     The label reads `CliffordSystem.total`, a proof.  The
     certificates are closed-form (`CliffordSystem.witness`), from one
-    `clifford_system`, each with its measured conjugation residual; on a
-    near-code that passes the gate a residual may miss `tol`.  A frame
-    that is not a code is refused with `DomainError`, as in `find_witness`.
+    `clifford_system`, with no residual measured: re-check them with
+    `check_certificate`, as on a near-code a residual may miss `tol`.  A
+    frame that is not a code is refused with `DomainError`, as in `find_witness`.
     """
     n, system = frame.n, clifford_system(frame, tol, seed)
     if system.total:

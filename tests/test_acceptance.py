@@ -17,6 +17,7 @@ from eitff.frames import (
     block_omp_recover,
     build_eitff,
     canonicalize,
+    frame_from_simplex,
     naimark_complement,
     verify_eitff,
     welch_bound,
@@ -30,7 +31,7 @@ from eitff.radon_hurwitz import (
     verify_rho_orthonormal,
 )
 from eitff.simplex import simplex_matrix
-from eitff.symmetry import alternating_witness, probe_symmetry, transposition_witness
+from eitff.symmetry import alternating_witness, check_certificate, probe_symmetry, transposition_witness
 
 from conftest import skew_simplex
 from test_frames import block_coherence
@@ -136,10 +137,11 @@ def test_c05_naimark():
 def test_c06_symmetry_positive():
     for field, r, n in [(C, 1, 3), (R, 2, 3), (C, 2, 5), (R, 4, 5)]:
         simplex = skew_simplex(field, r, n)
+        frame = frame_from_simplex(simplex)
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 cert = transposition_witness(simplex, j, k)
-                assert cert.residual <= 1e-10, (field, r, n, j, k)
+                assert check_certificate(frame, cert) <= 1e-10, (field, r, n, j, k)
     rng = np.random.default_rng(2024)
     for field, r, n in [(R, 2, 4), (C, 1, 4), (R, 4, 6), (C, 4, 8)]:
         frame = build_eitff(field, r, n)
@@ -147,7 +149,7 @@ def test_c06_symmetry_positive():
             j1, k1 = sorted(rng.choice(np.arange(1, n + 1), 2, replace=False))
             j2, k2 = sorted(rng.choice(np.arange(1, n + 1), 2, replace=False))
             cert = alternating_witness(frame, (int(j1), int(k1)), (int(j2), int(k2)))
-            assert cert.residual <= 1e-9, (field, r, n)
+            assert check_certificate(frame, cert) <= 1e-9, (field, r, n)
     report("6 symmetry-positive")
 
 

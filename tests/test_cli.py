@@ -101,12 +101,20 @@ class TestBuild:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
 
-    def test_unwritable_path_exit_four(self, capsys, tmp_path):
-        path = tmp_path / "missing_dir" / "frame.json"
-        code, _, _ = run(
-            capsys, "build", "--field", "R", "--r", "2", "--n", "4", "--out", str(path)
-        )
-        assert code == 4
+    @pytest.mark.parametrize("command", ["build", "sym-witness"])
+    def test_unwritable_path_exit_four(self, capsys, tmp_path, command):
+        """An --out in a missing directory exits 4 and prints nothing on
+        stdout: `sym witness` writes its certificate before its line."""
+        path = str(tmp_path / "missing_dir" / "out.json")
+        if command == "build":
+            argv = ["build", "--field", "R", "--r", "2", "--n", "4", "--out", path]
+        else:
+            frame_path = str(tmp_path / "frame.json")
+            save_frame(build_eitff(FieldTag.REAL, 2, 4), frame_path)
+            argv = ["sym", "witness", frame_path, "--perm", "2 1 3 4", "--out", path]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("io error: ")
 
 
 class TestVerify:
@@ -343,7 +351,7 @@ class TestWriter:
         upsilon = np.full((4, 4), np.nan)
 
         def nan_witness(system, sigma):
-            return SymmetryCertificate(sigma, upsilon, 0.0)
+            return SymmetryCertificate(sigma, upsilon)
 
         monkeypatch.setattr(symmetry.CliffordSystem, "witness", nan_witness)
         code, _, err = run(
