@@ -12,8 +12,10 @@ Every closed-form witness comes from one identity: for a code with
 d = 2r, V_ab = sqrt(2(n-1)/n) (Pi_a - Pi_b) is a Hermitian unitary with
 V_ab Pi_i V_ab = I - Pi_(a b)(i).  A product of two transpositions of
 any code is witnessed by -V_ab V_cd, and a transposition by J V_ab for
-any unitary J with J Pi_i J* = I - Pi_i (S, the swap of the two
-r-blocks, on skew codes); `_closed_witness` is the one builder of both.
+any unitary J with J Pi_i J* = I - Pi_i; `_closed_witness` multiplies
+both from a projection stack.  On the canonical frame of a skew simplex
+J = S, the swap of the two r-blocks, and `transposition_witness` reads
+S V_ab in closed form from two simplex members, with no stack.
 A certificate is (sigma, Upsilon) alone: its residual is measured where
 it is read, by `check_certificate` or `CliffordSystem.residual`.
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
 from .linalg import DEFAULT_TOL, max_abs, panel_blocks, polar_unitary, relation_residual, require_finite
-from .frames import FusionFrame, frame_from_simplex, tightness_residual
+from .frames import FusionFrame, eitff_params, tightness_residual
 from .simplex import RhoSimplex, simplex_matrix
 
 # |tr omega| is a whole multiple of the dimension (at least 1) of an
@@ -185,18 +187,25 @@ def _reflection(projections: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertificate:
-    """Closed-form witness S V_jk for the transposition (j k) of the frame
-    built from a skew-Hermitian unitary simplex: `_closed_witness` with
-    J = S = [[0, I], [I, 0]], the swap of the two r-blocks.
+    """Closed-form witness S V_jk for the transposition (j k) of the
+    canonical frame Phi_i = [alpha I; beta B_i], i < n, Phi_n = [I; 0] of
+    a skew-Hermitian unitary simplex B_1 ... B_{n-1}, where
+    S = [[0, I], [I, 0]] swaps the two r-blocks and (alpha, beta) =
+    `eitff_params(n)`.
 
     On a skew canonical frame S Pi_i S = I - Pi_i for every i, so S undoes
-    the complement that V_jk introduces; `check_certificate` re-checks
-    it.  Non-skew simplices are refused with `InvalidInputError`.  A skew
-    simplex of n subspaces, n <= rho_F(r) + 1, is `rho_simplex_from_orthonormal` of the family
+    the complement that V_jk introduces.  Since V_jk = (Pi_j - Pi_k) / beta,
+    the witness is read from the members with no frame or projection:
+    alpha diag(D, D*), D = B_j - B_k, for k < n, and
+    [[alpha B_j, beta I], [-beta I, alpha B_j*]] for k = n.  Both are
+    unitary by the simplex relation B_j* B_k + B_k* B_j = -2/(n-2) I;
+    `check_certificate` re-checks them.  Non-skew simplices are refused
+    with `InvalidInputError`.  A skew simplex of n subspaces,
+    n <= rho_F(r) + 1, is `rho_simplex_from_orthonormal` of the family
     `build_rho_orthonormal(F, r, n - 1)` with its identity member dropped,
     as the benchmark's symmetry workload builds it before calling this.
     """
-    n = simplex.n
+    n, r = simplex.n, simplex.r
     if not (1 <= j < k <= n):
         raise DomainError(f"need 1 <= j < k <= {n}, got j={j}, k={k}")
     blocks = simplex.blocks
@@ -205,9 +214,14 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
         )
-    swap = np.eye(2 * simplex.r, k=simplex.r) + np.eye(2 * simplex.r, k=-simplex.r)
-    projections = _projections(frame_from_simplex(simplex))
-    return _closed_witness(projections, Permutation.transposition(n, j, k), [(j, k)], swap)
+    alpha, beta = eitff_params(n)
+    corner = alpha * (blocks[j - 1] - blocks[k - 1] if k < n else blocks[j - 1])
+    upsilon = np.zeros((2 * r, 2 * r), dtype=blocks.dtype)
+    upsilon[:r, :r], upsilon[r:, r:] = corner, corner.conj().T
+    if k == n:
+        diag = np.arange(r)
+        upsilon[diag, diag + r], upsilon[diag + r, diag] = beta, -beta
+    return SymmetryCertificate(Permutation.transposition(n, j, k), upsilon)
 
 
 def alternating_witness(frame: FusionFrame, sigma1, sigma2) -> SymmetryCertificate:

@@ -59,6 +59,15 @@ def scalar_skew_simplex():
     return RhoSimplex(C, 1, 3, np.array([[[1j]], [[-1j]]]))
 
 
+# Every skew simplex `skew_simplex` builds at r <= 8: n <= rho_F(r) + 1.
+SKEW_CODES = [
+    (field, r, n)
+    for field in (R, C)
+    for r in (1, 2, 4, 8)
+    for n in range(3, rho_number(field, r) + 2)
+]
+
+
 class TestPermutation:
     def test_validates_bijection(self):
         with pytest.raises(InvalidInputError):
@@ -193,6 +202,28 @@ class TestTranspositionWitness:
         _, simplex = canonicalize(example_frame)
         with pytest.raises(InvalidInputError):
             transposition_witness(simplex, 1, 2)
+
+    @pytest.mark.parametrize("j,k", [(2, 2), (3, 1), (2, 1), (0, 2), (1, 4), (-1, 3)])
+    def test_rejects_unordered_or_outside_indices(self, j, k):
+        with pytest.raises(DomainError, match=r"need 1 <= j < k <= 3"):
+            transposition_witness(scalar_skew_simplex(), j, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=st.sampled_from(SKEW_CODES), seed=st.integers(0, 2**32 - 1))
+    def test_dense_skew_simplices(self, code, seed):
+        """B_i -> W B_i W* for a seeded random unitary W is again a skew
+        unitary simplex, with dense members: every transposition witness
+        is unitary and clears the re-check on its canonical frame."""
+        field, r, n = code
+        w = random_orthogonal(r, seed) if field is R else random_unitary(r, seed)
+        simplex = RhoSimplex(field, r, n, w @ skew_simplex(field, r, n).blocks @ w.conj().T)
+        frame = frame_from_simplex(simplex)
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                cert = transposition_witness(simplex, j, k)
+                u = cert.upsilon
+                assert max_abs(u.conj().T @ u - np.eye(2 * r)) <= 1e-12
+                assert check_certificate(frame, cert) <= 1e-10
 
     @pytest.mark.parametrize(
         "field,r,n",
@@ -416,7 +447,8 @@ def reflection_chain(projections, steps, j):
 
 class TestClosedFormBuilder:
     """Every closed-form entry point returns the explicit product of
-    reflections, equal entry for entry, and it clears the re-check."""
+    reflections, equal entry for entry (the skew transposition witness,
+    read from the simplex members, to 1e-12), and it clears the re-check."""
 
     @staticmethod
     def assert_certificate(projections, cert, want):
@@ -433,16 +465,24 @@ class TestClosedFormBuilder:
             self.assert_certificate(p, alternating_witness(frame, t1, t2), want)
 
     @pytest.mark.parametrize(
-        "make", [scalar_skew_simplex, lambda: skew_simplex(R, 8, 8)], ids=["C1n3", "R8n8"]
+        "make",
+        [scalar_skew_simplex, lambda: skew_simplex(R, 8, 8), lambda: skew_simplex(C, 32, 13)],
+        ids=["C1n3", "R8n8", "C32n13"],
     )
     def test_transposition_witness_is_s_v(self, make):
+        """The oracle is S V_jk formed from the canonical frame's
+        projection stack: the block swap of the reflection's rows."""
         simplex = make()
-        p, r = _projections(frame_from_simplex(simplex)), simplex.r
-        for j in range(1, simplex.n + 1):
-            for k in range(j + 1, simplex.n + 1):
+        n, r = simplex.n, simplex.r
+        p = _projections(frame_from_simplex(simplex))
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
                 v = reflection(p, j, k)
                 want = np.concatenate([v[r:], v[:r]])
-                self.assert_certificate(p, transposition_witness(simplex, j, k), want)
+                cert = transposition_witness(simplex, j, k)
+                assert cert.sigma == Permutation.transposition(n, j, k)
+                assert max_abs(cert.upsilon - want) <= 1e-12
+                assert _conjugation_residual(p, cert.sigma, cert.upsilon) <= 1e-10
 
     @pytest.mark.parametrize(
         "make",
@@ -1092,6 +1132,14 @@ class TestCliffordSystem:
         # time, read 30.5, and the whole conjugated stack read 45.0.
         frame = build_eitff(R, 128, 18)
         assert traced_peak(probe_symmetry, frame) <= 29 * 2**20
+
+    def test_transposition_witness_peak_is_bounded(self):
+        # Skew C128 n=17: the witness is read from two members and read
+        # 8.1 MiB, almost all of it the skew gate's (n - 1, r, r)
+        # temporaries; forming the canonical frame and its (n, d, d)
+        # projection stack for S V_jk read 34.5.
+        simplex = skew_simplex(C, 128, 17)
+        assert traced_peak(transposition_witness, simplex, 1, 2) <= 12 * 2**20
 
 
 def negated_code(field, r, n):
