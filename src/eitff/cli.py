@@ -207,7 +207,7 @@ def cmd_sym_witness(args) -> int:
 
 def cmd_sym_check(args) -> int:
     frame, _ = load_frame(args.frame)
-    perm_text, upsilon, _ = load_certificate(args.cert)
+    perm_text, upsilon = load_certificate(args.cert)
     sigma = _parse_perm_for(frame, perm_text)
     residual = check_certificate(frame, SymmetryCertificate(sigma, upsilon))
     verdict = "pass" if residual <= args.tol else "fail"

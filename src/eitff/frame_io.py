@@ -327,7 +327,9 @@ def save_certificate(
     })
 
 
-def load_certificate(path: str) -> tuple[str, np.ndarray, float]:
+def load_certificate(path: str) -> tuple[str, np.ndarray]:
+    """(perm, upsilon) of a certificate file.  Its `residual` field, which
+    a reader measures again, must still be a finite number."""
     obj, decoded = _read(path)
     _require(obj, "certificate", ("perm", "upsilon", "residual"))
     if not isinstance(obj["upsilon"], tuple):
@@ -339,4 +341,4 @@ def load_certificate(path: str) -> tuple[str, np.ndarray, float]:
     residual = obj["residual"]
     if type(residual) not in (int, float) or not abs(residual) <= sys.float_info.max:
         raise FormatError("residual must be a finite number")
-    return obj["perm"], obj["upsilon"][1], float(residual)
+    return obj["perm"], obj["upsilon"][1]

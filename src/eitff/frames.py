@@ -14,10 +14,13 @@ where (B_i) is a unitary simplex: B_i* B_j + B_j* B_i = -2/(n-2) I.
 Everything here either builds that form from explicit anticommuting
 families, reduces an arbitrary frame to it, or measures how far a frame
 is from optimality.  A check (`verify_eitff`, `principal_angles`) reads
-S* S one panel of a block row at a time, each at most
-`linalg._PANEL_BYTES` (4 MiB), so it holds S plus a few buffers of that
-size at every n and r.  Bases are completed one way, by a closed-form
-Schreiber-Parlett block reflector (`_complement_rows`), never a complete QR.
+S* S in tiles (`_gram_tiles`).  While several whole block rows fit in
+`_TILE_BYTES` (128 KiB) a tile holds them, so a small code's Gram is one
+product and its pairs one batch; past that a tile is one panel of a
+block row of at most `linalg._PANEL_BYTES` (4 MiB).  So a check holds S
+plus a few buffers of that size at every n and r.  Bases are completed
+one way, by a closed-form Schreiber-Parlett block reflector
+(`_complement_rows`), never a complete QR.
 """
 
 from __future__ import annotations
@@ -53,6 +56,15 @@ def _weyl_screen(r: int, sigma2: float) -> float:
     """
     return r * np.finfo(np.float64).eps * sigma2
 
+
+# Bytes of a tile of several block rows (`_gram_tiles`).  Such a tile
+# also forms the blocks below its diagonal and gathers its pairs, so it
+# pays only while the fixed cost of a product outweighs that work.  On a
+# 2-vCPU machine it more than halved verify at R8 n=8 and R16 n=11, but
+# one tile of the whole Gram read 20 % slower than one-row panels at
+# C16 n=12 (576 KiB) and 2.2x at R32 n=12 (1.1 MiB), where its buffers
+# fault in fresh pages on every call; tiles of 4 MiB doubled R64 n=14.
+_TILE_BYTES = 128 << 10
 
 # Block OMP scores within this fraction of ||y|| of a round's top score
 # tie, and the lowest index among them is picked.  In a code with d = 2r
@@ -241,19 +253,42 @@ def canonicalize(frame: FusionFrame):
     return frame_from_simplex(simplex), simplex
 
 
-def _gram_panels(frame: FusionFrame):
-    """The upper block triangle of the fusion Gram S* S in panels
-    Phi_i* [Phi_j ... Phi_j+k-1], j >= i, each one product with k r
-    columns of S of at most `linalg._PANEL_BYTES` (`panel_blocks`).
-    Yields (i, j, the (k, r, r) view), 0-indexed; block row i starts with
-    the panel whose first block is Phi_i* Phi_i (j = i)."""
+def _gram_tiles(frame: FusionFrame):
+    """The upper block triangle of the fusion Gram S* S in tiles: block
+    rows [i0, i0 + p) against block columns [j0, j0 + k), each one product
+    S[:, rows]* S[:, cols].  A tile spans a = max(1, m // n) rows, m the
+    r x r blocks that fit in `_TILE_BYTES`.  When a > 1 each tile runs
+    from its first row's diagonal block to column n, so a small code's
+    whole Gram is one product.  When a = 1 a tile is one panel
+    Phi_i* [Phi_j ... Phi_j+k-1] of a block row, of at most
+    `linalg._PANEL_BYTES` (`panel_blocks`).
+
+    Yields (first, diagonal, i, j, pairs), 0-indexed: the (p, r, r)
+    diagonal blocks Phi_i* Phi_i of rows first ... first + p - 1 that the
+    tile holds (none past a row's first panel), and the cross-Grams
+    Phi_i* Phi_j of its pairs i < j as one (m, r, r) array, row by row,
+    with their index arrays i and j.  A one-row tile yields views of its
+    product, with no copy; a taller one gathers its diagonal and its
+    pairs, and drops the blocks below its diagonal."""
     synthesis, r, n = frame.synthesis, frame.r, frame.n
-    step = panel_blocks(r * r * synthesis.itemsize)
-    for i, phi in enumerate(frame.array):
-        adjoint = phi.conj().T
-        for j in range(i, n, step):
-            k = min(step, n - j)
-            yield i, j, _blocks(adjoint @ synthesis[:, j * r : (j + k) * r], k)
+    block = r * r * synthesis.itemsize
+    a = max(1, _TILE_BYTES // block // n)
+    b = n if a > 1 else panel_blocks(block)
+    for i0 in range(0, n, a):
+        p = min(a, n - i0)
+        adjoint = synthesis[:, i0 * r : (i0 + p) * r].conj().T
+        for j0 in range(i0, n, b):
+            k = min(b, n - j0)
+            product = adjoint @ synthesis[:, j0 * r : (j0 + k) * r]
+            tile = product.reshape(p, r, k, r).swapaxes(1, 2)
+            if p == 1:
+                skip = int(j0 == i0)
+                cols = np.arange(j0 + skip, j0 + k)
+                yield i0, tile[0, :skip], np.full(len(cols), i0), cols, tile[0, skip:]
+                continue
+            rows, cols = np.nonzero(np.arange(k) > np.arange(p)[:, None])
+            diagonal = np.arange(p)
+            yield i0, tile[diagonal, diagonal], i0 + rows, j0 + cols, tile[rows, cols]
 
 
 def welch_bound(d: int, r: int, n: int) -> float:
@@ -269,15 +304,13 @@ def principal_angles(frame: FusionFrame) -> np.ndarray:
     """Symmetric (n, n, r) array: entry [i, j] holds the nondecreasing
     principal angles between subspaces i+1 and j+1, the arccos of the
     (clamped) cross-Gram singular values.  The diagonal is zero.  The
-    fusion Gram is read one panel of a block row at a time
-    (`_gram_panels`), so the call holds S, the angles and a few buffers
-    of at most `linalg._PANEL_BYTES`."""
+    fusion Gram is read in tiles (`_gram_tiles`), one batched SVD of the
+    pairs of each, so the call holds S, the angles and a few buffers of
+    at most `linalg._PANEL_BYTES`."""
     angles = np.zeros((frame.n, frame.n, frame.r))
-    for i, j, panel in _gram_panels(frame):
-        if j == i:
-            panel, j = panel[1:], j + 1
-        theta = np.arccos(np.clip(np.linalg.svd(panel, compute_uv=False), 0.0, 1.0))
-        angles[i, j : j + len(panel)] = angles[j : j + len(panel), i] = theta
+    for _, _, i, j, pairs in _gram_tiles(frame):
+        theta = np.arccos(np.clip(np.linalg.svd(pairs, compute_uv=False), 0.0, 1.0))
+        angles[i, j] = angles[j, i] = theta
     return angles
 
 
@@ -313,15 +346,15 @@ def _less_diagonal(stack: np.ndarray, c: float) -> np.ndarray:
     return stack
 
 
-def _row_spectrum(row: np.ndarray, sigma2: float, screen: float):
-    """For the cross-Grams G of one (m, r, r) panel of a block row: each
-    pair's s = ||G* G - sigma^2 I||_F, an upper bound on each
-    lambda_max(G* G), and whether some pair is identical.  `screen` is
-    `_weyl_screen`; see `verify_eitff` for when `eigvalsh` runs.  The norm
-    is read from the float64 view of the one G* G - sigma^2 I buffer, so a
-    panel holds at most two (m, r, r) arrays once that buffer is formed."""
+def _pair_spectrum(pairs: np.ndarray, sigma2: float, screen: float):
+    """For the (m, r, r) cross-Grams G of one tile's pairs: each pair's
+    s = ||G* G - sigma^2 I||_F, an upper bound on each lambda_max(G* G),
+    and whether some pair is identical.  `screen` is `_weyl_screen`; see
+    `verify_eitff` for when `eigvalsh` runs.  The norm is read from the
+    float64 view of the one G* G - sigma^2 I buffer, so the pairs cost
+    one more (m, r, r) array once that buffer is formed."""
     identical2 = (1.0 - _IDENTICAL_SUBSPACE_TOL) ** 2
-    gram = _less_diagonal(row.conj().swapaxes(1, 2) @ row, sigma2)
+    gram = _less_diagonal(pairs.conj().swapaxes(1, 2) @ pairs, sigma2)
     flat = gram.view(np.float64)
     spread = np.sqrt(np.einsum("kij,kij->k", flat, flat))
     low, high = sigma2 - spread, sigma2 + spread
@@ -344,11 +377,12 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     over R and a sum over column panels of S over C.  In
     the fusion Gram H = S* S, S = [Phi_1 ... Phi_n], the others ask
     H_ii = I and H_ij* H_ij = sigma^2 I (H_ij H_ij* has the same
-    spectrum); H is read one panel Phi_i* [Phi_j ... Phi_j+k-1] of a
-    block row at a time, each one product of at most
-    `linalg._PANEL_BYTES` (`_gram_panels`), so the call holds S plus a
-    few buffers of that size at every n and r.  The isometry residual is
-    taken on the diagonal block of each row's first panel, in place.
+    spectrum); H is read in tiles (`_gram_tiles`): a small code's whole
+    Gram in one product, a larger one's a panel Phi_i* [Phi_j ... Phi_j+k-1]
+    of a block row of at most `linalg._PANEL_BYTES` at a time, so the call
+    holds S plus a few buffers of that size at every n and r.  The
+    isometry residual is taken on the diagonal blocks of each tile, in
+    place, and the pairs of each tile are one batch.
     The equi-isoclinic residual is max_ij s_ij with
     s_ij = ||H_ij* H_ij - sigma^2 I||_F, a bound on every
     |cos^2 theta - sigma^2| over the principal angles theta of the pair,
@@ -370,16 +404,14 @@ def verify_eitff(frame: FusionFrame, tol: float = DEFAULT_TOL) -> VerificationRe
     equi, pair = 0.0, (1, 2)
     lam_max = 0.0
     identical_pair = False
-    for i, j, panel in _gram_panels(frame):
-        if j == i:
-            iso[i] = np.abs(_less_diagonal(panel[:1], 1.0)).max()
-            panel, j = panel[1:], j + 1
-            if not len(panel):
-                continue
-        spread, high, identical = _row_spectrum(panel, sigma2, screen)
+    for first, diagonal, i, j, pairs in _gram_tiles(frame):
+        iso[first : first + len(diagonal)] = np.abs(_less_diagonal(diagonal, 1.0)).max(axis=(1, 2))
+        if not len(pairs):
+            continue
+        spread, high, identical = _pair_spectrum(pairs, sigma2, screen)
         k = int(np.argmax(spread))
         if spread[k] > equi:
-            equi, pair = float(spread[k]), (i + 1, j + 1 + k)
+            equi, pair = float(spread[k]), (int(i[k]) + 1, int(j[k]) + 1)
         lam_max = np.maximum(lam_max, high.max())  # unlike max, keeps a NaN
         identical_pair |= identical
 

@@ -10,10 +10,13 @@ Polar factors come from the SVD, null spaces of Hermitian matrices from
 `eigh`.  `relation_residual` measures the block-Gram identity of
 anticommuting families and simplices: by index arithmetic when every
 member is a generalized permutation matrix, as every built family is,
-and by dense block rows otherwise.  Every Gram block row, of a stack
-here or of a frame in `frames`, is formed in panels of at most
-`_PANEL_BYTES` (4 MiB, `panel_blocks`), so checking an input holds it
-plus a few such buffers at every size.
+and by dense block rows otherwise.  Every Gram block row of a stack
+here is formed in panels of at most `_PANEL_BYTES` (4 MiB,
+`panel_blocks`), so checking an input holds it plus a few such buffers
+at every size.  A frame's fusion Gram is read in tiles (`frames`): the
+same panels, or, where several whole block rows fit in a far smaller
+budget, one product for all of them.  The Clifford gate of `symmetry`
+takes no relation residual: it reads its bound from `verify_eitff`.
 
 `field_array` is the one check of shape, field and finiteness behind
 every container of such arrays.  `Mat`, a field-tagged complex128

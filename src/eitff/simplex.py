@@ -10,11 +10,12 @@ half-dimensional Grassmannian codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
-from .linalg import FieldTag, field_array, relation_residual
+from .linalg import FieldTag, field_array, max_abs, relation_residual
 from .radon_hurwitz import RhoOrthonormalSeq, verify_rho_orthonormal
 
 
@@ -35,6 +36,12 @@ class RhoSimplex:
         shape = (self.n - 1, self.r, self.r)
         object.__setattr__(self, "blocks", field_array(self.field, self.blocks, shape, "simplex"))
 
+    @cached_property
+    def skew_residual(self) -> float:
+        """Largest entry of B_i* + B_i over the members, 0 for a
+        skew-Hermitian simplex: measured once, as the blocks are read-only."""
+        return max_abs(self.blocks.conj().swapaxes(1, 2) + self.blocks)
+
     @classmethod
     def _adopt(cls, field: FieldTag, r: int, blocks: np.ndarray) -> "RhoSimplex":
         """The simplex whose members are `blocks`, a finite C-ordered
@@ -47,8 +54,10 @@ class RhoSimplex:
         return simplex
 
 
+@lru_cache(maxsize=16)
 def simplex_matrix(m: int) -> np.ndarray:
-    """Coefficient matrix Psi_m, built by the standard recursion.
+    """Coefficient matrix Psi_m, built by the standard recursion and kept,
+    read-only, for the next call with the same m.
 
     Psi_m is (m-1) x m and real, and its columns form a regular simplex.
     It is upper triangular with positive diagonal and top-left entry 1,
@@ -66,6 +75,7 @@ def simplex_matrix(m: int) -> np.ndarray:
         block[0, 1:] = -1.0 / (k - 1)
         block[1:, 1:] = (np.sqrt(k * (k - 2)) / (k - 1)) * psi
         psi = block
+    psi.setflags(write=False)
     return psi
 
 

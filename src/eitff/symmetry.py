@@ -25,23 +25,26 @@ omega, the label `total`, J (or None) and the `residual` of a
 certificate, from which `find_witness`, `probe_symmetry`, the CLI and
 the frontier scan read every answer; `total` (m even or tr omega = 0) is
 the one place the rule lives, and a frame that is not a code with
-d = 2r is refused.  Its gate needs
-no stack of Gamma_i = 2 Pi_i - I: sum_i Gamma_i = 2 (S S* - (n/2) I),
-twice the tightness residual of `verify_eitff`, and since the rows of
-Psi_n sum to 0 the -I of each Gamma_i cancels in
-E = ((n-1)/n) Psi_n Gamma, so E = (2(n-1)/n) Psi_n Pi.
+d = 2r is refused.  Its gate is one `verify_eitff`, with no stack of
+Gamma_i = 2 Pi_i - I and no product of generators: sum_i Gamma_i =
+2 (S S* - (n/2) I) is twice the tightness residual, and the pair
+residuals bound every relation of the E_j (`clifford_system`).  Since
+the rows of Psi_n sum to 0 the -I of each Gamma_i cancels in
+E = ((n-1)/n) Psi_n Gamma, so E = (2(n-1)/n) Psi_n Pi, formed for omega
+and J alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, ShapeError
-from .linalg import DEFAULT_TOL, max_abs, panel_blocks, polar_unitary, relation_residual, require_finite
-from .frames import FusionFrame, eitff_params, tightness_residual
+from .linalg import DEFAULT_TOL, max_abs, panel_blocks, polar_unitary, require_finite
+from .frames import FusionFrame, eitff_params, verify_eitff
 from .simplex import RhoSimplex, simplex_matrix
 
 # |tr omega| is a whole multiple of the dimension (at least 1) of an
@@ -208,8 +211,7 @@ def transposition_witness(simplex: RhoSimplex, j: int, k: int) -> SymmetryCertif
     n, r = simplex.n, simplex.r
     if not (1 <= j < k <= n):
         raise DomainError(f"need 1 <= j < k <= {n}, got j={j}, k={k}")
-    blocks = simplex.blocks
-    skew_res = max_abs(blocks.conj().swapaxes(1, 2) + blocks)
+    blocks, skew_res = simplex.blocks, simplex.skew_residual
     if not skew_res <= 1e-12:
         raise InvalidInputError(
             f"simplex members must be skew-Hermitian (residual {skew_res:.2e})"
@@ -350,24 +352,47 @@ def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0)
     With Gamma_i = 2 Pi_i - I and Psi_n = `simplex_matrix(n)`, set
     E_j = ((n-1)/n) sum_i Psi_n(j, i) Gamma_i.  The frame is such a code
     exactly when sum_i Gamma_i = 0 and the E_j are anticommuting Hermitian
-    unitaries (`relation_residual(E, 0)`): then Gamma_i = sum_j
-    Psi_n(j, i) E_j, so Gamma_i is an involution of trace 0 and
-    Gamma_i Gamma_k + Gamma_k Gamma_i = -2/(n-1) I for i != k.
+    unitaries: then Gamma_i = sum_j Psi_n(j, i) E_j, so Gamma_i is an
+    involution of trace 0 and Gamma_i Gamma_k + Gamma_k Gamma_i =
+    -2/(n-1) I for i != k.
+
+    The E relations are read from `verify_eitff`, with no product of two
+    E_j.  With X_il = Gamma_i Gamma_l + Gamma_l Gamma_i + (2/(n-1)) I for
+    i != l and X_ii = 2 (Gamma_i^2 - I),
+    {E_j, E_k} - 2 delta_jk I = ((n-1)/n)^2 sum_il Psi_n(j, i) Psi_n(k, l) X_il.
+    Every row of Psi_n has absolute sum at most 2 (the first exactly 2),
+    so each relation, in Frobenius norm and so in its largest entry, is
+    at most c_n max_il ||X_il||_F, c_n = (2(n-1)/n)^2.  For isometries,
+    ||X_il||_F = 4 sqrt(2) s_il, s_il the pair residual of `verify_eitff`
+    (the two-subspace decomposition), and X_ii = 0.  Members within the
+    isometry residual iota of isometries have ||Phi_i* Phi_i - I||_F <=
+    eps = r iota, and comparing them with their polar factors bounds
+    every ||X_il||_F by 4 sqrt(2) s_max / (1 - eps) + 30 eps when
+    eps <= 1/4.  The frame is refused, with the worst pair named, unless
+    c_n times that bound is at most tol, so a frame that passes has E
+    relations within tol, up to the rounding of the residuals.
     """
-    n, d = frame.n, frame.d
-    if d != 2 * frame.r:
-        raise DomainError(f"not a code: d = {d} is not 2r = {2 * frame.r}")
+    n, d, r = frame.n, frame.d, frame.r
+    if d != 2 * r:
+        raise DomainError(f"not a code: d = {d} is not 2r = {2 * r}")
     if n < 3:
         raise DomainError(f"not a code: n = {n} < 3")
-    residual = 2.0 * tightness_residual(frame)
+    report = verify_eitff(frame, tol)
+    residual = 2.0 * report.tightness_residual
     if not residual <= tol:
         raise DomainError(f"not a code: sum of Gamma_i residual {residual:.2e} exceeds tol {tol:.2e}")
+    equi, eps = report.equiisoclinic_residual, r * report.isometry_residual
+    bound = math.inf
+    if eps <= 0.25:
+        bound = (2.0 * (n - 1) / n) ** 2 * (4.0 * math.sqrt(2.0) * equi / (1.0 - eps) + 30.0 * eps)
+    if not bound <= tol:
+        raise DomainError(
+            f"not a code: E relation bound {bound:.2e} exceeds tol {tol:.2e} (equi-isoclinic "
+            f"residual {equi:.2e} at pair {report.equiisoclinic_pair}, isometry residual "
+            f"{report.isometry_residual:.2e})"
+        )
     projections = _projections(frame)
-    e = _generators(projections)
-    residual = relation_residual(e, 0.0)[0]
-    if not residual <= tol:
-        raise DomainError(f"not a code: E relation residual {residual:.2e} exceeds tol {tol:.2e}")
-    return CliffordSystem(projections, n - 1, reduce(np.matmul, e), tol, seed)
+    return CliffordSystem(projections, n - 1, reduce(np.matmul, _generators(projections)), tol, seed)
 
 
 def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TOL, seed: int = 0):

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -26,6 +27,7 @@ from eitff.frame_io import (
     _CHUNK,
     _MATRIX_KEYS,
     _matrix_text,
+    _read,
     load_certificate,
     load_frame,
     save_certificate,
@@ -207,8 +209,8 @@ class TestRoundTrip:
             assert np.array_equal(want.array, got.array)
         cert_path = tmp_path / "cert.json"
         save_certificate(str(cert_path), "1 2", inverse, 0.0)
-        perm, upsilon, residual = load_certificate(str(cert_path))
-        assert (perm, residual) == ("1 2", 0.0)
+        perm, upsilon = load_certificate(str(cert_path))
+        assert perm == "1 2"
         assert upsilon.dtype == inverse.dtype
         assert np.array_equal(upsilon, inverse)
 
@@ -583,12 +585,14 @@ class TestLoaderFuzz:
     @pytest.mark.parametrize("at", range(1, len("1.2345e-17")))
     def test_residual_split_at_a_chunk_boundary(self, paths, at):
         # A number whose text stops at the end of a read may go on in the
-        # next one, even after a "." or an exponent's "e" or sign.
+        # next one, even after a "." or an exponent's "e" or sign.  The
+        # certificate still loads, and the reader parsed the whole number.
         save_certificate(str(paths[1]), "1 3 2 4", np.eye(4), 1.2345e-17)
         raw = paths[1].read_bytes()
         at += raw.index(b"1.2345e-17")
         paths[1].write_bytes(b" " * (-at % _CHUNK) + raw)
-        assert load_certificate(str(paths[1]))[2] == 1.2345e-17
+        assert load_certificate(str(paths[1]))[0] == "1 3 2 4"
+        assert _read(str(paths[1]))[0]["residual"] == 1.2345e-17
 
     @pytest.mark.parametrize("where", ["in-a-payload", "after-a-split-character"])
     def test_non_utf8_byte_after_the_first_chunk(self, capsys, big, where):
@@ -784,17 +788,24 @@ class TestSym:
         monkeypatch.setattr(cli, "clifford_system", counted)
         return calls
 
-    def test_near_code_witness_none_is_bare(self, capsys, tmp_path):
+    def test_near_code_witness_none_is_bare(self, capsys, tmp_path, monkeypatch):
         """A frame that passes the Clifford gate but whose closed-form
-        witness misses --tol: a numeric verdict, with no proof note."""
+        witness misses --tol: a numeric verdict, with no proof note.  The
+        gate bounds this near code's E relations by 1.09e-9 and its
+        witness reads 2.2e-10, so the system is gated at 2e-9 and then
+        asked for --tol."""
         path = tmp_path / "near.json"
         save_frame(near_code(221, 1e-11), str(path))
+        gated = symmetry.clifford_system(near_code(221, 1e-11), 2e-9)
+        monkeypatch.setattr(cli, "clifford_system", lambda frame, tol: dataclasses.replace(gated, tol=tol))
         code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4 5 6 7 8")
         assert code == 0
         assert out == "witness=none\n"
         code, out, _ = run(capsys, "sym", "probe", str(path))
         assert code == 0
         assert out.startswith("symmetry=total (closed form, m=7, ")
+        code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4 5 6 7 8", "--tol", "2e-9")
+        assert (code, out.startswith("witness=found residual=2.157541")) == (0, True)
 
     @pytest.mark.parametrize("command", ["witness", "probe"])
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitff import linalg
+from eitff import frames, linalg
 from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputError
 from eitff.frames import (
     _OMP_TIE_RTOL,
@@ -252,25 +252,34 @@ class TestSynthesisOperator:
 
 
 class TestPanels:
-    """The fusion Gram is read in panels of at most `linalg._PANEL_BYTES`,
-    so a check holds S plus a few panel-sized buffers at every size."""
+    """The fusion Gram is read in tiles of block rows against block
+    columns: one-row tiles of at most `linalg._PANEL_BYTES`, or, while
+    a tile of several whole rows fits in `frames._TILE_BYTES`, taller
+    ones.  A check holds S plus a few buffers of panel size at every
+    size, and its report does not depend on the tiling."""
 
-    @pytest.mark.parametrize("blocks", [1, 3])
-    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
-    def test_small_panels_give_the_same_result(self, name, blocks, monkeypatch):
-        # A budget of one or three r x r blocks sends every row of these
-        # frames through several panels.
-        frame = ORACLE_FRAMES[name]()
-        want, want_angles = verify_eitff(frame), principal_angles(frame)
-        monkeypatch.setattr(linalg, "_PANEL_BYTES", blocks * frame.r**2 * frame.synthesis.itemsize)
-        got, angles = verify_eitff(frame), principal_angles(frame)
+    @staticmethod
+    def budgets(frame, tiling):
+        """(panel, tile) budgets in bytes: one-row tiles of one or three
+        blocks (a = 1), tiles of two rows (1 < a < n), or the whole Gram
+        as one tile."""
+        block = frame.r**2 * frame.synthesis.itemsize
+        return {
+            1: (block, 0),
+            3: (3 * block, 0),
+            "two-rows": (linalg._PANEL_BYTES, 2 * frame.n * block),
+            "one-tile": (linalg._PANEL_BYTES, frame.n**2 * block),
+        }[tiling]
+
+    @staticmethod
+    def assert_same_result(frame, name, got, want, angles, want_angles):
         if frame.field is R:
             assert repr(got) == repr(want)
             assert np.array_equal(angles, want_angles)
             return
         # Over C, tightness sums one product per column panel, and zgemm
-        # rounds a block of Phi_i* S by its column position in the product
-        # (seen at r = 2): equal to rounding, with every verdict unchanged.
+        # rounds a block of Phi_i* S by its position in the product (seen
+        # at r = 2): equal to rounding, with every verdict unchanged.
         eps = np.finfo(np.float64).eps
         for field in ("isometry_residual", "tightness_residual", "equiisoclinic_residual",
                       "welch_gap", "block_coherence"):
@@ -279,6 +288,50 @@ class TestPanels:
         if name not in ROUNDING_TIE_FRAMES:
             assert got.equiisoclinic_pair == want.equiisoclinic_pair
         assert np.abs(np.cos(angles) - np.cos(want_angles)).max() <= 8 * eps
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_small_panels_give_the_same_result(self, name, blocks, monkeypatch):
+        # A budget of one or three r x r blocks, and no tile of several
+        # rows, sends every row of these frames through several panels;
+        # the reference reads them in the default tiles, which at these
+        # sizes span several rows.
+        frame = ORACLE_FRAMES[name]()
+        want, want_angles = verify_eitff(frame), principal_angles(frame)
+        panel, tile = self.budgets(frame, blocks)
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", panel)
+        monkeypatch.setattr(frames, "_TILE_BYTES", tile)
+        self.assert_same_result(frame, name, verify_eitff(frame), want, principal_angles(frame), want_angles)
+
+    @pytest.mark.parametrize("tiling", ["two-rows", "one-tile"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_tall_tiles_give_the_same_result(self, name, tiling, monkeypatch):
+        # Against one whole block row per tile, as at a = 1.
+        frame = ORACLE_FRAMES[name]()
+        monkeypatch.setattr(frames, "_TILE_BYTES", 0)
+        want, want_angles = verify_eitff(frame), principal_angles(frame)
+        panel, tile = self.budgets(frame, tiling)
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", panel)
+        monkeypatch.setattr(frames, "_TILE_BYTES", tile)
+        self.assert_same_result(frame, name, verify_eitff(frame), want, principal_angles(frame), want_angles)
+
+    @pytest.mark.parametrize("tiling,rows", [(1, 1), ("two-rows", 2), ("one-tile", 11)])
+    def test_tiles_cover_the_upper_triangle_once(self, tiling, rows, monkeypatch):
+        # R16 n=11: every diagonal block once, in order, and every pair
+        # i < j once, row by row, as its own product would read it.
+        frame = build_eitff(R, 16, 11)
+        panel, tile = self.budgets(frame, tiling)
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", panel)
+        monkeypatch.setattr(frames, "_TILE_BYTES", tile)
+        firsts, pairs = [], []
+        for first, diagonal, i, j, grams in frames._gram_tiles(frame):
+            firsts += range(first, first + len(diagonal))
+            pairs += zip(i.tolist(), j.tolist())
+            assert len(set(i.tolist())) <= rows
+            for ii, jj, g in zip(i, j, grams):
+                assert np.array_equal(g, frame.array[ii].T @ frame.array[jj])
+        assert firsts == list(range(11))
+        assert pairs == [(i, j) for i in range(11) for j in range(i + 1, 11)]
 
     # Traced peaks beyond S, in MiB.  At the parent, which formed each whole
     # block row and a G* G buffer of its size, and conjugated all of a

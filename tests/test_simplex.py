@@ -65,6 +65,14 @@ class TestSimplexMatrix:
         with pytest.raises(DomainError):
             simplex_matrix(1)
 
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_kept_read_only(self, m):
+        psi = simplex_matrix(m)
+        assert simplex_matrix(m) is psi
+        assert not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0, 0] = 2.0
+
 
 class TestRhoSimplexFromOrthonormal:
     def test_real_pair_gives_displayed_simplex(self):
