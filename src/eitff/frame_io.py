@@ -1,22 +1,19 @@
 """JSON file formats for matrices, frames, and symmetry certificates.
 
-Matrices serialize as row-major [re, im] pairs under a field code taken
-from the array's dtype; real matrices must carry literal zero imaginary
-parts and read back as float64, complex ones as complex128.  Files are
-compact JSON whose floats go through Python's shortest round-trip repr,
-so writing and re-reading a file reproduces every binary64 entry
-bit-exactly.  Any malformed file raises `FormatError`.
+A matrix is written as row-major [re, im] pairs under a field code taken
+from its dtype: real matrices carry literal zero imaginary parts and read
+back as float64, complex ones as complex128.  Each distinct float of a
+matrix goes once through Python's shortest round-trip repr, so a file is
+the json encoder's compact text and re-reading it is bit-exact.
 
-Reading streams the file `_CHUNK` bytes at a time.  It parses the
-top-level object one member at a time, and a top-level array (the
-isometries) one element at a time, and decodes each matrix payload as
-soon as its text has been read, dropping that text before it reads on.
-So a load holds the decoded members, then the frame's copy S of them,
-and the text and [re, im] lists of one matrix, never the file text.  A
-duplicate top-level key is a `FormatError`.  An object with the keys
-field, rows, cols and data is read as a matrix wherever it sits, so a
-matrix payload anywhere but where the format puts one (frame metadata,
-say) is a `FormatError`.
+Reading streams the file `_CHUNK` bytes at a time, one top-level member
+and one isometry at a time, and drops each matrix's text once decoded,
+never holding the file text.  A payload in the writer's layout decodes
+as one flat array of numbers; any other layout loads through json's
+decoder and `_matrix`, the one place a payload error is raised.  An
+object with the keys field, rows, cols and data is read as a matrix
+wherever it sits, so one outside the isometries or the witness is a
+`FormatError`, as are a duplicate top-level key and any malformed file.
 """
 
 from __future__ import annotations
@@ -37,20 +34,24 @@ from .linalg import FieldTag, require_finite
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _matrix_text(a: np.ndarray) -> str:
-    """One matrix payload as compact JSON text.
+def _reprs(x: np.ndarray):
+    """`float.__repr__` of each entry of the float64 vector `x`, called
+    once per distinct bit pattern, so -0.0 and 0.0 stay apart."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), object)
+    return iter(text[inverse].tolist())
 
-    Entries are formatted with `float.__repr__`, the function the json
-    encoder calls for a float, so the text equals the encoding of the
-    [[re, im], ...] list without that list being built.  A real matrix
-    writes its imaginary parts as the fixed text 0.0.
-    """
+
+def _matrix_text(a: np.ndarray) -> str:
+    """One matrix payload as compact JSON text: the json encoder's text for
+    the [[re, im], ...] list, built with `float.__repr__` as the encoder
+    does but without that list.  Real imaginary parts are the text 0.0."""
     if np.iscomplexobj(a):
-        parts = map(float.__repr__, np.asarray(a, np.complex128).ravel().view(np.float64).tolist())
+        parts = _reprs(np.asarray(a, np.complex128).ravel().view(np.float64))
         field, sep, tail = "C", "],[", "]"
         items = map(",".join, zip(parts, parts))
     else:
-        items = map(float.__repr__, np.asarray(a, np.float64).ravel().tolist())
+        items = _reprs(np.asarray(a, np.float64).ravel())
         field, sep, tail = "R", ",0.0],[", ",0.0]"
     head = _encode({"field": field, "rows": a.shape[0], "cols": a.shape[1]})
     return head[:-1] + ',"data":[[' + sep.join(items) + tail + "]}"
@@ -58,11 +59,9 @@ def _matrix_text(a: np.ndarray) -> str:
 
 def _write(path: str, payload: dict) -> None:
     """Write `payload` as compact JSON to `path`, or to stdout for "-".
-
     An ndarray value is one matrix (2-D) or a stack of matrices (3-D),
     written one matrix at a time.  Non-finite entries are refused before
-    the file is opened, because JSON has no literal for them.
-    """
+    the file is opened, because JSON has no literal for them."""
     for key, value in payload.items():
         if isinstance(value, (np.ndarray, float)):
             require_finite(np.asarray(value), key)
@@ -81,6 +80,13 @@ def _write(path: str, payload: dict) -> None:
         fp.write("}\n")
 
 
+def _pairs_alternate(body: str) -> bool:
+    """Whether the odd commas of `body` each sit inside a "],["."""
+    b = np.frombuffer(body.encode(), np.uint8)
+    odd = np.flatnonzero(b[:-1] == ord(","))[1::2]
+    return bool((b[odd - 1] == ord("]")).all() and (b[odd + 1] == ord("[")).all())
+
+
 _MATRIX_KEYS = frozenset(("field", "rows", "cols", "data"))
 
 # Bytes per read of a frame or certificate file.
@@ -89,6 +95,9 @@ _CHUNK = 1 << 16
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 _NUMBER_TAIL = re.compile(r"[0-9.eE+-]*")  # what can continue a number
 _CLOSER = {"{": "}", "[": "]"}
+_COMPACT_HEAD = re.compile(  # a matrix payload's head as `_matrix_text` writes it
+    r'\{"field":"([RC])","rows":([1-9][0-9]{0,8}),"cols":([1-9][0-9]{0,8}),"data":\[\['
+)
 
 
 class _Stream:
@@ -160,6 +169,9 @@ class _Stream:
         failed try is retried only once the unread text has doubled, so
         the text is decoded O(1) times over."""
         want, closer = 1, _CLOSER.get(self.peek())
+        self.extend(want, closer)
+        if closer == "}" and (matrix := self.compact()) is not None:
+            return matrix
         while True:
             self.extend(want, closer)
             try:
@@ -176,6 +188,36 @@ class _Stream:
                 self.pos = end
                 return value
             want = len(self.text) - self.pos + 1
+
+    def compact(self):
+        """The matrix payload at the read position, as `_matrix` returns it,
+        if it is in the writer's layout, else None with nothing consumed.
+        Its data up to the first "}" after the head is decoded as one flat
+        array of numbers.  It never raises: errors are `_matrix`'s."""
+        head = _COMPACT_HEAD.match(self.text, self.pos)
+        if not head:
+            return None
+        rows, cols, real = int(head[2]), int(head[3]), head[1] == "R"
+        tail, sep, size = (",0.0]]", ",0.0],[", rows * cols) if real else ("]]", "],[", 2 * rows * cols)
+        close = self.text.find("}", head.end())
+        if close < 0 or not self.text.startswith(tail, close - len(tail)):
+            return None
+        # With `size` numbers, the entries pair up when every comma of a real
+        # body is in a `sep`, and every odd comma of a complex one.
+        body = self.text[head.end() : close - len(tail)]
+        if body.count(sep) != rows * cols - 1 or not (real or _pairs_alternate(body)):
+            return None
+        try:
+            values = json.loads(f"[{body.replace(sep, ',')}]")
+            if len(values) != size or not set(map(type, values)) <= {int, float}:
+                return None
+            a = np.fromiter(values, np.float64, size)
+        except (ValueError, OverflowError, RecursionError):
+            return None
+        if not np.isfinite(a).all():
+            return None
+        self.pos, self.decoded = close + 1, self.decoded + 1
+        return FieldTag(head[1]), (a if real else a.view(np.complex128)).reshape(rows, cols)
 
     def items(self, close: str):
         """Step through the object or array that opens at the read
@@ -299,8 +341,6 @@ def load_frame(path: str) -> tuple[FusionFrame, dict]:
         raise FormatError(f"expected {n} isometries")
     if not isinstance(metadata, dict):
         raise FormatError("metadata must be an object")
-    # `_read` has decoded every isometry, and no payload's pair lists are
-    # alive while the frame stacks the n arrays.
     for pos, payload in enumerate(payloads, 1):
         if not isinstance(payload, tuple):
             raise FormatError(f"isometry {pos} is not a matrix payload")

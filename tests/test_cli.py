@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 import eitff
 from eitff import cli, frame_io, radon_hurwitz, symmetry
 from eitff.cli import main
-from eitff.errors import InvalidInputError
+from eitff.errors import FormatError, InvalidInputError
 from eitff.frame_io import (
     _CHUNK,
     _MATRIX_KEYS,
@@ -418,6 +418,10 @@ OWN_MESSAGES = {
     "short-data": "data does not hold",
 }
 
+# Separators of json.dumps: its default, and the writer's compact layout,
+# which the reader's compact route reads.
+LAYOUTS = {"spaced": (", ", ": "), "compact": (",", ":")}
+
 # Whole-file defects, as edits of the file's text.
 FILE_DEFECTS = {
     "not-utf8": lambda text: b"\xff" + text.encode(),
@@ -484,14 +488,15 @@ class TestLoaderFuzz:
         assert err.startswith("format error: ") and err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("target", ["frame", "certificate"])
     @pytest.mark.parametrize("defect", MATRIX_DEFECTS)
-    def test_matrix_defect(self, capsys, paths, target, defect):
+    def test_matrix_defect(self, capsys, paths, target, defect, layout):
         path = paths[0] if target == "frame" else paths[1]
         payload = json.loads(path.read_text())
         edit, raw = MATRIX_DEFECTS[defect]
         edit(payload["isometries"][0] if target == "frame" else payload["upsilon"])
-        text = json.dumps(payload)
+        text = json.dumps(payload, separators=LAYOUTS[layout])
         if raw is not None:
             text = text.replace(f'"{RAW}"', raw)
         path.write_text(text)
@@ -548,13 +553,14 @@ class TestLoaderFuzz:
         assert all(len(json.dumps(m)) > 2 * _CHUNK for m in json.loads(path.read_text())["isometries"])
         self.assert_loads_alike(path, frame)
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("defect", MATRIX_DEFECTS)
-    def test_matrix_defect_past_the_first_chunk(self, capsys, big, defect):
+    def test_matrix_defect_past_the_first_chunk(self, capsys, big, defect, layout):
         path, _ = big
         payload = json.loads(path.read_text())
         edit, raw = MATRIX_DEFECTS[defect]
         edit(payload["isometries"][1])
-        text = json.dumps(payload)
+        text = json.dumps(payload, separators=LAYOUTS[layout])
         if raw is not None:
             text = text.replace(f'"{RAW}"', raw)
         path.write_text(text)
@@ -625,6 +631,127 @@ class TestLoaderFuzz:
         assert "duplicate key 'd'" in err
 
 
+def route(compact):
+    """A context in which the reader's compact route is on, or off."""
+    if compact:
+        return contextlib.nullcontext()
+    return mock.patch.object(frame_io._Stream, "compact", lambda stream: None)
+
+
+def read_payload(path, text, compact):
+    """What `_read` makes of a file whose one member is the payload `text`,
+    with the compact route on or off: the matrix's field, dtype, shape and
+    bytes and the payload count, another value's repr, or the FormatError
+    message."""
+    path.write_text('{"upsilon":' + text + "}")
+    with route(compact):
+        try:
+            obj, decoded = _read(str(path))
+        except FormatError as exc:
+            return str(exc)
+    value = obj["upsilon"]
+    if isinstance(value, tuple):
+        field, a = value
+        return field, a.dtype, a.shape, a.flags.c_contiguous, a.tobytes(), decoded
+    return repr(value), decoded
+
+
+EDIT_CHARS = '0123456789.eE+-,[]{}" abcdefghijklmnopqrstuvwxyzINF'
+PAYLOAD_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.5e-3, 1e16, 5e-324])
+
+
+@st.composite
+def edited_payloads(draw):
+    """A payload as the writer lays it out, with one character inserted,
+    deleted or replaced."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    parts = draw(hnp.arrays(np.float64, (2, rows, cols), elements=PAYLOAD_ENTRIES))
+    text = _matrix_text(parts[0] + 1j * parts[1] if draw(st.booleans()) else parts[0])
+    at = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from(EDIT_CHARS))
+    return draw(st.sampled_from([
+        text[:at] + char + text[at:], text[:at] + text[at + 1 :], text[:at] + char + text[at + 1 :]
+    ]))
+
+
+def matrix_payload(field, data, rows, cols):
+    return f'{{"field":"{field}","rows":{rows},"cols":{cols},"data":{data}}}'
+
+
+# Payloads close to the writer's layout, with what both routes load them as.
+NAMED_LOADS = {
+    "int-imaginary": (matrix_payload("R", "[[1.5,0],[2.5,0.0]]", 1, 2), [[1.5, 2.5]]),
+    "negative-zero-imaginary": (matrix_payload("R", "[[1.5,-0.0],[2.5,0.0]]", 2, 1), [[1.5], [2.5]]),
+    "int-entries": (matrix_payload("R", "[[1,0.0],[-2,0.0]]", 1, 2), [[1.0, -2.0]]),
+    "complex-int-entries": (matrix_payload("C", "[[1,2],[3,-4]]", 2, 1), [[1 + 2j], [3 - 4j]]),
+    "key-after-data": (matrix_payload("R", "[[1.5,0.0]]", 1, 1)[:-1] + ',"x":1}', [[1.5]]),
+}
+
+# Payloads that exit 4 with the general route's message.
+NAMED_ERRORS = {
+    "triple-then-pair": matrix_payload("R", "[[1,0.0],[2,3,0.0]]", 2, 1),
+    "triple-then-pair-3": matrix_payload("R", "[[1,0.0],[2,3,0.0]]", 3, 1),
+    "lone-imaginary": matrix_payload("R", "[[1,0.0],[0.0],[2,0.0]]", 2, 1),
+    "lone-imaginary-3": matrix_payload("R", "[[1,0.0],[0.0],[2,0.0]]", 3, 1),
+    "complex-triple-then-single": matrix_payload("C", "[[1.0,2.0,3.0],[4.0]]", 2, 1),
+    "nan": matrix_payload("R", "[[NaN,0.0]]", 1, 1),
+    "plus-sign": matrix_payload("R", "[[+1,0.0]]", 1, 1),
+    "leading-dot": matrix_payload("R", "[[.5,0.0]]", 1, 1),
+    "leading-zero": matrix_payload("R", "[[01,0.0]]", 1, 1),
+    "rows-leading-zero": matrix_payload("R", "[[1.0,0.0]]", "01", 1),
+    "long-int": matrix_payload("R", "[[" + "9" * 5000 + ",0.0]]", 1, 1),
+    "complex-nan": matrix_payload("C", "[[1.0,NaN]]", 1, 1),
+}
+
+
+class TestCompactRoute:
+    """The reader's compact route returns what the general route returns
+    for a payload, or leaves it to that route."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=edited_payloads())
+    def test_edited_payloads_read_alike(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("edited") / "cert.json"
+        assert read_payload(path, text, True) == read_payload(path, text, False)
+
+    @pytest.mark.parametrize("case", NAMED_LOADS)
+    def test_named_payload_loads(self, tmp_path, case):
+        text, want = NAMED_LOADS[case]
+        got = read_payload(tmp_path / "cert.json", text, True)
+        assert got == read_payload(tmp_path / "cert.json", text, False)
+        want = np.array(want)
+        assert got[:5] == (FieldTag.COMPLEX if np.iscomplexobj(want) else FieldTag.REAL,
+                           want.dtype, want.shape, True, want.tobytes())
+
+    @pytest.mark.parametrize("case", NAMED_ERRORS)
+    def test_named_payload_exits_four(self, capsys, tmp_path, case):
+        frame_path, cert_path = tmp_path / "frame.json", tmp_path / "cert.json"
+        save_frame(build_eitff(FieldTag.REAL, 2, 4), str(frame_path))
+        errors = []
+        for compact in (True, False):
+            cert_path.write_text('{"perm":"1 2 3 4","upsilon":' + NAMED_ERRORS[case] + ',"residual":0.0}')
+            with route(compact):
+                code, _, err = run(capsys, "sym", "check", str(frame_path), "--cert", str(cert_path))
+            assert code == 4 and err.startswith("format error: ")
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    def test_written_files_never_reach_the_general_decode(self, capsys, tmp_path, monkeypatch):
+        # A silent fall back to the general route would cost time, not
+        # correctness, so only a spy sees it.
+        spy = mock.Mock(side_effect=frame_io._matrix)
+        monkeypatch.setattr(frame_io, "_matrix", spy)
+        for field in "RC":
+            frame, comp, cert = (tmp_path / f"{field}{name}.json" for name in ("frame", "comp", "cert"))
+            assert run(capsys, "build", "--field", field, "--r", "4", "--n", "6", "--out", str(frame))[0] == 0
+            assert run(capsys, "naimark", str(frame), "--out", str(comp))[0] == 0
+            argv = ["sym", "witness", str(frame), "--perm", "2 3 1 4 5 6", "--out", str(cert)]
+            assert run(capsys, *argv)[0] == 0
+            assert load_frame(str(frame))[0].n == load_frame(str(comp))[0].n == 6
+            assert load_certificate(str(cert))[1].shape == (8, 8)
+        assert spy.call_count == 0
+
+
 class TestNaimark:
     def test_complement_verifies(self, capsys, tmp_path):
         src = tmp_path / "frame.json"
@@ -641,8 +768,9 @@ class TestNaimark:
     def test_load_peak_memory_is_near_file_size(self, tmp_path, field, r, n):
         # A load reads the file a chunk at a time and decodes each matrix as
         # soon as its text is read, so it holds the decoded members, their
-        # copy S, and one matrix's text and [re, im] lists, never the file
-        # text: at R16 n=11 it peaks at 3.2 S, and holding the text read 6.9 S.
+        # copy S, and one matrix's text and flat number list, never the file
+        # text: at R16 n=11 it peaks at 2.2 S (3.2 S with [re, im] lists),
+        # and holding the text read 6.9 S.
         path = tmp_path / "comp.json"
         comp = naimark_complement(build_eitff(field, r, n))
         save_frame(comp, str(path))
