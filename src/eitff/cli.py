@@ -194,8 +194,8 @@ def cmd_sym_witness(args) -> int:
     sigma = _parse_perm_for(frame, args.perm)
     system = clifford_system(frame, args.tol)
     cert = system.witness(sigma)
-    residual = None if cert is None else system.residual(cert)
-    if residual is None or not residual <= system.tol:
+    residual = None if cert is None else check_certificate(frame, cert)
+    if residual is None or not residual <= args.tol:
         # No witness at all is a proof, noted as such.
         print("witness=none" + (_closed_form_note(system) if cert is None else ""))
         return 0

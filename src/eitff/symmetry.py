@@ -16,22 +16,18 @@ any unitary J with J Pi_i J* = I - Pi_i; `_closed_witness` multiplies
 both from a projection stack.  On the canonical frame of a skew simplex
 J = S, the swap of the two r-blocks, and `transposition_witness` reads
 S V_ab in closed form from two simplex members, with no stack.
-A certificate is (sigma, Upsilon) alone: its residual is measured where
-it is read, by `check_certificate` or `CliffordSystem.residual`.
 
-Only codes are answered.  `clifford_system` forms a code's Clifford
-system once and returns one `CliffordSystem`: the projection stack, m,
-omega, the label `total`, J (or None) and the `residual` of a
-certificate, from which `find_witness`, `probe_symmetry`, the CLI and
-the frontier scan read every answer; `total` (m even or tr omega = 0) is
-the one place the rule lives, and a frame that is not a code with
-d = 2r is refused.  Its gate is one `verify_eitff`, with no stack of
-Gamma_i = 2 Pi_i - I and no product of generators: sum_i Gamma_i =
-2 (S S* - (n/2) I) is twice the tightness residual, and the pair
-residuals bound every relation of the E_j (`clifford_system`).  Since
-the rows of Psi_n sum to 0 the -I of each Gamma_i cancels in
-E = ((n-1)/n) Psi_n Gamma, so E = (2(n-1)/n) Psi_n Pi, formed for omega
-and J alone.
+A certificate is (sigma, Upsilon) alone.  `check_certificate` is the one
+reader of its residual, on any frame, and `find_witness` and the CLI
+compare that residual with their own `tol`.
+
+Only codes are answered.  `clifford_system` gates a frame on one
+`verify_eitff` (the derivation is in its docstring) and forms the code's
+Clifford system once, as one `CliffordSystem`: the projection stack, m,
+omega, the label `total` and J (or None), from which `find_witness`,
+`probe_symmetry`, the CLI and the frontier scan read every answer.
+`total` (m even or tr omega = 0) is the one place the rule lives, and a
+frame that is not a code with d = 2r is refused.
 """
 
 from __future__ import annotations
@@ -136,7 +132,7 @@ class Permutation:
 class SymmetryCertificate:
     """A permutation together with a unitary witnessing it (a d x d array
     whose dtype gives its field).  It holds no residual: `check_certificate`
-    or `CliffordSystem.residual` measures it against a frame."""
+    measures it against a frame."""
 
     sigma: Permutation
     upsilon: np.ndarray
@@ -148,31 +144,29 @@ def _projections(frame: FusionFrame) -> np.ndarray:
     return stack @ stack.conj().swapaxes(1, 2)
 
 
-def _conjugation_residual(
-    projections: np.ndarray, sigma: Permutation, upsilon: np.ndarray
-) -> float:
-    """Largest entry of Upsilon Pi_i Upsilon* - Pi_sigma(i) over all i,
-    formed one panel of subspaces at a time (`panel_blocks`); a NaN in
-    any panel reads as NaN.  A sigma or Upsilon of another size is refused
+def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
+    """Largest entry of Upsilon Pi_i Upsilon* - Pi_sigma(i) over all i, on
+    any frame.  It is read from S one panel of subspaces at a time
+    (`panel_blocks`), as Y Y* - Phi_sigma(i) Phi_sigma(i)* with
+    Y = Upsilon Phi_i, so no projection stack is formed; a NaN in any
+    panel reads as NaN.  A sigma or Upsilon of another size is refused
     with `ShapeError`, a non-finite Upsilon with `InvalidInputError`."""
-    n, d = projections.shape[:2]
+    n, d, sigma, upsilon = frame.n, frame.d, cert.sigma, cert.upsilon
     if sigma.n != n:
         raise ShapeError(f"certificate permutes [1, {sigma.n}] but frame has n={n}")
     if upsilon.shape != (d, d):
         raise ShapeError(f"witness must be {d}x{d}, got {upsilon.shape}")
     require_finite(upsilon, "witness")
-    targets, adjoint = np.array(sigma.image) - 1, upsilon.conj().T
-    step, worst = panel_blocks(projections[0].nbytes), 0.0
-    for lo in range(0, len(projections), step):
-        moved = upsilon @ projections[lo : lo + step] @ adjoint
-        moved -= projections[targets[lo : lo + step]]
+    phi, targets = frame.array, np.array(sigma.image) - 1
+    step, worst = panel_blocks(d * d * phi.itemsize), 0.0
+    for lo in range(0, n, step):
+        # Y and then Phi_sigma(i) share one name, so one of them is held.
+        block = upsilon @ phi[lo : lo + step]
+        moved = block @ block.conj().swapaxes(1, 2)
+        block = phi[targets[lo : lo + step]]
+        moved -= block @ block.conj().swapaxes(1, 2)
         worst = np.maximum(worst, max_abs(moved))  # keeps a NaN
     return float(worst)
-
-
-def check_certificate(frame: FusionFrame, cert: SymmetryCertificate) -> float:
-    """Worst-case residual of Upsilon Pi_i Upsilon* = Pi_{sigma(i)} on any frame."""
-    return _conjugation_residual(_projections(frame), cert.sigma, cert.upsilon)
 
 
 def _reflection(projections: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -273,7 +267,9 @@ def _closed_witness(projections: np.ndarray, sigma: Permutation, steps, j):
 
 def _generators(projections: np.ndarray) -> np.ndarray:
     """E_j = (2(n-1)/n) sum_i Psi_n(j, i) Pi_i, j = 1 ... n - 1, from the
-    (n, d, d) projection stack of a code, as one (n - 1, d, d) stack."""
+    (n, d, d) projection stack of a code, as one (n - 1, d, d) stack: the
+    rows of Psi_n sum to 0, so the -I of each Gamma_i = 2 Pi_i - I cancels
+    in E = ((n-1)/n) Psi_n Gamma."""
     n, d = projections.shape[:2]
     e = (simplex_matrix(n) @ projections.reshape(n, -1)).reshape(n - 1, d, d)
     e *= 2.0 * (n - 1) / n
@@ -283,15 +279,14 @@ def _generators(projections: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CliffordSystem:
     """What a code's Clifford system E_1 ... E_m decides (`clifford_system`):
-    the (n, d, d) projection stack, m = n - 1, omega = E_1 ... E_m, the
-    `tol` a witness's `residual` must clear and the `seed` of J.  The code
-    is totally symmetric exactly when `total`: m is even or tr omega = 0;
-    J, a unitary with J Pi_i J* = I - Pi_i, exists exactly then."""
+    the (n, d, d) projection stack, m = n - 1, omega = E_1 ... E_m and the
+    `seed` of J.  The code is totally symmetric exactly when `total`: m is
+    even or tr omega = 0; J, a unitary with J Pi_i J* = I - Pi_i, exists
+    exactly then."""
 
     projections: np.ndarray
     m: int
     omega: np.ndarray
-    tol: float
     seed: int
 
     @property
@@ -336,11 +331,6 @@ class CliffordSystem:
             raise ShapeError(f"permutation of [1, {sigma.n}] against n={len(self.projections)}")
         steps = sigma.transpositions()
         return _closed_witness(self.projections, sigma, steps, self.j if len(steps) % 2 else None)
-
-    def residual(self, cert: SymmetryCertificate) -> float:
-        """`check_certificate` of cert on the code, without forming the
-        projection stack again; a witness is found when it clears `tol`."""
-        return _conjugation_residual(self.projections, cert.sigma, cert.upsilon)
 
 
 def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0) -> CliffordSystem:
@@ -392,7 +382,7 @@ def clifford_system(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0)
             f"{report.isometry_residual:.2e})"
         )
     projections = _projections(frame)
-    return CliffordSystem(projections, n - 1, reduce(np.matmul, _generators(projections)), tol, seed)
+    return CliffordSystem(projections, n - 1, reduce(np.matmul, _generators(projections)), seed)
 
 
 def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TOL, seed: int = 0):
@@ -403,12 +393,11 @@ def find_witness(frame: FusionFrame, sigma: Permutation, tol: float = DEFAULT_TO
     code is refused with `DomainError`, and a sigma of another size with
     `ShapeError`.  When sigma is odd and the code has no J, None is a
     proof that sigma is no symmetry.  A witness is returned only when its
-    `CliffordSystem.residual`, measured once, clears `tol`; a near-code
+    `check_certificate` residual, measured once, clears `tol`; a near-code
     that passes the gate but whose witness misses `tol` gets None.
     """
-    system = clifford_system(frame, tol, seed)
-    cert = system.witness(sigma)
-    return cert if cert is not None and system.residual(cert) <= system.tol else None
+    cert = clifford_system(frame, tol, seed).witness(sigma)
+    return cert if cert is not None and check_certificate(frame, cert) <= tol else None
 
 
 def probe_symmetry(frame: FusionFrame, tol: float = DEFAULT_TOL, seed: int = 0):

@@ -82,3 +82,20 @@ def clifford_e(projections):
     without Gamma_i = 2 Pi_i - I (the rows of Psi_n sum to 0)."""
     n = len(projections)
     return (2.0 * (n - 1) / n) * np.tensordot(simplex_matrix(n), projections, 1)
+
+
+def loop_conjugation_residual(projections, sigma, upsilon):
+    """Per-subspace oracle for `check_certificate`: the largest entry of
+    Upsilon Pi_i Upsilon* - Pi_sigma(i) over a list of projections."""
+    uh = upsilon.conj().T
+    return max(
+        max_abs(upsilon @ p @ uh - projections[sigma.apply(i + 1) - 1])
+        for i, p in enumerate(projections)
+    )
+
+
+def perturbed_to(residual_of, make, target):
+    """make(t) at the t where residual_of(make(t)) is about `target`, read
+    from its slope at t = 1e-6: the residuals here are linear in t there,
+    to rounding."""
+    return make(target * 1e-6 / residual_of(make(1e-6)))

@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import importlib
 import inspect
 import io
@@ -38,7 +37,14 @@ from eitff.linalg import DEFAULT_TOL, FieldTag
 from eitff.radon_hurwitz import exists, rho_number
 from eitff.symmetry import SymmetryCertificate
 
-from conftest import near_code, random_subspace_frame
+from conftest import near_code, perturbed_to, random_subspace_frame
+
+
+def givens(d, t):
+    """The rotation by t in the plane of the first and last coordinates of F^d."""
+    rot = np.eye(d)
+    rot[[0, 0, -1, -1], [0, -1, 0, -1]] = math.cos(t), -math.sin(t), math.sin(t), math.cos(t)
+    return rot
 
 
 def run(capsys, *argv):
@@ -153,6 +159,28 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(frame_path))
         assert code == 1
         assert "welch_gap=nan coherence=nan" in out
+
+    @pytest.mark.parametrize("scale,passed", [(0.5, True), (2.0, False)])
+    def test_verdict_flips_at_tol(self, capsys, tmp_path, scale, passed):
+        """A code with its first member rotated so that its largest residual
+        reads about 0.5 or 2 tol: `passed` and the exit code flip between
+        the two, so the verdict is read at tol itself."""
+        members = build_eitff(FieldTag.REAL, 4, 6).arrays()
+
+        def tilted(t):
+            return FusionFrame.from_arrays(FieldTag.REAL, [givens(8, t) @ members[0], *members[1:]])
+
+        def worst(frame):
+            report = verify_eitff(frame)
+            return max(report.isometry_residual, report.tightness_residual,
+                       report.equiisoclinic_residual, report.welch_gap)
+
+        frame = perturbed_to(worst, tilted, scale * DEFAULT_TOL)
+        assert 0.8 * scale <= worst(frame) / DEFAULT_TOL <= 1.2 * scale
+        assert verify_eitff(frame).passed == passed
+        path = tmp_path / "tilted.json"
+        save_frame(frame, str(path))
+        assert run(capsys, "verify", str(path))[0] == (0 if passed else 1)
 
     def test_missing_file_exit_four(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"))
@@ -925,7 +953,7 @@ class TestSym:
         path = tmp_path / "near.json"
         save_frame(near_code(221, 1e-11), str(path))
         gated = symmetry.clifford_system(near_code(221, 1e-11), 2e-9)
-        monkeypatch.setattr(cli, "clifford_system", lambda frame, tol: dataclasses.replace(gated, tol=tol))
+        monkeypatch.setattr(cli, "clifford_system", lambda frame, tol: gated)
         code, out, _ = run(capsys, "sym", "witness", str(path), "--perm", "2 1 3 4 5 6 7 8")
         assert code == 0
         assert out == "witness=none\n"
@@ -982,6 +1010,32 @@ class TestSym:
         code, out, _ = run(capsys, "sym", "probe", str(path))
         assert code == 0
         assert out.strip() == "symmetry=alternating (closed form, m=3, tr_omega=2.00)"
+
+    @pytest.mark.parametrize("scale,found", [(0.5, True), (2.0, False)])
+    def test_certificate_verdict_flips_at_tol(self, capsys, frame_path, tmp_path, monkeypatch, scale, found):
+        """The exact witness of (2 3) times a small rotation, reading about
+        0.5 or 2 tol: `sym check` passes or fails it (exit 0 or 1),
+        `find_witness` returns it or None and `sym witness --tol` prints
+        found or none."""
+        frame, sigma = load_frame(str(frame_path))[0], symmetry.Permutation.parse("1 3 2 4")
+        exact = symmetry.find_witness(frame, sigma).upsilon
+
+        def residual(cert):
+            return symmetry.check_certificate(frame, cert)
+
+        cert = perturbed_to(residual, lambda t: SymmetryCertificate(sigma, exact @ givens(4, t)),
+                            scale * DEFAULT_TOL)
+        assert 0.8 * scale <= residual(cert) / DEFAULT_TOL <= 1.2 * scale
+        cert_path = tmp_path / "cert.json"
+        save_certificate(str(cert_path), "1 3 2 4", cert.upsilon, residual(cert))
+        code, out, _ = run(capsys, "sym", "check", str(frame_path), "--cert", str(cert_path))
+        assert (code, out.split()[-1]) == ((0, "result=pass") if found else (1, "result=fail"))
+        monkeypatch.setattr(symmetry.CliffordSystem, "witness", lambda system, s: cert)
+        assert (symmetry.find_witness(frame, sigma) is cert) == found
+        code, out, _ = run(capsys, "sym", "witness", str(frame_path), "--perm", "1 3 2 4",
+                           "--tol", repr(DEFAULT_TOL))
+        assert code == 0
+        assert out.startswith("witness=found residual=") if found else out == "witness=none\n"
 
     def test_check_fail_exit_one(self, capsys, frame_path, tmp_path):
         cert_path = tmp_path / "bad.json"

@@ -26,9 +26,16 @@ from eitff.frames import (
 from eitff.linalg import DEFAULT_TOL, FieldTag, Mat, max_abs
 from eitff.radon_hurwitz import GEN, exists, rho_number
 from eitff.simplex import verify_rho_simplex
-from eitff.symmetry import Permutation, check_certificate, clifford_system
+from eitff.symmetry import Permutation, SymmetryCertificate, check_certificate, clifford_system
 
-from conftest import random_orthogonal, random_subspace_frame, random_unitary, skew_simplex, traced_peak
+from conftest import (
+    loop_conjugation_residual,
+    random_orthogonal,
+    random_subspace_frame,
+    random_unitary,
+    skew_simplex,
+    traced_peak,
+)
 
 R, C = FieldTag.REAL, FieldTag.COMPLEX
 
@@ -288,6 +295,24 @@ class TestPanels:
         if name not in ROUNDING_TIE_FRAMES:
             assert got.equiisoclinic_pair == want.equiisoclinic_pair
         assert np.abs(np.cos(angles) - np.cos(want_angles)).max() <= 8 * eps
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3, "whole"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+    def test_certificate_residual_matches_per_subspace_loop(self, name, blocks, monkeypatch):
+        """`check_certificate` reads S in panels of d x d blocks: at every
+        panel size it is the per-subspace loop's within 4 d eps."""
+        frame = ORACLE_FRAMES[name]()
+        n, d = frame.n, frame.d
+        blocks = n if blocks == "whole" else blocks
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", blocks * d * d * frame.synthesis.itemsize)
+        projections = [a @ a.conj().T for a in frame.array]
+        unitary = random_orthogonal(d, 5) if frame.field is R else random_unitary(d, 5)
+        for upsilon in (np.eye(d), unitary):
+            for sigma in (Permutation.identity(n), Permutation.cycle(n, (1, 2, 3)),
+                          Permutation.transposition(n, 1, n)):
+                got = check_certificate(frame, SymmetryCertificate(sigma, upsilon))
+                want = loop_conjugation_residual(projections, sigma, upsilon)
+                assert abs(got - want) <= 4 * d * np.finfo(np.float64).eps
 
     @pytest.mark.parametrize("blocks", [1, 3])
     @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))

@@ -212,6 +212,19 @@ class TestPolarUnitary:
         with pytest.raises(SingularMatrixError):
             polar_unitary(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("condition,singular", [(1e9, False), (1e11, True)])
+    def test_singularity_threshold_is_1e_10(self, condition, singular):
+        """s_min / s_max at or below 1e-10 is singular: condition number
+        1e9 is factored and 1e11 is refused, in any basis."""
+        q, w = random_orthogonal(4, seed=3), random_unitary(4, seed=4)
+        for m in (np.diag([1.0, 0.5, 0.25, 1.0 / condition]), q @ np.diag([1.0, 0.5, 0.25, 1.0 / condition]) @ w):
+            if singular:
+                with pytest.raises(SingularMatrixError, match="numerically singular"):
+                    polar_unitary(m)
+            else:
+                u = polar_unitary(m)
+                assert max_abs(u.conj().T @ u - np.eye(4)) <= 1e-12
+
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             polar_unitary(np.zeros((2, 3)))

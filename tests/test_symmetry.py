@@ -32,7 +32,6 @@ from eitff.simplex import RhoSimplex, rho_simplex_from_orthonormal, simplex_matr
 from eitff.symmetry import (
     Permutation,
     SymmetryCertificate,
-    _conjugation_residual,
     _projections,
     alternating_witness,
     check_certificate,
@@ -44,6 +43,7 @@ from eitff.symmetry import (
 
 from conftest import (
     clifford_e,
+    loop_conjugation_residual,
     near_code,
     random_orthogonal,
     random_subspace_frame,
@@ -125,32 +125,35 @@ class TestCheckCertificate:
         with pytest.raises(ShapeError):
             check_certificate(example_frame, cert)
 
-    def test_nan_in_witness_refused_by_both_readers(self, example_frame):
-        """The kernel refuses a NaN witness, so `CliffordSystem.residual`
-        refuses it as `check_certificate` does; a NaN in the projections
-        still reads as NaN (`test_residual_is_the_same_in_any_panels`)."""
+    def test_nan_in_witness_refused_on_the_witness_path(self, example_frame, monkeypatch):
+        """`check_certificate` is the one reader, so a NaN witness that
+        reached `find_witness` is refused there as it is on its own
+        (`test_non_finite_witness_refused`)."""
         upsilon = np.eye(4)
         upsilon[1, 2] = np.nan
         cert = SymmetryCertificate(Permutation.identity(4), upsilon)
+        monkeypatch.setattr(symmetry.CliffordSystem, "witness", lambda system, sigma: cert)
         with pytest.raises(InvalidInputError, match="witness entries must be finite"):
-            _conjugation_residual(_projections(example_frame), cert.sigma, upsilon)
-        with pytest.raises(InvalidInputError, match="witness entries must be finite"):
-            clifford_system(example_frame).residual(cert)
+            find_witness(example_frame, cert.sigma)
 
-    @pytest.mark.parametrize("blocks", [1, 2, 3, 4])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 6])
     def test_residual_is_the_same_in_any_panels(self, monkeypatch, blocks):
-        """The residual is read one panel of subspaces at a time: at every
-        panel size it is the whole stack's, and a NaN in a later panel
-        than the largest finite entry still reads as NaN."""
+        """The residual is read from S one panel of subspaces at a time: at
+        every panel size it is the one-panel value, within 4 d eps of the
+        dense stack's, and a NaN in S in a later panel than the largest
+        finite entry still reads as NaN."""
         frame = build_eitff(C, 4, 6)
         p, sigma = _projections(frame), Permutation.cycle(6, (1, 2, 3))
-        upsilon = find_witness(frame, sigma).upsilon @ random_unitary(8, seed=2)
-        want = max_abs(upsilon @ p @ upsilon.conj().T - p[np.array(sigma.image) - 1])
+        cert = SymmetryCertificate(sigma, find_witness(frame, sigma).upsilon @ random_unitary(8, seed=2))
+        want = max_abs(cert.upsilon @ p @ cert.upsilon.conj().T - p[np.array(sigma.image) - 1])
+        monkeypatch.setattr(linalg, "_PANEL_BYTES", 6 * p[0].nbytes)
+        whole = check_certificate(frame, cert)
+        assert abs(whole - want) <= 4 * frame.d * np.finfo(np.float64).eps
         monkeypatch.setattr(linalg, "_PANEL_BYTES", blocks * p[0].nbytes)
-        assert _conjugation_residual(p, sigma, upsilon) == want
-        p = p.copy()
-        p[5, 2, 3] = np.nan
-        assert np.isnan(_conjugation_residual(p, sigma, upsilon))
+        assert check_certificate(frame, cert) == whole
+        synthesis = frame.synthesis.copy()
+        synthesis[2, 5 * frame.r + 3] = np.nan
+        assert np.isnan(check_certificate(FusionFrame._adopt(C, frame.r, synthesis), cert))
 
     def test_non_finite_witness_refused(self, example_frame):
         upsilon = np.eye(4)
@@ -205,6 +208,21 @@ class TestTranspositionWitness:
         for j, k in [(1, 2), (1, 2), (2, 3)]:
             with pytest.raises(InvalidInputError, match=r"^simplex members must be skew-Hermitian"):
                 transposition_witness(simplex, j, k)
+
+    @pytest.mark.parametrize("skew,accepted", [(5e-13, True), (2e-12, False)])
+    def test_skew_gate_is_1e_12(self, skew, accepted):
+        """A Hermitian part of (skew / 2) I in one member reads
+        `skew_residual` = skew: 5e-13 is accepted, 2e-12 refused."""
+        blocks = skew_simplex(C, 4, 6).blocks.copy()
+        blocks[2] += 0.5 * skew * np.eye(4)
+        simplex = RhoSimplex(C, 4, 6, blocks)
+        assert abs(simplex.skew_residual - skew) <= 1e-15
+        if accepted:
+            cert = transposition_witness(simplex, 1, 3)
+            assert check_certificate(frame_from_simplex(simplex), cert) <= 1e-11
+        else:
+            with pytest.raises(InvalidInputError, match=r"^simplex members must be skew-Hermitian \(residual 2.00e-12\)"):
+                transposition_witness(simplex, 1, 3)
 
     def test_skew_residual_is_measured_once(self, monkeypatch):
         # The gate reads `RhoSimplex.skew_residual`, formed on the first
@@ -465,9 +483,9 @@ class TestClosedFormBuilder:
     read from the simplex members, to 1e-12), and it clears the re-check."""
 
     @staticmethod
-    def assert_certificate(projections, cert, want):
+    def assert_certificate(frame, cert, want):
         assert np.array_equal(cert.upsilon, want)
-        assert _conjugation_residual(projections, cert.sigma, cert.upsilon) <= 1e-10
+        assert check_certificate(frame, cert) <= 1e-10
 
     @pytest.mark.parametrize("field,r,n", [(R, 2, 4), (C, 8, 8)])
     def test_alternating_witness_is_minus_v_v(self, field, r, n):
@@ -476,7 +494,7 @@ class TestClosedFormBuilder:
         for t1, t2 in [((1, 2), (3, 4)), ((2, 1), (3, 2)), ((1, n), (2, 3)), ((2, 4), (2, 4))]:
             (a, b), (c, d) = sorted(t1), sorted(t2)
             want = -reflection(p, a, b) @ reflection(p, c, d)
-            self.assert_certificate(p, alternating_witness(frame, t1, t2), want)
+            self.assert_certificate(frame, alternating_witness(frame, t1, t2), want)
 
     @pytest.mark.parametrize(
         "make",
@@ -488,7 +506,8 @@ class TestClosedFormBuilder:
         projection stack: the block swap of the reflection's rows."""
         simplex = make()
         n, r = simplex.n, simplex.r
-        p = _projections(frame_from_simplex(simplex))
+        frame = frame_from_simplex(simplex)
+        p = _projections(frame)
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
                 v = reflection(p, j, k)
@@ -496,7 +515,7 @@ class TestClosedFormBuilder:
                 cert = transposition_witness(simplex, j, k)
                 assert cert.sigma == Permutation.transposition(n, j, k)
                 assert max_abs(cert.upsilon - want) <= 1e-12
-                assert _conjugation_residual(p, cert.sigma, cert.upsilon) <= 1e-10
+                assert check_certificate(frame, cert) <= 1e-10
 
     @pytest.mark.parametrize(
         "make",
@@ -517,12 +536,12 @@ class TestClosedFormBuilder:
         ]
         for sigma in sigmas:
             want = reflection_chain(p, sigma.transpositions(), j)
-            self.assert_certificate(p, find_witness(frame, sigma), want)
+            self.assert_certificate(frame, find_witness(frame, sigma), want)
         label, certs = probe_symmetry(frame)
         assert label == "total"
         assert [c.sigma for c in certs] == [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
         for cert in certs:
-            self.assert_certificate(p, cert, reflection_chain(p, cert.sigma.transpositions(), j))
+            self.assert_certificate(frame, cert, reflection_chain(p, cert.sigma.transpositions(), j))
 
 
 def kronecker_blocks(projections, sigma):
@@ -650,8 +669,7 @@ def _search(
         if s[0] == 0.0 or s[-1] <= 1e-8 * s[0]:
             continue
         ups = polar_unitary(x)
-        residual = _conjugation_residual(projections, sigma, ups)
-        if residual <= tol:
+        if check_certificate(frame, SymmetryCertificate(sigma, ups)) <= tol:
             return SymmetryCertificate(sigma, ups)
     return None
 
@@ -778,15 +796,6 @@ def loop_projections(frame):
     return [a @ a.conj().T for a in frame.arrays()]
 
 
-def loop_conjugation_residual(projections, sigma, upsilon):
-    """Per-subspace oracle for `_conjugation_residual`."""
-    uh = upsilon.conj().T
-    return max(
-        max_abs(upsilon @ p @ uh - projections[sigma.apply(i + 1) - 1])
-        for i, p in enumerate(projections)
-    )
-
-
 class TestProjectionStack:
     @pytest.mark.parametrize(
         "spec",
@@ -809,7 +818,7 @@ class TestProjectionStack:
         for upsilon in (np.eye(d), unitary):
             for sigma in sigmas:
                 assert abs(
-                    _conjugation_residual(got, sigma, upsilon)
+                    check_certificate(frame, SymmetryCertificate(sigma, upsilon))
                     - loop_conjugation_residual(want, sigma, upsilon)
                 ) <= tol
 
@@ -1007,24 +1016,21 @@ class TestNearCode:
         label, certs = probe_symmetry(frame, 2e-9)
         assert label == "total"
         assert [c.sigma for c in certs] == [Permutation.transposition(n, i, i + 1) for i in range(1, n)]
-        residuals = [system.residual(cert) for cert in certs]
-        assert residuals == [check_certificate(frame, cert) for cert in certs]
+        residuals = [check_certificate(frame, cert) for cert in certs]
         assert DEFAULT_TOL < max(residuals) <= 2e-9
 
     @pytest.mark.parametrize("tol,found", [(DEFAULT_TOL, False), (2e-9, True)])
     def test_find_witness_reads_the_residual(self, tol, found, monkeypatch):
-        """A witness is found when its `CliffordSystem.residual` clears the
-        system's `tol`.  No near code that passes the gate has been seen
-        with a witness that misses it (witnesses read at most a quarter of
-        the bound), so the system is gated at 2e-9 and then asked for
-        `tol`."""
+        """A witness is found when its `check_certificate` residual clears
+        `tol`.  No near code that passes the gate has been seen with a
+        witness that misses it (witnesses read at most a quarter of the
+        bound), so the system is gated at 2e-9 and then asked for `tol`."""
         frame = near_code(221, 1e-11)
         sigma = Permutation.transposition(frame.n, 1, 2)
         gated = clifford_system(frame, 2e-9)
-        monkeypatch.setattr(symmetry, "clifford_system",
-                            lambda *args: dataclasses.replace(gated, tol=tol))
+        monkeypatch.setattr(symmetry, "clifford_system", lambda *args: gated)
         upsilon = reflection_chain(gated.projections, sigma.transpositions(), gated.j)
-        assert (_conjugation_residual(gated.projections, sigma, upsilon) <= tol) == found
+        assert (check_certificate(frame, SymmetryCertificate(sigma, upsilon)) <= tol) == found
         assert (find_witness(frame, sigma, tol) is not None) == found
 
 
@@ -1183,7 +1189,7 @@ class TestCliffordSystem:
         cert = system.witness(sigma)
         want = reflection_chain(system.projections, sigma.transpositions(), None)
         assert np.array_equal(cert.upsilon, want)
-        assert system.residual(cert) == _conjugation_residual(system.projections, sigma, want)
+        assert check_certificate(frame, cert) <= 1e-10
 
     def test_sigma_of_another_size_refused(self, example_frame):
         sigma = Permutation.transposition(5, 1, 2)
@@ -1397,16 +1403,15 @@ class TestCompositionAndTransfer:
 
 class TestOneResidual:
     """A certificate is (sigma, Upsilon).  Its conjugation residual is
-    measured only where it is read: by `check_certificate` on any frame, or
-    by `CliffordSystem.residual` on the projection stack the system holds."""
+    measured only where it is read, by `check_certificate`, the one reader."""
 
     def test_certificate_is_sigma_and_upsilon(self):
         assert [f.name for f in dataclasses.fields(SymmetryCertificate)] == ["sigma", "upsilon"]
 
     @pytest.mark.parametrize("field", [R, C])
     def test_only_find_witness_measures_a_residual(self, monkeypatch, field):
-        calls, kernel = [], symmetry._conjugation_residual
-        monkeypatch.setattr(symmetry, "_conjugation_residual", lambda *a: calls.append(a) or kernel(*a))
+        calls, kernel = [], symmetry.check_certificate
+        monkeypatch.setattr(symmetry, "check_certificate", lambda *a: calls.append(a) or kernel(*a))
         frame, simplex = build_eitff(field, 8, 8), skew_simplex(field, 8, 8)
         system = clifford_system(frame)
         sigma = Permutation.transposition(8, 1, 2)
@@ -1423,20 +1428,3 @@ class TestOneResidual:
             assert call() is not None
             counts[name] = len(calls) - before
         assert counts == {name: int(name == "find_witness") for name in runs}
-
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: build_eitff(R, 8, 8), lambda: build_eitff(C, 8, 9), lambda: rotated_code(R, 4, 6, 6),
-         lambda: rotated_code(C, 16, 10, 4)],
-        ids=["R8n8", "C8n9", "rotated-R4n6", "rotated-C16n10"],
-    )
-    def test_system_residual_is_check_certificate(self, make):
-        """Equal to the last bit, on the probe's certificates and on the
-        first one's witness paired with the identity, which it is not."""
-        frame = make()
-        system = clifford_system(frame)
-        certs = probe_symmetry(frame)[1]
-        certs.append(SymmetryCertificate(Permutation.identity(frame.n), certs[0].upsilon))
-        got = [system.residual(cert) for cert in certs]
-        assert got == [check_certificate(frame, cert) for cert in certs]
-        assert max(got[:-1]) <= 1e-10 < got[-1]
