@@ -19,8 +19,9 @@ S* S in tiles (`_gram_tiles`).  While several whole block rows fit in
 product and its pairs one batch; past that a tile is one panel of a
 block row of at most `linalg._PANEL_BYTES` (4 MiB).  So a check holds S
 plus a few buffers of that size at every n and r.  Bases are completed
-one way, by a closed-form Schreiber-Parlett block reflector
-(`_complement_rows`), never a complete QR.
+by a closed-form Schreiber-Parlett block reflector (`_complement_rows`),
+never a complete QR, except a code's Naimark complement, which is read
+off its own unitary simplex.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import DomainError, InfeasibleParametersError, InvalidInputError
 from .linalg import DEFAULT_TOL, FieldTag, Mat, field_array, panel_blocks
 from .radon_hurwitz import build_rho_orthonormal, rho_number
-from .simplex import RhoSimplex, rho_simplex_from_orthonormal
+from .simplex import RhoSimplex, rho_simplex_from_orthonormal, simplex_matrix
 
 # Cross-Gram pairs whose smallest singular value exceeds this are treated
 # as coming from identical subspaces.
@@ -230,10 +231,7 @@ def canonicalize(frame: FusionFrame):
     """Reduce a verified optimal frame with d = 2r to canonical form.
 
     Returns the equivalent frame in the [alpha I; beta B_i] / [I; 0]
-    shape together with the extracted unitary simplex.  The procedure:
-    rotate by [Phi_n*; K], K the block-reflector complement of Phi_n, so
-    the last subspace becomes the top coordinate block, then peel the
-    per-subspace unitaries off the top blocks Phi_n* Phi_i.
+    shape together with the unitary simplex B that `_chart` reads off.
     """
     if frame.d != 2 * frame.r:
         raise DomainError(
@@ -246,11 +244,18 @@ def canonicalize(frame: FusionFrame):
             f"{_COMPLETION_TOL} (tightness {report.tightness_residual:.2e}, "
             f"equi-isoclinic {report.equiisoclinic_residual:.2e})"
         )
+    simplex = RhoSimplex(frame.field, frame.r, frame.n, _chart(frame)[1])
+    return frame_from_simplex(simplex), simplex
+
+
+def _chart(frame: FusionFrame) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, B) with Z_i = Phi_n* Phi_i / alpha and B_i = Q Phi_i Z_i* / beta,
+    i < n, Q = `_complement_rows`(Phi_n): so
+    [Phi_n*; Q] Phi_i = [alpha I; beta B_i] Z_i, and for a code B is a
+    unitary simplex and each Z_i unitary."""
     (alpha, beta), stack = eitff_params(frame.n), frame.array
     z = stack[-1].conj().T @ stack[:-1] / alpha
-    blocks = (_complement_rows(stack[-1]) @ stack[:-1] @ z.conj().swapaxes(1, 2)) / beta
-    simplex = RhoSimplex(frame.field, frame.r, frame.n, blocks)
-    return frame_from_simplex(simplex), simplex
+    return z, (_complement_rows(stack[-1]) @ stack[:-1] @ z.conj().swapaxes(1, 2)) / beta
 
 
 def _gram_tiles(frame: FusionFrame):
@@ -434,19 +439,50 @@ def naimark_complement(frame: FusionFrame) -> FusionFrame:
     """Companion tight frame in dimension nr - d.
 
     For a tight frame the columns of W = sqrt(d/nr) S*, S = [Phi_1 ... Phi_n]
-    the synthesis operator, are orthonormal.  The block reflector gives
-    nr - d orthonormal rows K with K W = 0 (`_complement_rows`), and the
-    complement's synthesis operator S' = sqrt(nr/(nr-d)) K, kept without a
-    copy, has S'* S' = (nr/(nr-d)) (I - (d/nr) S* S).  Its n r-column
+    the synthesis operator, are orthonormal.  The complement's synthesis
+    operator S' = sqrt(nr/(nr-d)) K, K any nr - d orthonormal rows with
+    K W = 0, has S'* S' = (nr/(nr-d)) (I - (d/nr) S* S): its n r-column
     blocks are isometries whose cross-Grams are the original ones scaled
     by -d/(nr-d).  The complement is unique up to a left unitary.
+
+    A code with d = 2r that verifies at `DEFAULT_TOL` has K in closed
+    form.  By `_chart` its block i is the canonical code's times Z_i, and
+    so is its complement's.  Let psi_i be column i of Psi = Psi_{n-1}
+    (`simplex_matrix`) and C_k = ((n-2)/(n-1)) sum_i Psi(k, i) B_i (a
+    built code's family).  As sum_k Psi(k, i) C_k = B_i and
+    sum_i B_i = 0, the blocks x_i = B_i* (psi_i* (x) I), i < n, and
+    x_n = -alpha sum_i x_i of an nr x (n-2)r matrix X span the canonical
+    code's ker S.  X* X = lambda I + mu P, lambda = (n-1)/(n-2),
+    mu = (n-1)/2, P = [C_k C_l*]_kl / (n-2) a projection, so
+    (X* X)^-1/2 = a I + (a' - a) P, a = lambda^-1/2, a' = (lambda + mu)^-1/2,
+    and with s = sqrt(n/(n-2)) block (k, i) of S' is
+    s (a Psi(k, i) B_i + ((a' - a)/(n-2)) C_k) Z_i for i < n and
+    -s a' alpha lambda C_k for i = n: a few scalars times B and C, so
+    entries of a built code (Z_i = I) that are equal in exact arithmetic
+    come out bit-equal.  Every other tight frame takes the block
+    reflector (`_complement_rows`).
     """
     d, r, n = frame.d, frame.r, frame.n
     if n * r <= d:
         raise DomainError(f"complement needs nr > d, got nr={n * r}, d={d}")
-    tight = tightness_residual(frame)
+    report = verify_eitff(frame, DEFAULT_TOL) if d == 2 * r else None
+    tight = report.tightness_residual if report else tightness_residual(frame)
     if not tight <= _COMPLETION_TOL:
         raise InvalidInputError(f"frame is not tight (residual {tight:.2e})")
+    if report and report.passed:
+        z, b = _chart(frame)
+        psi, lam, s = simplex_matrix(n - 1), (n - 1) / (n - 2), math.sqrt(n / (n - 2))
+        a, a1 = lam**-0.5, (lam + (n - 1) / 2) ** -0.5
+        c = np.tensordot(psi, b, 1)  # (n-1)/(n-2) C
+        synthesis = np.empty(((n - 2) * r, n * r), frame.field.dtype)
+        out = _blocks(synthesis, n)
+        np.multiply(c.reshape(-1, r), -s * a1 * eitff_params(n)[0], out=out[-1])
+        c *= s * (a1 - a) / (n - 1)
+        for i in range(n - 1):
+            t = np.multiply(s * a * psi[:, i, None, None], b[i])
+            t += c
+            np.matmul(t.reshape(-1, r), z[i], out=out[i])
+        return FusionFrame._adopt(frame.field, r, synthesis)
     cols = math.sqrt(d / (n * r)) * frame.synthesis.T
     np.conjugate(cols, out=cols)
     synthesis = _complement_rows(cols)

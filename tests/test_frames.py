@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eitff import frames, linalg
 from eitff.errors import DomainError, InfeasibleParametersError, InvalidInputError
+from eitff.frame_io import load_frame, save_frame
 from eitff.frames import (
     _OMP_TIE_RTOL,
     _complement_rows,
@@ -30,6 +31,8 @@ from eitff.symmetry import Permutation, SymmetryCertificate, check_certificate, 
 
 from conftest import (
     loop_conjugation_residual,
+    near_code,
+    perturbed_to,
     random_orthogonal,
     random_subspace_frame,
     random_unitary,
@@ -163,6 +166,16 @@ def rotated(frame, seed):
     d = frame.d
     q = random_orthogonal(d, seed) if frame.field is R else random_unitary(d, seed)
     return FusionFrame.from_arrays(frame.field, q @ frame.arrays())
+
+
+def worst_residual(report):
+    """The largest residual the report compares with its tolerance."""
+    return max(
+        report.isometry_residual,
+        report.tightness_residual,
+        report.equiisoclinic_residual,
+        abs(report.welch_gap),
+    )
 
 
 def lines_frame(degrees):
@@ -791,13 +804,7 @@ class TestVerifyAgainstReference:
         rotated = FusionFrame.from_arrays(field, [q @ a for a in frame.arrays()])
         report = verify_eitff(rotated)
         assert report.passed
-        residuals = (
-            report.isometry_residual,
-            report.tightness_residual,
-            report.equiisoclinic_residual,
-            abs(report.welch_gap),
-        )
-        assert max(residuals) <= 1e-10
+        assert worst_residual(report) <= 1e-10
 
 
 def svd_complement(frame):
@@ -819,6 +826,23 @@ def fusion_gram(frame):
     return synth.conj().T @ synth
 
 
+def complement_gram(frame):
+    """The Gram (nr/(nr-d)) (I - (d/nr) H) every complement of a tight
+    frame has, H the frame's fusion Gram."""
+    nr, d = frame.n * frame.r, frame.d
+    return nr / (nr - d) * (np.eye(nr) - (d / nr) * fusion_gram(frame))
+
+
+def reflector_complement(frame):
+    """sqrt(nr/(nr-d)) K, K the block reflector's rows orthogonal to the
+    columns of sqrt(d/nr) S*, formed as `naimark_complement` forms it for
+    a frame that is not a code."""
+    nr, d = frame.n * frame.r, frame.d
+    cols = math.sqrt(d / nr) * frame.synthesis.T
+    np.conjugate(cols, out=cols)
+    return _complement_rows(cols) * math.sqrt(nr / (nr - d))
+
+
 class TestNaimark:
     @pytest.mark.parametrize(
         "field,r,n,rotate",
@@ -831,14 +855,17 @@ class TestNaimark:
             (C, 4, 6, False),
             (R, 4, 5, True),
             (C, 2, 5, True),
+            (R, 1, 3, False),
+            (C, 3, 3, True),
+            (C, 8, 9, True),
+            (R, 16, 11, True),
         ],
     )
     def test_gram_matches_svd_oracle(self, field, r, n, rotate):
         frame = build_eitff(field, r, n)
         if rotate:
             frame = rotated(frame, seed=r + n)
-        nr, d = n * r, frame.d
-        want = nr / (nr - d) * (np.eye(nr) - (d / nr) * fusion_gram(frame))
+        want = complement_gram(frame)
         comp = naimark_complement(frame)
         assert max_abs(fusion_gram(svd_complement(frame)) - want) <= 1e-12
         assert max_abs(fusion_gram(comp) - want) <= 1e-12
@@ -901,10 +928,70 @@ class TestNaimark:
             naimark_complement(frame)
 
     def test_peak_holds_no_nr_by_nr_unitary(self):
-        # S' (36 MiB at R128 n=18) is written once, beside W = sqrt(d/nr) S*
-        # and two (nr - d) x d buffers: the traced peak reads 49.5 MiB.  A
-        # complete QR, which formed the whole nr x nr unitary, read 85.6.
+        # S' (36 MiB at R128 n=18) is written once, one block column at a
+        # time, beside the code's simplex and family (2 MiB each): the
+        # traced peak reads 46.3 MiB.  The block reflector, which also held
+        # W = sqrt(d/nr) S*, read 49.5; a complete QR, which formed the
+        # whole nr x nr unitary, read 85.6.
         assert traced_peak(naimark_complement, build_eitff(R, 128, 18)) <= 55 * 2**20
+
+    @pytest.mark.parametrize("field,r,n", [(R, 64, 14), (C, 32, 14)])
+    def test_code_complement_repeats_its_values(self, tmp_path, field, r, n):
+        # A code's complement is a few scalars times its simplex and its
+        # family, so it holds 800 (R) and 849 (C) distinct float64 values
+        # of 688,128 and 344,064, where the block reflector's held 321,911
+        # and 32,381; and it reads back from its file bit for bit.
+        frame = build_eitff(field, r, n)
+        comp = naimark_complement(frame)
+        bits = comp.synthesis.view(np.uint64)
+        assert len(np.unique(bits)) <= 1024
+        assert max_abs(fusion_gram(comp) - complement_gram(frame)) <= 1e-12
+        path = str(tmp_path / "comp.json")
+        save_frame(comp, path)
+        assert np.array_equal(load_frame(path)[0].synthesis.view(np.uint64), bits)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: lines_frame([0, 45, 90, 135]), id="tight-lines"),
+            pytest.param(lambda: near_code(0, 1e-10), id="near-code-past-tol"),
+            pytest.param(lambda: naimark_complement(build_eitff(R, 4, 6)), id="d-not-2r"),
+        ],
+    )
+    def test_frames_that_are_not_codes_take_the_reflector(self, make):
+        frame = make()
+        report = verify_eitff(frame)
+        assert frame.d != 2 * frame.r or DEFAULT_TOL < worst_residual(report)
+        assert report.tightness_residual <= frames._COMPLETION_TOL
+        comp = naimark_complement(frame)
+        assert np.array_equal(comp.synthesis, reflector_complement(frame))
+        # The reflector takes the columns of sqrt(d/nr) S* as orthonormal, so
+        # its Gram is off by up to the frame's tightness residual (4.5e-11
+        # against 2.1e-10 on the near code).
+        oracle = fusion_gram(svd_complement(frame))
+        assert max_abs(fusion_gram(comp) - oracle) <= 1e-12 + report.tightness_residual
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_near_code_error_is_within_twice_its_residual(self, seed):
+        # The closed form reads the near code's simplex as if it were
+        # exact: its Gram error was 0.7 to 1.4 times the input's residual
+        # on these seeds, the reflector's about 0.1 times.
+        frame = near_code(seed, 5e-12)
+        report = verify_eitff(frame)
+        assert report.passed
+        comp = naimark_complement(frame)
+        assert not np.array_equal(comp.synthesis, reflector_complement(frame))
+        assert max_abs(fusion_gram(comp) - complement_gram(frame)) <= 2 * worst_residual(report)
+
+    @pytest.mark.parametrize("target,completes", [(0.5e-8, True), (2e-8, False)])
+    def test_completion_tol_is_1e_8(self, target, completes):
+        frame = perturbed_to(tightness_residual, lambda t: near_code(0, t), target)
+        assert 0.8 * target <= tightness_residual(frame) <= 1.25 * target
+        if completes:
+            naimark_complement(frame)
+        else:
+            with pytest.raises(InvalidInputError, match="not tight"):
+                naimark_complement(frame)
 
 
 def random_isometry(field, k, p, seed, zero_top_row):
